@@ -1,7 +1,8 @@
 # Convenience targets; `make ci` is what the CI workflow runs.
 
 .PHONY: all build test bench bench-gate bench-baseline sim-bench fmt smoke \
-	doctor-smoke serve-smoke trace-smoke report-smoke soak-smoke ci clean
+	doctor-smoke serve-smoke trace-smoke report-smoke soak-smoke \
+	benchstats-test ci clean
 
 all: build
 
@@ -13,6 +14,11 @@ test:
 
 bench:
 	dune exec bench/main.exe
+
+# Unit tests of the statistics behind perfbench/run.py (quantiles,
+# reference scaling, spread); plain python3, no build needed.
+benchstats-test:
+	python3 perfbench/test_benchstats.py
 
 # Time the N=5 paper model and fail if the spectral solver regressed
 # more than 2x against the committed baseline (BENCH_MAX_RATIO to
@@ -127,8 +133,8 @@ sim-bench:
 	cmp /tmp/urs_sim_j1.txt /tmp/urs_sim_j4.txt
 	@echo "sim-bench: ok"
 
-ci: fmt build test smoke doctor-smoke serve-smoke trace-smoke report-smoke \
-	soak-smoke sim-bench
+ci: fmt build test benchstats-test smoke doctor-smoke serve-smoke trace-smoke \
+	report-smoke soak-smoke sim-bench
 
 clean:
 	dune clean

@@ -1,8 +1,9 @@
 (* Complex LU with partial pivoting. Internally the packed factors are
    stored as two flat float arrays (real and imaginary parts): boxed
    [Complex.t] arithmetic in the O(n³) elimination loop costs an
-   allocation per flop without flambda, which made this the hot spot of
-   the spectral solver. *)
+   allocation per flop without flambda. The spectral solver factors
+   Q(z_k) here only for complex eigenvalues; real ones take the real,
+   band-aware [Lu.left_null_vector]. *)
 
 type t = {
   n : int;

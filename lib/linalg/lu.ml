@@ -11,14 +11,32 @@ let dim f = f.lu.Matrix.rows
 (* Crout-style factorization with partial pivoting on a copy. The inner
    loops index the flat data array directly: without flambda, going
    through Matrix.get/set costs a (non-inlined) call per element, which
-   dominates at the sizes the solvers use. *)
-let factor_internal a =
+   dominates at the sizes the solvers use.
+
+   [last.(i)] is the last nonzero column of stored row i; it moves with
+   the row through swaps, and an update by pivot row k extends it to
+   [last.(k)]. Row updates stop there, so a banded matrix (Q(z) is
+   block-tridiagonal in the operative-server count) skips the exact
+   zeros beyond its band and the factors are the same.
+
+   [patch]: when [Some eps], zero pivots are replaced by [eps] so the
+   factorization always completes (inverse-iteration use). *)
+let factor_general ?patch a =
   if not (Matrix.is_square a) then invalid_arg "Lu.factor: not square";
   let n = a.Matrix.rows in
   let m = Matrix.copy a in
   let d = m.Matrix.data in
   let perm = Array.init n (fun i -> i) in
+  let last =
+    Array.init n (fun i ->
+        let j = ref (n - 1) in
+        while !j >= 0 && d.((i * n) + !j) = 0.0 do
+          decr j
+        done;
+        !j)
+  in
   let sign = ref 1 in
+  let patched = ref false in
   let singular = ref false in
   (try
      for k = 0 to n - 1 do
@@ -33,8 +51,14 @@ let factor_internal a =
          end
        done;
        if !best = 0.0 then begin
-         singular := true;
-         raise Exit
+         match patch with
+         | None ->
+             singular := true;
+             raise Exit
+         | Some eps ->
+             d.((k * n) + k) <- eps;
+             last.(k) <- max last.(k) k;
+             patched := true
        end;
        if !piv <> k then begin
          (* swap rows k and piv *)
@@ -47,27 +71,40 @@ let factor_internal a =
          let tp = perm.(k) in
          perm.(k) <- perm.(!piv);
          perm.(!piv) <- tp;
+         let tl = last.(k) in
+         last.(k) <- last.(!piv);
+         last.(!piv) <- tl;
          sign := - !sign
        end;
        let rk = k * n in
        let pivot = d.(rk + k) in
+       let last_k = last.(k) in
        for i = k + 1 to n - 1 do
          let ri = i * n in
          let factor = d.(ri + k) /. pivot in
          d.(ri + k) <- factor;
-         if factor <> 0.0 then
-           for j = k + 1 to n - 1 do
+         if factor <> 0.0 then begin
+           for j = k + 1 to last_k do
              d.(ri + j) <- d.(ri + j) -. (factor *. d.(rk + j))
-           done
+           done;
+           if last_k > last.(i) then last.(i) <- last_k
+         end
        done
      done
    with Exit -> ());
-  if !singular then Error `Singular else Ok { lu = m; perm; sign = !sign }
+  if !singular then Error `Singular
+  else Ok ({ lu = m; perm; sign = !sign }, !patched)
 
-let factor a = factor_internal a
+let factor a = Result.map fst (factor_general a)
 
 let factor_exn a =
-  match factor_internal a with Ok f -> f | Error `Singular -> raise Singular
+  match factor a with Ok f -> f | Error `Singular -> raise Singular
+
+let factor_regularized a =
+  let eps = 1e-300 +. (epsilon_float *. Matrix.max_abs a) in
+  match factor_general ~patch:eps a with
+  | Ok (f, patched) -> (f, patched)
+  | Error `Singular -> assert false
 
 let solve f b =
   let n = dim f in
@@ -97,26 +134,31 @@ let solve f b =
   x
 
 (* aᵀ x = b  ⇔  Uᵀ Lᵀ P x = b: solve Uᵀ y = b (forward), Lᵀ z = y
-   (backward), then undo the permutation. *)
+   (backward), then undo the permutation. Both sweeps walk the rows of
+   the packed factors, as [solve] does: once y_i is known, row i of U
+   (resp. L) carries its contribution to the later (resp. earlier)
+   unknowns. *)
 let solve_transposed f b =
   let n = dim f in
   if Vec.dim b <> n then invalid_arg "Lu.solve_transposed: dimension mismatch";
+  let d = f.lu.Matrix.data in
   let y = Vec.copy b in
   for i = 0 to n - 1 do
-    let acc = ref y.(i) in
-    for j = 0 to i - 1 do
-      acc := !acc -. (Matrix.get f.lu j i *. y.(j))
-    done;
-    let d = Matrix.get f.lu i i in
-    if d = 0.0 then raise Singular;
-    y.(i) <- !acc /. d
-  done;
-  for i = n - 1 downto 0 do
-    let acc = ref y.(i) in
+    let ri = i * n in
+    let dii = d.(ri + i) in
+    if dii = 0.0 then raise Singular;
+    let yi = y.(i) /. dii in
+    y.(i) <- yi;
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Matrix.get f.lu j i *. y.(j))
-    done;
-    y.(i) <- !acc
+      y.(j) <- y.(j) -. (d.(ri + j) *. yi)
+    done
+  done;
+  for i = n - 1 downto 1 do
+    let ri = i * n in
+    let yi = y.(i) in
+    for j = 0 to i - 1 do
+      y.(j) <- y.(j) -. (d.(ri + j) *. yi)
+    done
   done;
   let x = Array.make n 0.0 in
   for i = 0 to n - 1 do
@@ -157,10 +199,10 @@ let det_of_factor f =
   !acc
 
 let det a =
-  match factor_internal a with Ok f -> det_of_factor f | Error `Singular -> 0.0
+  match factor a with Ok f -> det_of_factor f | Error `Singular -> 0.0
 
 let log_abs_det a =
-  match factor_internal a with
+  match factor a with
   | Error `Singular -> (neg_infinity, 0)
   | Ok f ->
       let n = dim f in
@@ -174,13 +216,28 @@ let log_abs_det a =
       (!log_acc, !sign)
 
 let inverse a =
-  match factor_internal a with
+  match factor a with
   | Error `Singular -> Error `Singular
   | Ok f -> (
       try Ok (solve_matrix f (Matrix.identity (dim f)))
       with Singular -> Error `Singular)
 
 let solve_system a b =
-  match factor_internal a with
+  match factor a with
   | Error `Singular -> Error `Singular
   | Ok f -> ( try Ok (solve f b) with Singular -> Error `Singular)
+
+(* Deterministic start vector: the real part of [Clu]'s, so a real
+   matrix gets the same null vector from either factorization. *)
+let start_vector n =
+  Array.init n (fun i -> 0.5 +. (0.5 *. sin (float_of_int ((i * 37) + 11))))
+
+let left_null_vector a =
+  let f, _ = factor_regularized a in
+  (* uᵀ with aᵀ uᵀ = 0: inverse iteration using the transposed solve *)
+  let x = ref (Vec.normalize (start_vector (dim f))) in
+  for _ = 1 to 4 do
+    x := Vec.normalize (solve_transposed f !x)
+  done;
+  (* the sign [Cvec.normalize] would pick: largest component positive *)
+  if !x.(Vec.max_abs_index !x) < 0.0 then Vec.scale (-1.0) !x else !x

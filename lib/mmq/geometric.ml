@@ -1,6 +1,4 @@
 module V = Urs_linalg.Vec
-module Cx = Urs_linalg.Cx
-module CV = Urs_linalg.Cvec
 module Metrics = Urs_obs.Metrics
 module Span = Urs_obs.Span
 module Ledger = Urs_obs.Ledger
@@ -74,10 +72,8 @@ let solve_inner ~scan_points q =
     | None -> Error Root_not_found
     | Some z ->
         finish_conv true;
-        let u = Urs_linalg.Clu.left_null_vector (Qbd.char_poly_at q (Cx.of_float z)) in
-        let u_re = CV.real_part u in
-        let total = V.sum u_re in
-        let weights = V.scale (1.0 /. total) u_re in
+        let u = Urs_linalg.Lu.left_null_vector (Qbd.char_poly_real q z) in
+        let weights = V.scale (1.0 /. V.sum u) u in
         Ok { qbd = q; z; weights }
   end
 

@@ -8,6 +8,7 @@ type t = {
   b : M.t;
   d_a : M.t;
   c_full : M.t; (* C_j for j >= N *)
+  q1 : M.t; (* T_N = A − D^A − B − C, the coefficient Q1 of Q(z) *)
 }
 
 let create ~env ~lambda ~mu =
@@ -24,7 +25,14 @@ let create ~env ~lambda ~mu =
           float_of_int (min (Environment.operative_servers env i) n) *. mu
         else 0.0)
   in
-  { env; lambda; mu; a; b; d_a; c_full }
+  (* element by element in the order of [transition_block], so Q1 is
+     bit-identical to T_N *)
+  let q1 = M.create s s in
+  for k = 0 to (s * s) - 1 do
+    q1.M.data.(k) <-
+      ((a.M.data.(k) -. d_a.M.data.(k)) -. b.M.data.(k)) -. c_full.M.data.(k)
+  done;
+  { env; lambda; mu; a; b; d_a; c_full; q1 }
 
 let env t = t.env
 
@@ -61,25 +69,29 @@ let transition_block t j = M.sub (M.sub (M.sub t.a t.d_a) t.b) (c t j)
 
 let q0 t = b t
 
-let q1 t = transition_block t (Environment.servers t.env)
+let q1 t = M.copy t.q1
 
 let q2 t = M.copy t.c_full
 
 let char_poly_at t z =
-  Urs_linalg.Companion.evaluate ~q0:(q0 t) ~q1:(q1 t) ~q2:(q2 t) z
+  Urs_linalg.Companion.evaluate ~q0:t.b ~q1:t.q1 ~q2:t.c_full z
+
+let char_poly_real t z =
+  let b = t.b.M.data and q1 = t.q1.M.data and c = t.c_full.M.data in
+  let z2 = z *. z in
+  let sm = s t in
+  let q = M.create sm sm in
+  (* as (B + z·T) + z²·C: another association moves the root that
+     Geometric finds by scanning [det_q_scaled] in its last bits *)
+  for k = 0 to (sm * sm) - 1 do
+    q.M.data.(k) <- (b.(k) +. (z *. q1.(k))) +. (z2 *. c.(k))
+  done;
+  q
 
 let det_q_scaled t z =
-  let sm = s t in
-  let t_full = transition_block t (Environment.servers t.env) in
-  let q =
-    M.init sm sm (fun i j ->
-        M.get t.b i j
-        +. (z *. M.get t_full i j)
-        +. (z *. z *. M.get t.c_full i j))
-  in
-  let log_det, sign = Urs_linalg.Lu.log_abs_det q in
+  let log_det, sign = Urs_linalg.Lu.log_abs_det (char_poly_real t z) in
   if sign = 0 then 0.0
-  else float_of_int sign *. exp (log_det /. float_of_int sm)
+  else float_of_int sign *. exp (log_det /. float_of_int (s t))
 
 let eigenpair_residual t z u =
   let norm_u = Urs_linalg.Cvec.norm_inf u in
@@ -88,12 +100,37 @@ let eigenpair_residual t z u =
     Urs_linalg.Cvec.norm_inf (Urs_linalg.Cmatrix.vec_mul u (char_poly_at t z))
     /. norm_u
 
+(* v_{j−1}B + v_j T_j + v_{j+1}C_{j+1} without building T_j or C_{j+1}:
+   B and C_{j+1} are diagonal, and T_j equals Q1 = T_N off the diagonal.
+   The products accumulate in the order of [M.vec_mul] and the diagonal
+   of T_j is formed as in [transition_block], so the value is the one
+   the explicit blocks give. *)
 let generator_residual t vs j =
   match vs with
   | [| v_prev; v_j; v_next |] ->
-      let lhs = M.vec_mul v_prev t.b in
-      let mid = M.vec_mul v_j (transition_block t j) in
-      let nxt = M.vec_mul v_next (c t (j + 1)) in
-      Urs_linalg.Vec.norm_inf
-        (Urs_linalg.Vec.add lhs (Urs_linalg.Vec.add mid nxt))
+      let sm = s t in
+      let cj = c_diag t j and cj1 = c_diag t (j + 1) in
+      let q1 = t.q1.M.data in
+      let mid = Array.make sm 0.0 in
+      for i = 0 to sm - 1 do
+        let vi = v_j.(i) in
+        if vi <> 0.0 then begin
+          let ri = i * sm in
+          let tii =
+            ((M.get t.a i i -. M.get t.d_a i i) -. M.get t.b i i) -. cj.(i)
+          in
+          for k = 0 to sm - 1 do
+            let tik = if k = i then tii else q1.(ri + k) in
+            mid.(k) <- mid.(k) +. (vi *. tik)
+          done
+        end
+      done;
+      let worst = ref 0.0 in
+      for k = 0 to sm - 1 do
+        let r =
+          (v_prev.(k) *. t.lambda) +. (mid.(k) +. (v_next.(k) *. cj1.(k)))
+        in
+        if abs_float r > !worst then worst := abs_float r
+      done;
+      !worst
   | _ -> invalid_arg "Qbd.generator_residual: expected three vectors"

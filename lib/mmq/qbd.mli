@@ -17,7 +17,8 @@
 type t
 
 val create : env:Environment.t -> lambda:float -> mu:float -> t
-(** Precomputes all blocks. Requires positive rates. *)
+(** Precomputes all blocks, [Q1] included, so the evaluators below do
+    not rebuild them. Requires positive rates. *)
 
 val env : t -> Environment.t
 val lambda : t -> float
@@ -49,11 +50,21 @@ val transition_block : t -> int -> Urs_linalg.Matrix.t
     strictly row-diagonally-dominant M-matrix transpose). *)
 
 val q0 : t -> Urs_linalg.Matrix.t
+
 val q1 : t -> Urs_linalg.Matrix.t
+(** A copy of [Q1 = T_N], built once by {!create}; bit-identical to
+    [transition_block t servers]. *)
+
 val q2 : t -> Urs_linalg.Matrix.t
 
 val char_poly_at : t -> Urs_linalg.Cx.t -> Urs_linalg.Cmatrix.t
 (** [Q(z)] evaluated at a complex point. *)
+
+val char_poly_real : t -> float -> Urs_linalg.Matrix.t
+(** [Q(z)] at a real point, formed as [(Q0 + z·Q1) + z²·Q2] from the
+    prebuilt blocks. The real-eigenvalue path of {!Spectral} and the
+    dominant root of {!Geometric} take their left null vectors from it;
+    {!det_q_scaled} takes its determinant. *)
 
 val det_q_scaled : t -> float -> float
 (** [det Q(z)] for real [z], rescaled as
@@ -70,4 +81,6 @@ val eigenpair_residual : t -> Urs_linalg.Cx.t -> Urs_linalg.Cvec.t -> float
 val generator_residual : t -> Urs_linalg.Vec.t array -> int -> float
 (** [generator_residual t vs j] is the infinity-norm residual of the
     level-[j] balance equation given consecutive probability vectors
-    [vs = [| v_{j−1}; v_j; v_{j+1} |]] — a diagnostic used in tests. *)
+    [vs = [| v_{j−1}; v_j; v_{j+1} |]]. It reads the prebuilt blocks
+    ([T_j] differs from [Q1] only on the diagonal) and gives the value
+    the explicit [B], [T_j] and [C_{j+1}] would. *)

@@ -185,9 +185,11 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
           m "N=%d s=%d: %d eigenvalues inside the unit disk, z_max=%.6f"
             n_servers s (Array.length zs)
             (Cx.modulus zs.(Array.length zs - 1)));
-      (* left eigenvectors of Q(z_k); conjugate eigenvalues have
-         conjugate eigenvectors (Q has real coefficients), so compute
-         each pair only once *)
+      (* left eigenvectors of Q(z_k). A real eigenvalue (the QR step
+         returns its imaginary part as exactly 0) has a real Q(z_k) and
+         a real eigenvector, found in real arithmetic. Conjugate
+         eigenvalues have conjugate eigenvectors (Q has real
+         coefficients), so each complex pair is computed only once. *)
       let us =
         Span.with_ ~name:"urs_spectral_stage"
           ~labels:[ ("stage", "eigenvectors") ]
@@ -195,7 +197,13 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
             let us = Array.make s [||] in
             for k = 0 to s - 1 do
               let z = zs.(k) in
-              if Cx.im z >= 0.0 then
+              if Cx.im z = 0.0 then
+                us.(k) <-
+                  CV.normalize
+                    (CV.of_real
+                       (Urs_linalg.Lu.left_null_vector
+                          (Qbd.char_poly_real q (Cx.re z))))
+              else if Cx.im z > 0.0 then
                 us.(k) <- Clu.left_null_vector (Qbd.char_poly_at q z)
             done;
             for k = 0 to s - 1 do
@@ -427,11 +435,13 @@ let pow_z t k e =
   in
   go Cx.one t.zs.(k) e
 
-(* Re Σ_k γ_k f(k) z_k^j for a complex weight f *)
-let spectral_sum t ~weight ~level =
+let powers t j = Array.init (Array.length t.zs) (fun k -> pow_z t k j)
+
+(* Re Σ_k γ_k f(k) z_k^j for a complex weight f, given zj = powers t j *)
+let spectral_sum t ~weight zj =
   let acc = ref Cx.zero in
   for k = 0 to Array.length t.zs - 1 do
-    acc := Cx.add !acc (Cx.mul t.gammas.(k) (Cx.mul (weight k) (pow_z t k level)))
+    acc := Cx.add !acc (Cx.mul t.gammas.(k) (Cx.mul (weight k) zj.(k)))
   done;
   Cx.re !acc
 
@@ -439,20 +449,21 @@ let vector_at t j =
   if j < 0 then invalid_arg "Spectral: negative level";
   if j < num_servers t then V.copy t.boundary.(j)
   else
+    let zj = powers t j in
     Array.init (Qbd.s t.qbd) (fun i ->
-        spectral_sum t ~weight:(fun k -> t.us.(k).(i)) ~level:j)
+        spectral_sum t ~weight:(fun k -> t.us.(k).(i)) zj)
 
 let probability t ~mode ~jobs =
   let s = Qbd.s t.qbd in
   if mode < 0 || mode >= s then invalid_arg "Spectral.probability: bad mode";
   if jobs < 0 then 0.0
   else if jobs < num_servers t then t.boundary.(jobs).(mode)
-  else spectral_sum t ~weight:(fun k -> t.us.(k).(mode)) ~level:jobs
+  else spectral_sum t ~weight:(fun k -> t.us.(k).(mode)) (powers t jobs)
 
 let level_probability t j =
   if j < 0 then 0.0
   else if j < num_servers t then V.sum t.boundary.(j)
-  else spectral_sum t ~weight:(fun k -> t.u_sums.(k)) ~level:j
+  else spectral_sum t ~weight:(fun k -> t.u_sums.(k)) (powers t j)
 
 (* Σ_{j>=j0} z^j = z^{j0}/(1-z) *)
 let tail_from t j0 ~weight =
@@ -565,11 +576,15 @@ let mass_defect t =
 
 let residual t =
   let n = num_servers t in
+  (* vs.(j + 1) = v_j for j = −1 .. N+3, each level computed once *)
+  let vs =
+    Array.init (n + 5) (fun j ->
+        if j = 0 then V.create (Qbd.s t.qbd) else vector_at t (j - 1))
+  in
   let worst = ref 0.0 in
   for j = 0 to n + 2 do
-    let v_prev = if j = 0 then V.create (Qbd.s t.qbd) else vector_at t (j - 1) in
-    let vs = [| v_prev; vector_at t j; vector_at t (j + 1) |] in
-    worst := Float.max !worst (Qbd.generator_residual t.qbd vs j)
+    worst :=
+      Float.max !worst (Qbd.generator_residual t.qbd (Array.sub vs j 3) j)
   done;
   Float.max !worst (mass_defect t)
 

@@ -149,6 +149,24 @@ let test_lu_singular_detection () =
   | Error `Singular -> ()
   | Ok _ -> Alcotest.fail "expected singular")
 
+let test_lu_left_null_vector_zero_pivot () =
+  (* row 1 is twice row 0, so elimination meets an exactly-zero pivot in
+     the last column; u = (2, −1, 0)/√5 is the known left null vector *)
+  let a =
+    Matrix.of_arrays
+      [| [| 2.0; 1.0; 1.0 |]; [| 4.0; 2.0; 2.0 |]; [| 1.0; 3.0; 5.0 |] |]
+  in
+  (match Lu.factor a with
+  | Error `Singular -> ()
+  | Ok _ -> Alcotest.fail "expected an exact zero pivot");
+  let _, patched = Lu.factor_regularized a in
+  Alcotest.(check bool) "pivot patched" true patched;
+  let u = Lu.left_null_vector a in
+  let r5 = sqrt 5.0 in
+  Array.iteri
+    (fun i e -> check_float ~tol:1e-12 (Printf.sprintf "u.(%d)" i) e u.(i))
+    [| 2.0 /. r5; -1.0 /. r5; 0.0 |]
+
 (* ---- Qr ---- *)
 
 let test_qr_square_solve () =
@@ -531,6 +549,90 @@ let prop_lu_roundtrip =
              generous residual bound *)
           Vec.norm_inf (Vec.sub (Matrix.mul_vec a x) b) /. scale < 1e-6)
 
+(* an n×n matrix with lower bandwidth p and upper bandwidth q; about
+   one band entry in five is an exact zero *)
+let gen_banded =
+  QCheck2.Gen.(
+    int_range 1 12 >>= fun n ->
+    triple (int_range 0 (n - 1)) (int_range 0 (n - 1))
+      (array_size (return (n * n))
+         (pair (int_range 0 4) (float_range (-1.0) 1.0)))
+    >|= fun (p, q, cells) ->
+    Matrix.init n n (fun i j ->
+        let zero, x = cells.((i * n) + j) in
+        if j - i > q || i - j > p || zero = 0 then 0.0 else x))
+
+(* Gaussian elimination with partial pivoting on [a | b], every row
+   update run across the full width: the operations of Lu.factor and
+   Lu.solve in the same order, without the row bound. None on an exact
+   zero pivot. *)
+let dense_solve a b =
+  let n = a.Matrix.rows in
+  let m = Matrix.to_arrays a and x = Array.copy b in
+  try
+    for k = 0 to n - 1 do
+      let piv = ref k in
+      for i = k + 1 to n - 1 do
+        if abs_float m.(i).(k) > abs_float m.(!piv).(k) then piv := i
+      done;
+      if m.(!piv).(k) = 0.0 then raise Exit;
+      let r = m.(k) and y = x.(k) in
+      m.(k) <- m.(!piv);
+      x.(k) <- x.(!piv);
+      m.(!piv) <- r;
+      x.(!piv) <- y;
+      for i = k + 1 to n - 1 do
+        let f = m.(i).(k) /. m.(k).(k) in
+        for j = k + 1 to n - 1 do
+          m.(i).(j) <- m.(i).(j) -. (f *. m.(k).(j))
+        done;
+        x.(i) <- x.(i) -. (f *. x.(k))
+      done
+    done;
+    for i = n - 1 downto 0 do
+      for j = i + 1 to n - 1 do
+        x.(i) <- x.(i) -. (m.(i).(j) *. x.(j))
+      done;
+      x.(i) <- x.(i) /. m.(i).(i)
+    done;
+    Some x
+  with Exit -> None
+
+let row_bound_matches_dense a =
+  let n = a.Matrix.rows in
+  let b = Vec.init n (fun i -> sin (float_of_int (i + 1))) in
+  match (Lu.solve_system a b, dense_solve a b) with
+  | Error `Singular, None -> true
+  | Ok x, Some y -> Array.for_all2 Float.equal x y
+  | _ -> false
+
+let prop_lu_row_bound_banded =
+  QCheck2.Test.make ~name:"lu row bound = dense elimination (banded)"
+    ~count:200 gen_banded row_bound_matches_dense
+
+let prop_lu_row_bound_dense =
+  QCheck2.Test.make ~name:"lu row bound = dense elimination (dense)"
+    ~count:100 gen_matrix row_bound_matches_dense
+
+(* a banded matrix plus a dominant entry in each row at a permuted
+   column: well conditioned, yet partial pivoting swaps rows *)
+let gen_permuted_dominant =
+  QCheck2.Gen.(
+    gen_banded >>= fun a ->
+    let n = a.Matrix.rows in
+    shuffle_a (Array.init n Fun.id) >|= fun perm ->
+    Matrix.init n n (fun i j ->
+        Matrix.get a i j +. if j = perm.(i) then float_of_int (n + 1) else 0.0))
+
+let prop_lu_transposed_solve =
+  QCheck2.Test.make ~name:"solve_transposed = solve on the transpose"
+    ~count:200 gen_permuted_dominant (fun a ->
+      let n = a.Matrix.rows in
+      let b = Vec.init n (fun i -> cos (float_of_int (i + 1))) in
+      let x = Lu.solve_transposed (Lu.factor_exn a) b in
+      let y = Lu.solve (Lu.factor_exn (Matrix.transpose a)) b in
+      Vec.norm_inf (Vec.sub x y) <= 1e-12 *. (1.0 +. Vec.norm_inf y))
+
 let prop_eigen_count =
   QCheck2.Test.make ~name:"eigenvalue count = dimension" ~count:40 gen_matrix
     (fun a -> Array.length (Eigen.eigenvalues a) = a.Matrix.rows)
@@ -574,6 +676,8 @@ let () =
           Alcotest.test_case "inverse" `Quick test_lu_inverse;
           Alcotest.test_case "log determinant" `Quick test_lu_log_det;
           Alcotest.test_case "singular detection" `Quick test_lu_singular_detection;
+          Alcotest.test_case "left null vector, zero pivot" `Quick
+            test_lu_left_null_vector_zero_pivot;
         ] );
       ( "qr",
         [
@@ -649,5 +753,14 @@ let () =
           Alcotest.test_case "qr exhaustion payload" `Quick
             test_qr_exhaustion_payload;
         ] );
-      ("properties", qc [ prop_lu_roundtrip; prop_eigen_count; prop_transpose_mul ]);
+      ( "properties",
+        qc
+          [
+            prop_lu_roundtrip;
+            prop_lu_row_bound_banded;
+            prop_lu_row_bound_dense;
+            prop_lu_transposed_solve;
+            prop_eigen_count;
+            prop_transpose_mul;
+          ] );
     ]

@@ -360,6 +360,34 @@ let test_geometric_queue_quantiles () =
           (1.0 -. Geometric.tail_probability geo j < p))
     [ 0.5; 0.9; 0.999 ]
 
+let test_spectral_real_eigenvectors_match_complex () =
+  (* the paper model's spectrum is real, so every left eigenvector comes
+     from the real LU; it must be the one the complex LU finds *)
+  List.iter
+    (fun servers ->
+      let q =
+        Qbd.create ~env:(paper_env ~servers)
+          ~lambda:(0.8 *. float_of_int servers) ~mu:1.0
+      in
+      Array.iter
+        (fun z ->
+          if Cx.im z <> 0.0 then
+            Alcotest.failf "N=%d: complex eigenvalue %a" servers Cx.pp z;
+          let real =
+            Urs_linalg.Cvec.normalize
+              (Urs_linalg.Cvec.of_real
+                 (Urs_linalg.Lu.left_null_vector
+                    (Qbd.char_poly_real q (Cx.re z))))
+          in
+          let complex =
+            Urs_linalg.Clu.left_null_vector (Qbd.char_poly_at q z)
+          in
+          if not (Urs_linalg.Cvec.approx_equal ~tol:1e-10 real complex) then
+            Alcotest.failf "N=%d z=%g: real and complex eigenvectors differ"
+              servers (Cx.re z))
+        (Spectral.eigenvalues (solve_exn q)))
+    [ 5; 10 ]
+
 (* ---- phase-type extension (beyond the paper) ---- *)
 
 let test_ph_env_consistent_with_h2_env () =
@@ -413,6 +441,41 @@ let test_ph_env_coxian_marginals () =
       (Environment.stationary_mode_probability env i)
       mm.(i)
   done
+
+let test_ph_env_erlang3_complex_spectrum () =
+  (* Erlang-3 operative periods give complex conjugate eigenvalue pairs,
+     which keep the complex-LU path and the conjugate-pair shortcut *)
+  let op =
+    Urs_prob.Phase_type.of_erlang (Urs_prob.Erlang.create ~k:3 ~rate:0.3)
+  in
+  let inop = Urs_prob.Phase_type.of_hyperexponential (exp_dist 2.0) in
+  let env =
+    Environment.create_ph ~servers:3 ~operative:op ~inoperative:inop ()
+  in
+  let q = Qbd.create ~env ~lambda:2.0 ~mu:1.0 in
+  Alcotest.(check int) "modes" 20 (Qbd.s q);
+  let shortcuts () =
+    Option.value ~default:0.0
+      (Urs_obs.Metrics.value "urs_spectral_conjugate_shortcuts_total")
+  in
+  let before = shortcuts () in
+  let sol = solve_exn q in
+  let complex =
+    Array.fold_left
+      (fun n z -> if Cx.im z <> 0.0 then n + 1 else n)
+      0 (Spectral.eigenvalues sol)
+  in
+  Alcotest.(check int) "complex eigenvalues" 14 complex;
+  check_float ~tol:0.0 "one shortcut per conjugate pair" 7.0
+    (shortcuts () -. before);
+  let resid = Spectral.residual sol in
+  if resid > 1e-10 then Alcotest.failf "balance residual %g" resid;
+  match Matrix_geometric.solve q with
+  | Error e -> Alcotest.failf "mg failed: %a" Matrix_geometric.pp_error e
+  | Ok mg ->
+      check_float ~tol:1e-8 "L vs matrix-geometric"
+        (Matrix_geometric.mean_queue_length mg)
+        (Spectral.mean_queue_length sol)
 
 let test_ph_env_rejects_defect () =
   let defective =
@@ -836,6 +899,8 @@ let () =
             test_spectral_hyperexponential_repairs;
           Alcotest.test_case "three-phase operative (n=3)" `Quick
             test_spectral_three_phase_operative;
+          Alcotest.test_case "real eigenvectors = complex-LU ones" `Quick
+            test_spectral_real_eigenvectors_match_complex;
         ] );
       ( "phase-type extension",
         [
@@ -845,6 +910,8 @@ let () =
             test_ph_env_erlang_vs_truncated;
           Alcotest.test_case "coxian mode marginals" `Quick
             test_ph_env_coxian_marginals;
+          Alcotest.test_case "erlang-3 complex spectrum" `Quick
+            test_ph_env_erlang3_complex_spectrum;
           Alcotest.test_case "defective alpha rejected" `Quick
             test_ph_env_rejects_defect;
         ] );
