@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test bench bench-gate bench-baseline sim-bench fmt smoke \
+.PHONY: all build test bench bench-gate sim-bench fmt smoke \
 	doctor-smoke serve-smoke trace-smoke report-smoke soak-smoke \
 	benchstats-test ci clean
 
@@ -20,16 +20,17 @@ bench:
 benchstats-test:
 	python3 perfbench/test_benchstats.py
 
-# Time the N=5 paper model and fail if the spectral solver regressed
-# more than 2x against the committed baseline (BENCH_MAX_RATIO to
-# override). `make bench-baseline` refreshes the baseline.
+# Spectral regression gate, mirrored by the bench-regression CI job:
+# time the N=5 paper model (plus the pool/cache speedups) into a scratch
+# copy of the committed BENCH_history.jsonl, then fail if the fresh
+# spectral seconds per solve exceed 2x the best committed run, or if
+# --detect confirms an upward step on a gated solver.
 bench-gate:
-	dune exec bench/main.exe -- n5
-	dune exec bench/check_baseline.exe
-
-bench-baseline:
-	dune exec bench/main.exe -- n5
-	cp BENCH_solvers.json BENCH_baseline.json
+	cp BENCH_history.jsonl /tmp/urs_gate_history.jsonl
+	URS_BENCH_HISTORY=/tmp/urs_gate_history.jsonl \
+	  dune exec bench/main.exe -- n5 speedup
+	dune exec bin/urs_cli.exe -- report \
+	  --history /tmp/urs_gate_history.jsonl --max-ratio 2.0 --detect
 
 # The pinned ocamlformat (see .ocamlformat) is not a build dependency of
 # the library, so a missing binary only skips the check locally; CI
@@ -88,6 +89,9 @@ trace-smoke: build
 # history (URS_BENCH_HISTORY keeps the committed BENCH_history.jsonl
 # out of it), then `urs report` must render the trend and exit 0 —
 # both entries come from this machine, so the regression gate holds.
+# The breach leg feeds it a two-entry history whose latest spectral run
+# is 3x its best: `urs report --max-ratio 2.0`, the exit path bench-gate
+# relies on, must then exit exactly 1.
 report-smoke: build
 	rm -f /tmp/urs_report_history.jsonl
 	URS_BENCH_HISTORY=/tmp/urs_report_history.jsonl \
@@ -96,6 +100,12 @@ report-smoke: build
 	  dune exec bench/main.exe -- n5 > /dev/null
 	dune exec bin/urs_cli.exe -- report --detect \
 	  --history /tmp/urs_report_history.jsonl --last 2
+	printf '%s\n' \
+	  '{"schema":"urs-perf/1","time":1,"git_rev":"best","ocaml":"5.1.1","jobs":1,"sections":{"n5":1.9},"solvers":{"spectral":{"seconds":0.0026,"minor_words":0,"promoted_words":0,"major_words":0}}}' \
+	  '{"schema":"urs-perf/1","time":2,"git_rev":"slow","ocaml":"5.1.1","jobs":1,"sections":{"n5":5.7},"solvers":{"spectral":{"seconds":0.0078,"minor_words":0,"promoted_words":0,"major_words":0}}}' \
+	  > /tmp/urs_report_breach.jsonl
+	dune exec bin/urs_cli.exe -- report --max-ratio 2.0 \
+	  --history /tmp/urs_report_breach.jsonl > /dev/null; test $$? -eq 1
 	@echo "report-smoke: ok"
 
 # Service-level soak: `urs serve` under SOAK_SECONDS (default 60) of

@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Figures 3-9 plus the Section-2 goodness-of-fit numbers),
    cross-validates the three solvers against each other and against
-   simulation, and runs bechamel micro-benchmarks of the solvers.
+   simulation, and times the solvers, the simulator and the service.
 
    Usage:
      dune exec bench/main.exe            # everything
@@ -459,8 +459,9 @@ let section_n5 () =
   time_solver "mg" Urs.Solver.Matrix_geometric 40;
   time_solver "approx" Urs.Solver.Approximate 400;
   Format.printf
-    "@.(CI compares the spectral gauge in BENCH_solvers.json against the@.\
-     committed BENCH_baseline.json and fails on a >2x regression)@.";
+    "@.(make bench-gate appends this run to a copy of BENCH_history.jsonl@.\
+     and fails when `urs report --max-ratio 2.0` finds spectral more than@.\
+     2x slower than its best committed run)@.";
   flush ()
 
 (* ---- simulation engine throughput gate: the Figure-8 workload ---- *)
@@ -842,74 +843,6 @@ let section_speedup () =
      column checks the point lists are equal to the sequential run.)@.";
   flush ()
 
-(* ---- bechamel micro-benchmarks ---- *)
-
-let section_timing () =
-  header "Timing — bechamel micro-benchmarks of the solvers";
-  let open Bechamel in
-  let open Toolkit in
-  let solve_exact n lambda () =
-    match Urs.Solver.evaluate (model ~servers:n ~lambda) with
-    | Ok p -> ignore p.Urs.Solver.mean_jobs
-    | Error _ -> ()
-  in
-  let solve_approx n lambda () =
-    match
-      Urs.Solver.evaluate ~strategy:Urs.Solver.Approximate (model ~servers:n ~lambda)
-    with
-    | Ok p -> ignore p.Urs.Solver.mean_jobs
-    | Error _ -> ()
-  in
-  let solve_mg n lambda () =
-    match
-      Urs.Solver.evaluate ~strategy:Urs.Solver.Matrix_geometric
-        (model ~servers:n ~lambda)
-    with
-    | Ok p -> ignore p.Urs.Solver.mean_jobs
-    | Error _ -> ()
-  in
-  let tests =
-    Test.make_grouped ~name:"solvers"
-      [
-        Test.make ~name:"spectral N=4 (s=15)" (Staged.stage (solve_exact 4 3.0));
-        Test.make ~name:"spectral N=8 (s=45)" (Staged.stage (solve_exact 8 6.0));
-        Test.make ~name:"spectral N=12 (s=91)" (Staged.stage (solve_exact 12 8.0));
-        Test.make ~name:"geometric N=12" (Staged.stage (solve_approx 12 8.0));
-        Test.make ~name:"matrix-geo N=8" (Staged.stage (solve_mg 8 6.0));
-      ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:20 ~quota:(Time.second 3.0) ~kde:None
-      ~stabilize:false ()
-  in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name o acc -> (name, o) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
-  Format.printf "  %-28s  %14s  %8s@." "benchmark" "time/run" "r²";
-  List.iter
-    (fun (name, o) ->
-      let t =
-        match Analyze.OLS.estimates o with
-        | Some (t :: _) -> t
-        | _ -> nan
-      in
-      let r2 = Option.value ~default:nan (Analyze.OLS.r_square o) in
-      let pretty =
-        if t > 1e9 then Printf.sprintf "%.3f s" (t /. 1e9)
-        else if t > 1e6 then Printf.sprintf "%.3f ms" (t /. 1e6)
-        else Printf.sprintf "%.1f us" (t /. 1e3)
-      in
-      Format.printf "  %-28s  %14s  %8.4f@." name pretty r2)
-    rows;
-  Format.printf
-    "@.(the geometric approximation is orders of magnitude cheaper than@.\
-     the exact solution — the paper's motivation for §3.2)@.";
-  flush ()
-
 (* ---- driver ---- *)
 
 let sections : (string * string * (unit -> unit)) list =
@@ -930,7 +863,6 @@ let sections : (string * string * (unit -> unit)) list =
     ("query", "Ledger query engine: cold vs indexed scan", section_query);
     ("conv", "Convergence: iterations to tolerance per solver", section_conv);
     ("speedup", "Pool and solve-cache speedups", section_speedup);
-    ("timing", "bechamel micro-benchmarks", section_timing);
   ]
 
 (* Each section runs against a freshly reset registry; its wall time and

@@ -89,6 +89,16 @@ let dominant_eigenvalue t = Cx.re t.zs.(Array.length t.zs - 1)
 
 let boundary_vectors t = Array.map V.copy t.boundary
 
+(* z^e for e >= 0 by square-and-multiply, shared by the boundary
+   elimination and the level queries *)
+let cx_pow z e =
+  let rec go acc base e =
+    if e = 0 then acc
+    else if e land 1 = 1 then go (Cx.mul acc base) (Cx.mul base base) (e asr 1)
+    else go acc (Cx.mul base base) (e asr 1)
+  in
+  go Cx.one z e
+
 (* ---- solving ---- *)
 
 exception Solve_error of error
@@ -240,14 +250,6 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
         worst_cond := Float.max !worst_cond (Urs_linalg.Lu.pivot_condition f);
         f
       in
-      let pow_z k e =
-        let rec go acc base e =
-          if e = 0 then acc
-          else if e land 1 = 1 then go (Cx.mul acc base) (Cx.mul base base) (e asr 1)
-          else go acc (Cx.mul base base) (e asr 1)
-        in
-        go Cx.one zs.(k) e
-      in
       let g, xs =
         Span.with_ ~name:"urs_spectral_stage"
           ~labels:[ ("stage", "boundary") ]
@@ -255,7 +257,7 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
             let phi r =
               let re = M.create s s and im = M.create s s in
               for k = 0 to s - 1 do
-                let zp = pow_z k (n_servers + r) in
+                let zp = cx_pow zs.(k) (n_servers + r) in
                 for i = 0 to s - 1 do
                   let v = Cx.mul zp us.(k).(i) in
                   M.set re i k (Cx.re v);
@@ -362,7 +364,7 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
           let spectral_total =
             let acc = ref Cx.zero in
             for k = 0 to s - 1 do
-              let zn = pow_z k n_servers in
+              let zn = cx_pow zs.(k) n_servers in
               let term =
                 Cx.div
                   (Cx.mul g.(k) (Cx.mul u_sums.(k) zn))
@@ -427,15 +429,7 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
 
 let num_servers t = Environment.servers (Qbd.env t.qbd)
 
-let pow_z t k e =
-  let rec go acc base e =
-    if e = 0 then acc
-    else if e land 1 = 1 then go (Cx.mul acc base) (Cx.mul base base) (e asr 1)
-    else go acc (Cx.mul base base) (e asr 1)
-  in
-  go Cx.one t.zs.(k) e
-
-let powers t j = Array.init (Array.length t.zs) (fun k -> pow_z t k j)
+let powers t j = Array.map (fun z -> cx_pow z j) t.zs
 
 (* Re Σ_k γ_k f(k) z_k^j for a complex weight f, given zj = powers t j *)
 let spectral_sum t ~weight zj =
@@ -471,7 +465,7 @@ let tail_from t j0 ~weight =
   for k = 0 to Array.length t.zs - 1 do
     let term =
       Cx.div
-        (Cx.mul t.gammas.(k) (Cx.mul (weight k) (pow_z t k j0)))
+        (Cx.mul t.gammas.(k) (Cx.mul (weight k) (cx_pow t.zs.(k) j0)))
         (Cx.sub Cx.one t.zs.(k))
     in
     acc := Cx.add !acc term
@@ -510,7 +504,7 @@ let mean_queue_length t =
   let acc = ref Cx.zero in
   for k = 0 to Array.length t.zs - 1 do
     let z = t.zs.(k) in
-    let zn = pow_z t k n in
+    let zn = cx_pow t.zs.(k) n in
     let one_minus = Cx.sub Cx.one z in
     let numer =
       Cx.mul zn

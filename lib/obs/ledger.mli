@@ -121,12 +121,6 @@ val to_json : record -> Json.t
 
 val of_json : Json.t -> (record, string) result
 
-val read_file : string -> (record list, string) result
-(** Parse a JSONL journal back into records; [Error] carries the path,
-    line number and reason of the first malformed line. Prefer
-    {!fold_file} for anything user-facing: a journal with a torn tail
-    (a crashed writer) should cost one warning, not the whole read. *)
-
 type fold_stats = {
   malformed : int;
       (** Lines that did not parse as records (torn tail, corruption)
@@ -140,10 +134,12 @@ val fold_file :
   ?should_skip:(Ledger_store.block -> bool) -> string -> init:'a ->
   f:('a -> record -> 'a) -> ('a * fold_stats, string) result
 (** Stream one segment file through [f], skipping (and counting)
-    malformed lines instead of aborting. With [~should_skip], the
-    segment's sparse sidecar index is consulted and blocks satisfying
-    the predicate are seeked over without parsing. [Error] only when
-    the file cannot be opened. *)
+    malformed lines instead of aborting: a torn tail (a crashed writer)
+    or a corrupt line mid-file costs one count, not the whole read.
+    Blank lines are neither records nor malformed. With [~should_skip],
+    the segment's sparse sidecar index is consulted and blocks
+    satisfying the predicate are seeked over without parsing. [Error]
+    only when the file cannot be opened. *)
 
 val fold_path :
   ?should_skip:(Ledger_store.block -> bool) -> string -> init:'a ->

@@ -1,4 +1,4 @@
-(* Tests for the discrete-event simulator: event heap, deque, engine,
+(* Tests for the discrete-event simulator: index heap, int deque,
    collector, the server-farm model and replications. The key
    correctness tests validate the simulator against closed forms
    (M/M/c) and against the exact spectral solution. *)
@@ -8,90 +8,6 @@ open Urs_sim
 let check_float ?(tol = 1e-9) msg expected actual =
   if abs_float (expected -. actual) > tol then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
-
-(* ---- Event_heap ---- *)
-
-let test_heap_ordering () =
-  let h = Event_heap.create () in
-  List.iter (fun t -> Event_heap.push h ~time:t (int_of_float t))
-    [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let order = ref [] in
-  let rec drain () =
-    match Event_heap.pop h with
-    | Some (_, v) ->
-        order := v :: !order;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (List.rev !order)
-
-and test_heap_fifo_ties () =
-  let h = Event_heap.create () in
-  Event_heap.push h ~time:1.0 "first";
-  Event_heap.push h ~time:1.0 "second";
-  Event_heap.push h ~time:1.0 "third";
-  let a = Event_heap.pop h and b = Event_heap.pop h and c = Event_heap.pop h in
-  (match (a, b, c) with
-  | Some (_, "first"), Some (_, "second"), Some (_, "third") -> ()
-  | _ -> Alcotest.fail "equal-time events must preserve insertion order")
-
-let test_heap_growth () =
-  let h = Event_heap.create () in
-  for i = 999 downto 0 do
-    Event_heap.push h ~time:(float_of_int i) i
-  done;
-  Alcotest.(check int) "size" 1000 (Event_heap.size h);
-  let prev = ref neg_infinity in
-  let rec drain () =
-    match Event_heap.pop h with
-    | Some (t, _) ->
-        if t < !prev then Alcotest.fail "heap order violated";
-        prev := t;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check bool) "empty" true (Event_heap.is_empty h)
-
-let test_heap_random_property () =
-  let g = Urs_prob.Rng.create 3 in
-  let h = Event_heap.create () in
-  for _ = 1 to 5000 do
-    Event_heap.push h ~time:(Urs_prob.Rng.float g) ()
-  done;
-  let prev = ref neg_infinity in
-  let rec drain n =
-    match Event_heap.pop h with
-    | Some (t, ()) ->
-        if t < !prev then Alcotest.fail "order violated";
-        prev := t;
-        drain (n + 1)
-    | None -> n
-  in
-  Alcotest.(check int) "all popped" 5000 (drain 0)
-
-let test_heap_clear_resets_tiebreak () =
-  (* clear must reset the FIFO sequence counter, so a cleared heap
-     orders equal-time events exactly like a fresh one (regression for
-     the counter carrying over across replications) *)
-  let fresh = Event_heap.create () in
-  let cleared = Event_heap.create () in
-  for i = 0 to 99 do
-    Event_heap.push cleared ~time:(float_of_int i) i
-  done;
-  Event_heap.clear cleared;
-  List.iter
-    (fun h ->
-      Event_heap.push h ~time:1.0 10;
-      Event_heap.push h ~time:1.0 20;
-      Event_heap.push h ~time:0.5 0)
-    [ fresh; cleared ];
-  for _ = 1 to 3 do
-    match (Event_heap.pop fresh, Event_heap.pop cleared) with
-    | Some (ta, va), Some (tb, vb) when ta = tb && va = vb -> ()
-    | _ -> Alcotest.fail "cleared heap diverges from fresh heap"
-  done
 
 (* ---- Index_heap ---- *)
 
@@ -156,8 +72,8 @@ let test_index_heap_growth_and_recycling () =
   Alcotest.(check int) "all dropped" 5000 !n
 
 let test_index_heap_clear_resets_tiebreak () =
-  (* port of the Event_heap guarantee: clear resets the sequence
-     counter, so equal-time FIFO order restarts like a fresh heap *)
+  (* clear resets the sequence counter, so equal-time FIFO order
+     restarts like a fresh heap *)
   let fresh = Index_heap.create () in
   let cleared = Index_heap.create () in
   for i = 0 to 99 do
@@ -237,68 +153,6 @@ let test_int_deque_clear () =
   Alcotest.(check bool) "cleared" true (Int_deque.is_empty d);
   Int_deque.push_back d 5;
   Alcotest.(check int) "usable after clear" 5 (Int_deque.pop_front d)
-
-(* ---- Deque ---- *)
-
-let test_deque_fifo () =
-  let d = Deque.create () in
-  Deque.push_back d 1;
-  Deque.push_back d 2;
-  Deque.push_back d 3;
-  Alcotest.(check (option int)) "first" (Some 1) (Deque.pop_front d);
-  Alcotest.(check (option int)) "second" (Some 2) (Deque.pop_front d);
-  Deque.push_back d 4;
-  Alcotest.(check (option int)) "third" (Some 3) (Deque.pop_front d);
-  Alcotest.(check (option int)) "fourth" (Some 4) (Deque.pop_front d);
-  Alcotest.(check (option int)) "empty" None (Deque.pop_front d)
-
-let test_deque_push_front () =
-  (* a preempted job must come back before older queued jobs *)
-  let d = Deque.create () in
-  Deque.push_back d "queued1";
-  Deque.push_back d "queued2";
-  Deque.push_front d "preempted";
-  Alcotest.(check (option string)) "preempted first" (Some "preempted")
-    (Deque.pop_front d);
-  Alcotest.(check (option string)) "then queued" (Some "queued1")
-    (Deque.pop_front d)
-
-let test_deque_length () =
-  let d = Deque.create () in
-  Alcotest.(check bool) "empty" true (Deque.is_empty d);
-  Deque.push_back d 1;
-  Deque.push_front d 0;
-  Alcotest.(check int) "length" 2 (Deque.length d);
-  ignore (Deque.pop_front d);
-  Alcotest.(check int) "after pop" 1 (Deque.length d)
-
-(* ---- Engine ---- *)
-
-let test_engine_order_and_clock () =
-  let eng = Engine.create () in
-  let log = ref [] in
-  Engine.schedule eng ~delay:2.0 (fun e -> log := (Engine.now e, "b") :: !log);
-  Engine.schedule eng ~delay:1.0 (fun e ->
-      log := (Engine.now e, "a") :: !log;
-      Engine.schedule e ~delay:0.5 (fun e -> log := (Engine.now e, "a2") :: !log));
-  Engine.run_until eng 10.0;
-  check_float "final clock" 10.0 (Engine.now eng);
-  match List.rev !log with
-  | [ (t1, "a"); (t2, "a2"); (t3, "b") ] ->
-      check_float "t1" 1.0 t1;
-      check_float "t2" 1.5 t2;
-      check_float "t3" 2.0 t3
-  | _ -> Alcotest.fail "wrong event order"
-
-let test_engine_deadline_stops () =
-  let eng = Engine.create () in
-  let fired = ref false in
-  Engine.schedule eng ~delay:5.0 (fun _ -> fired := true);
-  Engine.run_until eng 4.0;
-  Alcotest.(check bool) "not fired" false !fired;
-  Alcotest.(check int) "still pending" 1 (Engine.pending eng);
-  Engine.run_until eng 6.0;
-  Alcotest.(check bool) "fired" true !fired
 
 (* ---- Collector ---- *)
 
@@ -621,15 +475,6 @@ let test_sim_allocation_per_event () =
 let () =
   Alcotest.run "urs_sim"
     [
-      ( "event_heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_heap_ordering;
-          Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-          Alcotest.test_case "growth" `Quick test_heap_growth;
-          Alcotest.test_case "random stream" `Quick test_heap_random_property;
-          Alcotest.test_case "clear resets tie-break" `Quick
-            test_heap_clear_resets_tiebreak;
-        ] );
       ( "index_heap",
         [
           Alcotest.test_case "ordering" `Quick test_index_heap_ordering;
@@ -649,20 +494,6 @@ let () =
           Alcotest.test_case "growth with wraparound" `Quick
             test_int_deque_growth_wraparound;
           Alcotest.test_case "clear" `Quick test_int_deque_clear;
-        ] );
-      ( "deque",
-        [
-          Alcotest.test_case "fifo" `Quick test_deque_fifo;
-          Alcotest.test_case "push front (preemption)" `Quick
-            test_deque_push_front;
-          Alcotest.test_case "length" `Quick test_deque_length;
-        ] );
-      ( "engine",
-        [
-          Alcotest.test_case "event order and clock" `Quick
-            test_engine_order_and_clock;
-          Alcotest.test_case "deadline stops processing" `Quick
-            test_engine_deadline_stops;
         ] );
       ( "collector",
         [
