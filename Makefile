@@ -120,12 +120,14 @@ report-smoke: build
 soak-smoke: build
 	sh scripts/soak_smoke.sh
 
-# Simulation-engine perf gate, mirrored by the sim-perf CI job: run the
-# `sim` bench section twice against a scratch history (release profile,
-# so cross-module inlining is on and the engine is actually
+# Simulation perf gate, mirrored by the sim-perf CI job: run the `sim`
+# bench section twice against a scratch history (release profile, so
+# cross-module inlining is on and the engine and its probes are actually
 # allocation-free), then gate seconds-per-event at 1.5x via
-# `urs report`, and check that --jobs 1 and --jobs 4 produce
-# byte-identical simulation summaries.
+# `urs report` for both of its legs (`sim`: the bare engine;
+# `sim_probe`: Replicate.run with its default timeline probes), and
+# check that --jobs 1 and --jobs 4 produce byte-identical simulation
+# summaries.
 sim-bench:
 	rm -f /tmp/urs_sim_history.jsonl
 	URS_BENCH_HISTORY=/tmp/urs_sim_history.jsonl \

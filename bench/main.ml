@@ -466,12 +466,16 @@ let section_n5 () =
 
 (* ---- simulation engine throughput gate: the Figure-8 workload ---- *)
 
+(* Two legs over the same four trajectories: the bare engine
+   ([Server_farm.run], no probe) and the path every simulation users run
+   takes ([Replicate.run] with its defaults: timelines on, spans, ledger
+   records). Each leg gates its seconds/event under its own key. *)
 let section_sim () =
   header "Simulation engine — events/sec on the Figure-8 workload";
   Format.printf
-    "(N=10, fitted operative H2, η=25, 92%% load; 4 replications, no \
-     probes)@.@.";
-  remove_gate_stat "sim";
+    "(N=10, fitted operative H2, η=25, 92%% load; 4 replications, as the@.\
+     bare engine and through Replicate.run with its default timeline probes)@.@.";
+  List.iter remove_gate_stat [ "sim"; "sim_probe" ];
   (* same environment capacity as the Figure-8 section: N * availability *)
   let env_capacity = 10.0 *. (34.6209 /. (34.6209 +. 0.04)) in
   let lambda = 0.92 *. env_capacity in
@@ -485,9 +489,11 @@ let section_sim () =
       repair_crews = None;
     }
   in
-  (* split-stream seeds, exactly like Replicate.run *)
+  (* split-stream seeds, exactly like Replicate.run: the probe leg's
+     [Replicate.run ~seed:2024 ~replications:4] draws the same four *)
   let master = Urs_prob.Rng.create 2024 in
   let seeds = Array.init 4 (fun _ -> Urs_prob.Rng.split_seed master) in
+  let duration = 50_000.0 in
   let events_total () =
     Option.value ~default:0.0 (Metrics.value "urs_sim_events_total")
   in
@@ -495,43 +501,68 @@ let section_sim () =
   ignore
     (Urs_sim.Server_farm.run ~seed:seeds.(0) ~track_responses:false
        ~duration:2_000.0 cfg);
-  let gc_capture = Urs_obs.Runtime.start_events () in
-  if gc_capture then Urs_obs.Runtime.clear_events ();
-  let e0 = events_total () in
-  let g0 = Urs_obs.Runtime.sample () in
-  let t0 = Span.now () in
-  Array.iter
-    (fun seed ->
-      ignore
-        (Urs_sim.Server_farm.run ~seed ~track_responses:false
-           ~duration:50_000.0 cfg))
-    seeds;
-  let wall = Span.now () -. t0 in
-  let d = Urs_obs.Runtime.delta ~before:g0 ~after:(Urs_obs.Runtime.sample ()) in
-  let gc_seconds =
-    if gc_capture then begin
-      let s =
-        List.fold_left
-          (fun acc (sl : Urs_obs.Runtime.slice) -> acc +. sl.duration_s)
-          0.0
-          (Urs_obs.Runtime.gc_slices ())
-      in
-      Urs_obs.Runtime.stop_events ();
-      Some s
-    end
-    else None
+  let leg ~key ~label run =
+    let gc_capture = Urs_obs.Runtime.start_events () in
+    if gc_capture then Urs_obs.Runtime.clear_events ();
+    let e0 = events_total () in
+    let g0 = Urs_obs.Runtime.sample () in
+    let t0 = Span.now () in
+    run ();
+    let wall = Span.now () -. t0 in
+    let d =
+      Urs_obs.Runtime.delta ~before:g0 ~after:(Urs_obs.Runtime.sample ())
+    in
+    let gc_seconds =
+      if gc_capture then begin
+        let s =
+          List.fold_left
+            (fun acc (sl : Urs_obs.Runtime.slice) -> acc +. sl.duration_s)
+            0.0
+            (Urs_obs.Runtime.gc_slices ())
+        in
+        Urs_obs.Runtime.stop_events ();
+        Some s
+      end
+      else None
+    in
+    let events = events_total () -. e0 in
+    let per_event w = if events > 0.0 then w /. events else nan in
+    let stat =
+      {
+        Urs_obs.Perf.seconds = per_event wall;
+        minor_words = per_event d.Urs_obs.Runtime.d_minor_words;
+        promoted_words = per_event d.Urs_obs.Runtime.d_promoted_words;
+        major_words = per_event d.Urs_obs.Runtime.d_major_words;
+      }
+    in
+    gate_stats := (key, stat) :: !gate_stats;
+    Format.printf "  %s (gate key %s)@." label key;
+    Format.printf "  events processed     %12.0f@." events;
+    Format.printf "  wall time            %12.3f s@." wall;
+    Format.printf "  events/sec           %12.0f@." (events /. wall);
+    Format.printf "  minor words/event    %12.2f@."
+      stat.Urs_obs.Perf.minor_words;
+    Format.printf "  promoted words/event %12.4f@."
+      stat.Urs_obs.Perf.promoted_words;
+    Format.printf "  major words/event    %12.4f@."
+      stat.Urs_obs.Perf.major_words;
+    Format.printf "  minor collections    %12d@."
+      d.Urs_obs.Runtime.d_minor_collections;
+    (match gc_seconds with
+    | Some s -> Format.printf "  GC pause seconds     %12.3f@.@." s
+    | None -> Format.printf "  GC pause seconds     %12s@.@." "(capture off)");
+    flush ();
+    (events, wall, stat)
   in
-  let events = events_total () -. e0 in
-  let per_event w = if events > 0.0 then w /. events else nan in
-  let stat =
-    {
-      Urs_obs.Perf.seconds = per_event wall;
-      minor_words = per_event d.Urs_obs.Runtime.d_minor_words;
-      promoted_words = per_event d.Urs_obs.Runtime.d_promoted_words;
-      major_words = per_event d.Urs_obs.Runtime.d_major_words;
-    }
+  let events, wall, stat =
+    leg ~key:"sim" ~label:"engine: Server_farm.run, no probe" (fun () ->
+        Array.iter
+          (fun seed ->
+            ignore
+              (Urs_sim.Server_farm.run ~seed ~track_responses:false ~duration
+                 cfg))
+          seeds)
   in
-  gate_stats := ("sim", stat) :: !gate_stats;
   let gauge name help = Metrics.gauge ~help name in
   Metrics.set
     (gauge "urs_bench_sim_events_per_sec"
@@ -545,21 +576,18 @@ let section_sim () =
     (gauge "urs_bench_sim_seconds"
        "Wall seconds for the Figure-8 simulation workload")
     wall;
-  Format.printf "  events processed     %12.0f@." events;
-  Format.printf "  wall time            %12.3f s@." wall;
-  Format.printf "  events/sec           %12.0f@." (events /. wall);
-  Format.printf "  minor words/event    %12.2f@." stat.Urs_obs.Perf.minor_words;
-  Format.printf "  promoted words/event %12.4f@."
-    stat.Urs_obs.Perf.promoted_words;
-  Format.printf "  major words/event    %12.4f@." stat.Urs_obs.Perf.major_words;
-  Format.printf "  minor collections    %12d@."
-    d.Urs_obs.Runtime.d_minor_collections;
-  (match gc_seconds with
-  | Some s -> Format.printf "  GC pause seconds     %12.3f@." s
-  | None -> Format.printf "  GC pause seconds     %12s@." "(capture off)");
+  let _, _, p_stat =
+    leg ~key:"sim_probe" ~label:"default path: Replicate.run, timelines on"
+      (fun () ->
+        ignore
+          (Urs_sim.Replicate.run ~seed:2024 ~replications:4 ~duration cfg))
+  in
+  Format.printf "  default path / bare engine: %.2fx seconds/event@."
+    (p_stat.Urs_obs.Perf.seconds /. stat.Urs_obs.Perf.seconds);
   Format.printf
     "@.(CI's sim-perf job runs this section twice against a scratch@.\
-     history and fails when seconds/event regresses beyond --max-ratio)@.";
+     history and fails when either leg's seconds/event regresses beyond@.\
+     --max-ratio)@.";
   flush ()
 
 (* ---- serve: request throughput and tail latency over HTTP ---- *)
@@ -858,7 +886,9 @@ let sections : (string * string * (unit -> unit)) list =
     ("ablation", "Solver agreement ablation", section_ablation);
     ("extensions", "Extensions beyond the paper", section_extensions);
     ("n5", "N=5 solver wall time (bench-regression gate)", section_n5);
-    ("sim", "Simulation engine events/sec (sim-perf gate)", section_sim);
+    ( "sim",
+      "Simulation events/sec, bare engine and default probes (sim-perf gate)",
+      section_sim );
     ("serve", "HTTP serve throughput and p99 (healthz, cached solve)", section_serve);
     ("query", "Ledger query engine: cold vs indexed scan", section_query);
     ("conv", "Convergence: iterations to tolerance per solver", section_conv);

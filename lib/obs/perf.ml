@@ -178,7 +178,7 @@ type report = {
   breaches : string list;  (* solvers in breach *)
 }
 
-let default_gate = [ "spectral"; "sim" ]
+let default_gate = [ "spectral"; "sim"; "sim_probe" ]
 
 let analyze ?(max_ratio = 2.0) ?(gate = default_gate) entries =
   let solver_names =

@@ -77,11 +77,12 @@ type report = {
 val analyze : ?max_ratio:float -> ?gate:string list -> entry list -> report
 (** [analyze entries] computes per-solver trends over the history (in
     the given order). A solver in [gate] (default
-    [["spectral"; "sim"]] — the paper's analytic hot path plus the
-    simulation engine's seconds-per-event; the others are too fast for
-    wall-clock ratios to be stable) breaches when its latest run exceeds
-    [max_ratio] (default [2.0]) times its best-known run. [urs report]
-    exits nonzero iff [breaches] is non-empty. *)
+    [["spectral"; "sim"; "sim_probe"]] — the paper's analytic hot path
+    plus the simulator's seconds-per-event, as the bare engine and
+    through [Replicate.run] with its default timeline probes; the others
+    are too fast for wall-clock ratios to be stable) breaches when its
+    latest run exceeds [max_ratio] (default [2.0]) times its best-known
+    run. [urs report] exits nonzero iff [breaches] is non-empty. *)
 
 (** {1 Change-point detection}
 

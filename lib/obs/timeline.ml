@@ -12,6 +12,18 @@
 
 type labels = (string * string) list
 
+(* A series' float state lives in its own all-float record, the idiom
+   of [Urs_sim.Collector.acc]: OCaml stores all-float records flat, so
+   the per-sample stores write raw floats instead of boxing into the
+   mixed [series] record. *)
+type clock = {
+  mutable t0 : float; (* nan until the first sample fixes the origin *)
+  mutable initial_width : float; (* horizon-derived; nan = 1.0 default *)
+  mutable width : float;
+  mutable last_t : float; (* most recent sample, when [has_last] *)
+  mutable last_v : float;
+}
+
 type series = {
   name : string;
   labels : labels;
@@ -19,9 +31,9 @@ type series = {
   lock : Mutex.t; (* guards everything below: single writer in the hot
                      paths, but snapshots come from the HTTP thread *)
   mutable meta : labels; (* informational only, not part of the key *)
-  mutable t0 : float; (* nan until the first sample fixes the origin *)
-  mutable initial_width : float; (* horizon-derived; nan = 1.0 default *)
-  mutable width : float;
+  c : clock;
+  mutable has_last : bool;
+  mutable last_i : int; (* bucket of [c.last_t]; -1 = unknown (a merge) *)
   mutable used : int; (* highest touched bucket index + 1 *)
   time_cov : float array; (* covered duration per bucket *)
   area : float array; (* integral of the signal over the bucket *)
@@ -29,7 +41,6 @@ type series = {
   sum_v : float array; (* their sum: mean fallback for zero measure *)
   vmin : float array;
   vmax : float array;
-  mutable last : (float * float) option; (* most recent (t, v) *)
 }
 
 type t = { tbl : (string * labels, series) Hashtbl.t; lock : Mutex.t }
@@ -47,10 +58,13 @@ let locked lock f =
 let default_capacity = 256
 
 let clear_unlocked s =
-  s.t0 <- nan;
-  s.width <- s.initial_width;
+  s.c.t0 <- nan;
+  s.c.width <- s.c.initial_width;
+  s.c.last_t <- nan;
+  s.c.last_v <- nan;
+  s.has_last <- false;
+  s.last_i <- -1;
   s.used <- 0;
-  s.last <- None;
   Array.fill s.time_cov 0 s.capacity 0.0;
   Array.fill s.area 0 s.capacity 0.0;
   Array.fill s.count 0 s.capacity 0;
@@ -80,7 +94,7 @@ let series ?(registry = default) ?(capacity = default_capacity) ?horizon
               (* a new horizon takes effect at the next [clear] — the
                  buckets already recorded keep their layout *)
               if not (Float.is_nan initial_width) then
-                s.initial_width <- initial_width);
+                s.c.initial_width <- initial_width);
           s
       | None ->
           let s =
@@ -90,9 +104,16 @@ let series ?(registry = default) ?(capacity = default_capacity) ?horizon
               capacity;
               lock = Mutex.create ();
               meta = canon meta;
-              t0 = nan;
-              initial_width;
-              width = nan;
+              c =
+                {
+                  t0 = nan;
+                  initial_width;
+                  width = nan;
+                  last_t = nan;
+                  last_v = nan;
+                };
+              has_last = false;
+              last_i = -1;
               used = 0;
               time_cov = Array.make capacity 0.0;
               area = Array.make capacity 0.0;
@@ -100,7 +121,6 @@ let series ?(registry = default) ?(capacity = default_capacity) ?horizon
               sum_v = Array.make capacity 0.0;
               vmin = Array.make capacity infinity;
               vmax = Array.make capacity neg_infinity;
-              last = None;
             }
           in
           (* the horizon hint fixes the initial bucket width so that
@@ -112,6 +132,12 @@ let series ?(registry = default) ?(capacity = default_capacity) ?horizon
           s)
 
 let set_meta (s : series) meta = locked s.lock (fun () -> s.meta <- canon meta)
+
+(* [Float.min]/[Float.max] with the common strict cases compared first:
+   the same results, but the stdlib functions test sign bits through a
+   C call whenever their first argument wins *)
+let[@inline] fmin a b = if a < b then a else if b < a then b else Float.min a b
+let[@inline] fmax a b = if a > b then a else if b > a then b else Float.max a b
 
 (* merge bucket pairs in place: (2i, 2i+1) -> i; the width doubles *)
 let grow s =
@@ -147,9 +173,10 @@ let grow s =
     s.vmax.(i) <- neg_infinity
   done;
   s.used <- half;
-  s.width <- s.width *. 2.0
+  s.c.width <- s.c.width *. 2.0;
+  s.last_i <- -1
 
-let touch s i v =
+let[@inline] touch s i v =
   if v < s.vmin.(i) then s.vmin.(i) <- v;
   if v > s.vmax.(i) then s.vmax.(i) <- v;
   if i + 1 > s.used then s.used <- i + 1
@@ -157,66 +184,101 @@ let touch s i v =
 (* bucket index of time t, growing until it fits. Buckets are
    half-open, except that a time exactly on the final boundary (a run
    that ends exactly at the horizon hint) closes into the last bucket
-   instead of forcing a merge of everything into the lower half. *)
-let index_for s t =
-  let rec fit () =
-    let i = int_of_float ((t -. s.t0) /. s.width) in
-    if i >= s.capacity then
-      if t -. s.t0 <= float_of_int s.capacity *. s.width then s.capacity - 1
-      else begin
-        grow s;
-        fit ()
-      end
-    else max 0 i
-  in
-  fit ()
+   instead of forcing a merge of everything into the lower half. The
+   functions from here to [sample] are inlined into it, so their float
+   arguments stay unboxed. *)
+let[@inline] index_for s t =
+  let c = s.c in
+  let i = ref (int_of_float ((t -. c.t0) /. c.width)) in
+  while
+    !i >= s.capacity && not (t -. c.t0 <= float_of_int s.capacity *. c.width)
+  do
+    grow s;
+    i := int_of_float ((t -. c.t0) /. c.width)
+  done;
+  if !i >= s.capacity then s.capacity - 1 else if !i < 0 then 0 else !i
 
-(* integrate the held value [v] over [lo, hi] into the buckets. [hi]
+(* integrate the held value [v] over [lo, hi] (hi > lo, lo the last
+   sample's time) into the buckets and return the bucket of [hi]. [hi]
    must be indexed first: it can trigger a merge, which would leave an
-   index computed from the old width pointing at the wrong bucket. *)
-let integrate s ~lo ~hi v =
-  if hi > lo then begin
-    let i1 = index_for s hi in
-    let i0 = index_for s lo in
-    for i = i0 to i1 do
-      let b_lo = s.t0 +. (float_of_int i *. s.width) in
-      let b_hi = b_lo +. s.width in
-      let ov = Float.min hi b_hi -. Float.max lo b_lo in
-      if ov > 0.0 then begin
-        s.time_cov.(i) <- s.time_cov.(i) +. ov;
-        s.area.(i) <- s.area.(i) +. (ov *. v);
-        touch s i v
-      end
-    done
+   index computed from the old width pointing at the wrong bucket — the
+   merge invalidates [last_i], the cached bucket of [lo]. *)
+let[@inline] integrate s ~lo ~hi v =
+  let c = s.c in
+  let i1 = index_for s hi in
+  let i0 = if s.last_i >= 0 then s.last_i else index_for s lo in
+  for i = i0 to i1 do
+    let b_lo = c.t0 +. (float_of_int i *. c.width) in
+    let b_hi = b_lo +. c.width in
+    let ov = fmin hi b_hi -. fmax lo b_lo in
+    if ov > 0.0 then begin
+      s.time_cov.(i) <- s.time_cov.(i) +. ov;
+      s.area.(i) <- s.area.(i) +. (ov *. v);
+      touch s i v
+    end
+  done;
+  i1
+
+(* the per-sample body shared by [record] and [record_block]; the
+   caller holds the lock *)
+let[@inline] sample s t v =
+  if Float.is_finite t && Float.is_finite v then begin
+    let c = s.c in
+    if Float.is_nan c.t0 then c.t0 <- t;
+    if Float.is_nan c.width then c.width <- 1.0;
+    (* time is expected to be monotone per series; a stale clock is
+       clamped forward rather than corrupting earlier buckets *)
+    let t = fmax t c.t0 in
+    (* a sample past the last one lands where [integrate] indexed [hi];
+       one at or before it lands in the last sample's bucket *)
+    let i =
+      if not s.has_last then index_for s t
+      else if t > c.last_t then integrate s ~lo:c.last_t ~hi:t c.last_v
+      else if s.last_i >= 0 then s.last_i
+      else index_for s c.last_t
+    in
+    let t = if s.has_last then fmax t c.last_t else t in
+    s.count.(i) <- s.count.(i) + 1;
+    s.sum_v.(i) <- s.sum_v.(i) +. v;
+    touch s i v;
+    c.last_t <- t;
+    c.last_v <- v;
+    s.has_last <- true;
+    s.last_i <- i
   end
 
+(* the recording entries lock and unlock around [sample] by hand, with
+   no [locked] closure to allocate; this handler keeps its guarantee *)
+let unlock_and_reraise (s : series) e =
+  let bt = Printexc.get_raw_backtrace () in
+  Mutex.unlock s.lock;
+  Printexc.raise_with_backtrace e bt
+
 let record (s : series) ~t v =
-  if Float.is_finite t && Float.is_finite v then
-    locked s.lock (fun () ->
-        if Float.is_nan s.t0 then s.t0 <- t;
-        if Float.is_nan s.width then s.width <- 1.0;
-        (* time is expected to be monotone per series; a stale clock is
-           clamped forward rather than corrupting earlier buckets *)
-        let t = Float.max t s.t0 in
-        (match s.last with
-        | Some (lt, lv) when t > lt -> integrate s ~lo:lt ~hi:t lv
-        | _ -> ());
-        let t =
-          match s.last with Some (lt, _) -> Float.max t lt | None -> t
-        in
-        let i = index_for s t in
-        s.count.(i) <- s.count.(i) + 1;
-        s.sum_v.(i) <- s.sum_v.(i) +. v;
-        touch s i v;
-        s.last <- Some (t, v))
+  Mutex.lock s.lock;
+  match sample s t v with
+  | () -> Mutex.unlock s.lock
+  | exception e -> unlock_and_reraise s e
+
+let record_block (s : series) ts vs n =
+  if n < 0 || n > Array.length ts || n > Array.length vs then
+    invalid_arg "Timeline.record_block: n outside the arrays";
+  Mutex.lock s.lock;
+  match
+    for k = 0 to n - 1 do
+      sample s (Array.unsafe_get ts k) (Array.unsafe_get vs k)
+    done
+  with
+  | () -> Mutex.unlock s.lock
+  | exception e -> unlock_and_reraise s e
 
 let finish (s : series) ~t =
   locked s.lock (fun () ->
-      match s.last with
-      | Some (lt, lv) when Float.is_finite t && t > lt ->
-          integrate s ~lo:lt ~hi:t lv;
-          s.last <- Some (t, lv)
-      | _ -> ())
+      let c = s.c in
+      if s.has_last && Float.is_finite t && t > c.last_t then begin
+        s.last_i <- integrate s ~lo:c.last_t ~hi:t c.last_v;
+        c.last_t <- t
+      end)
 
 (* ---- snapshots ---- *)
 
@@ -254,8 +316,8 @@ let snapshot_series (s : series) =
           points :=
             {
               index = i;
-              t_lo = s.t0 +. (float_of_int i *. s.width);
-              t_hi = s.t0 +. (float_of_int (i + 1) *. s.width);
+              t_lo = s.c.t0 +. (float_of_int i *. s.c.width);
+              t_hi = s.c.t0 +. (float_of_int (i + 1) *. s.c.width);
               count = s.count.(i);
               time_cov = s.time_cov.(i);
               area = s.area.(i);
@@ -269,8 +331,8 @@ let snapshot_series (s : series) =
         s_name = s.name;
         s_labels = s.labels;
         s_meta = s.meta;
-        t0 = s.t0;
-        width = s.width;
+        t0 = s.c.t0;
+        width = s.c.width;
         points = !points;
       })
 

@@ -17,11 +17,15 @@
       contents depend only on the recorded [(t, v)] sequence, never on
       wall-clock timing or pool width.
 
-    Recording is mutex-guarded per series; the registry mirrors
-    {!Metrics}: creation is idempotent on (name, labels) and safe from
-    any domain of a [Urs_exec.Pool]. Informational tags that must not
-    distinguish series (e.g. the domain id a replication happened to run
-    on) go in [meta], not [labels]. *)
+    Recording is mutex-guarded per series and allocates nothing per
+    sample. {!record} takes the lock once per sample; {!record_block}
+    takes it once per block of buffered samples and leaves the same
+    buckets. A writer that hands over blocks is seen by snapshots (and
+    the live [/timeline] view) up to one block late. The registry
+    mirrors {!Metrics}: creation is idempotent on (name, labels) and
+    safe from any domain of a [Urs_exec.Pool]. Informational tags that
+    must not distinguish series (e.g. the domain id a replication
+    happened to run on) go in [meta], not [labels]. *)
 
 type labels = (string * string) list
 
@@ -65,6 +69,15 @@ val record : series -> t:float -> float -> unit
     integrated over the elapsed interval first. Time must be
     non-decreasing per series; a stale [t] is clamped forward. Non-finite
     [t] or [v] is ignored. *)
+
+val record_block : series -> float array -> float array -> int -> unit
+(** [record_block s ts vs n] records the samples [(ts.(k), vs.(k))] for
+    [k = 0 .. n-1], in order, under one acquisition of the series lock:
+    the buckets end exactly as after [n] calls to {!record}. A writer
+    that owns a series alone (the simulator's [Urs_sim.Probe]) buffers
+    its samples and hands them over in blocks, so it takes the lock once
+    per block instead of once per sample. Raises [Invalid_argument] when
+    [n < 0] or either array is shorter than [n]. *)
 
 val finish : series -> t:float -> unit
 (** Close the integration at time [t]: extend the last recorded value to

@@ -40,14 +40,6 @@ let create ?(capacity = 64) () =
 let size h = h.size
 let is_empty h = h.size = 0
 
-let clear h =
-  (* a cleared heap behaves exactly like a fresh one: tie-break state
-     ([next_seq]) resets too *)
-  h.size <- 0;
-  h.free_top <- 0;
-  h.next_slot <- 0;
-  h.next_seq <- 0
-
 let grow h =
   let cap = Array.length h.time in
   let bigger = 2 * cap in

@@ -18,11 +18,6 @@ val create : ?capacity:int -> unit -> t
 val size : t -> int
 val is_empty : t -> bool
 
-val clear : t -> unit
-(** Forget all pending events {e and} reset the tie-break sequence
-    counter, so a cleared heap orders equal-time events exactly like a
-    freshly created one. *)
-
 val push : t -> time:float -> kind:int -> server:int -> epoch:int -> unit
 
 val top_time : t -> float

@@ -21,10 +21,6 @@ let create ?(capacity = 16) () =
 let length d = d.len
 let is_empty d = d.len = 0
 
-let clear d =
-  d.head <- 0;
-  d.len <- 0
-
 let grow d =
   let cap = Array.length d.buf in
   let bigger = Array.make (2 * cap) 0 in

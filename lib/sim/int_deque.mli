@@ -10,7 +10,6 @@ val create : ?capacity:int -> unit -> t
 
 val length : t -> int
 val is_empty : t -> bool
-val clear : t -> unit
 
 val push_back : t -> int -> unit
 val push_front : t -> int -> unit

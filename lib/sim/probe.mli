@@ -7,7 +7,15 @@
     given labels (conventionally [rep=<i>]). The probe hooks the
     state-change sites of {!Server_farm}: it consumes no randomness and
     schedules no events, so enabling it never perturbs the simulated
-    trajectory; results with and without a probe are bit-identical. *)
+    trajectory; results with and without a probe are bit-identical.
+
+    A probe belongs to one replication on one domain, so it buffers
+    samples in preallocated float arrays and hands all three series
+    over together, through {!Urs_obs.Timeline.record_block}, each time
+    256 state changes have accumulated, and at {!finish}. Recording
+    allocates nothing per state change. The buckets are exactly those
+    of per-sample recording, but a live [/timeline] view of a running
+    replication lags it by at most one block of state changes. *)
 
 type t
 
@@ -34,4 +42,5 @@ val set_operative : t -> now:float -> int -> unit
 (** The number of operative servers changed at time [now]. *)
 
 val finish : t -> now:float -> unit
-(** Close the time integration at the end of the run. *)
+(** Hand over the buffered samples, then close the time integration at
+    the end of the run. *)

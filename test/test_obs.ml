@@ -1101,6 +1101,422 @@ let test_timeline_pool_determinism () =
     seq par;
   if seq = [] then Alcotest.fail "expected recorded timelines"
 
+(* A plain reference recorder: the bucket algebra as first written, with
+   no cached state — [Float.min]/[Float.max] on every sample and both
+   ends of every interval indexed, [hi] first because indexing it may
+   merge. [Timeline.record] and [Timeline.record_block] must leave
+   exactly the buckets this leaves. *)
+module Ref_recorder = struct
+  type t = {
+    capacity : int;
+    initial_width : float;
+    mutable t0 : float;
+    mutable width : float;
+    mutable used : int;
+    time_cov : float array;
+    area : float array;
+    count : int array;
+    sum_v : float array;
+    vmin : float array;
+    vmax : float array;
+    mutable last : (float * float) option;
+  }
+
+  let clear r =
+    r.t0 <- nan;
+    r.width <- r.initial_width;
+    r.used <- 0;
+    r.last <- None;
+    Array.fill r.time_cov 0 r.capacity 0.0;
+    Array.fill r.area 0 r.capacity 0.0;
+    Array.fill r.count 0 r.capacity 0;
+    Array.fill r.sum_v 0 r.capacity 0.0;
+    Array.fill r.vmin 0 r.capacity infinity;
+    Array.fill r.vmax 0 r.capacity neg_infinity
+
+  let create ~capacity ?horizon () =
+    let initial_width =
+      match horizon with
+      | Some h when h > 0.0 -> h /. float_of_int capacity
+      | _ -> nan
+    in
+    let r =
+      {
+        capacity;
+        initial_width;
+        t0 = nan;
+        width = nan;
+        used = 0;
+        time_cov = Array.make capacity 0.0;
+        area = Array.make capacity 0.0;
+        count = Array.make capacity 0;
+        sum_v = Array.make capacity 0.0;
+        vmin = Array.make capacity infinity;
+        vmax = Array.make capacity neg_infinity;
+        last = None;
+      }
+    in
+    clear r;
+    r
+
+  let grow r =
+    let half = (r.used + 1) / 2 in
+    for i = 0 to half - 1 do
+      let a = 2 * i and b = (2 * i) + 1 in
+      if a <> i then begin
+        r.time_cov.(i) <- r.time_cov.(a);
+        r.area.(i) <- r.area.(a);
+        r.count.(i) <- r.count.(a);
+        r.sum_v.(i) <- r.sum_v.(a);
+        r.vmin.(i) <- r.vmin.(a);
+        r.vmax.(i) <- r.vmax.(a)
+      end;
+      if b < r.capacity && b <> i then begin
+        r.time_cov.(i) <- r.time_cov.(i) +. r.time_cov.(b);
+        r.area.(i) <- r.area.(i) +. r.area.(b);
+        r.count.(i) <- r.count.(i) + r.count.(b);
+        r.sum_v.(i) <- r.sum_v.(i) +. r.sum_v.(b);
+        r.vmin.(i) <- Float.min r.vmin.(i) r.vmin.(b);
+        r.vmax.(i) <- Float.max r.vmax.(i) r.vmax.(b)
+      end
+    done;
+    for i = half to r.used - 1 do
+      r.time_cov.(i) <- 0.0;
+      r.area.(i) <- 0.0;
+      r.count.(i) <- 0;
+      r.sum_v.(i) <- 0.0;
+      r.vmin.(i) <- infinity;
+      r.vmax.(i) <- neg_infinity
+    done;
+    r.used <- half;
+    r.width <- r.width *. 2.0
+
+  let touch r i v =
+    if v < r.vmin.(i) then r.vmin.(i) <- v;
+    if v > r.vmax.(i) then r.vmax.(i) <- v;
+    r.used <- max r.used (i + 1)
+
+  let rec index_for r t =
+    let i = int_of_float ((t -. r.t0) /. r.width) in
+    if i < r.capacity then max 0 i
+    else if t -. r.t0 <= float_of_int r.capacity *. r.width then r.capacity - 1
+    else begin
+      grow r;
+      index_for r t
+    end
+
+  let integrate r ~lo ~hi v =
+    if hi > lo then begin
+      let i1 = index_for r hi in
+      let i0 = index_for r lo in
+      for i = i0 to i1 do
+        let b_lo = r.t0 +. (float_of_int i *. r.width) in
+        let ov = Float.min hi (b_lo +. r.width) -. Float.max lo b_lo in
+        if ov > 0.0 then begin
+          r.time_cov.(i) <- r.time_cov.(i) +. ov;
+          r.area.(i) <- r.area.(i) +. (ov *. v);
+          touch r i v
+        end
+      done
+    end
+
+  let record r ~t v =
+    if Float.is_finite t && Float.is_finite v then begin
+      if Float.is_nan r.t0 then r.t0 <- t;
+      if Float.is_nan r.width then r.width <- 1.0;
+      let t = Float.max t r.t0 in
+      (match r.last with
+      | Some (lt, lv) -> integrate r ~lo:lt ~hi:t lv
+      | None -> ());
+      let t = match r.last with Some (lt, _) -> Float.max t lt | None -> t in
+      let i = index_for r t in
+      r.count.(i) <- r.count.(i) + 1;
+      r.sum_v.(i) <- r.sum_v.(i) +. v;
+      touch r i v;
+      r.last <- Some (t, v)
+    end
+
+  let finish r ~t =
+    match r.last with
+    | Some (lt, lv) when Float.is_finite t && t > lt ->
+        integrate r ~lo:lt ~hi:t lv;
+        r.last <- Some (t, lv)
+    | _ -> ()
+end
+
+type stream_op = Sample of float * float | Clear | Finish of float
+
+(* A random stream for a series of [capacity] buckets over [horizon]:
+   two phases split by a [Clear]. Each phase opens at a finite sample,
+   wanders below the horizon (repeated, stale and non-finite samples
+   included), puts one sample exactly on the final boundary, then runs
+   past the horizon, which forces merges, and may end with a
+   [Finish]. *)
+let gen_stream ~horizon =
+  let open QCheck2.Gen in
+  let value =
+    frequency
+      [
+        (6, map float_of_int (int_range 0 12));
+        (2, float_range (-3.0) 3.0);
+        (1, oneofl [ nan; infinity; neg_infinity ]);
+      ]
+  in
+  let bad_time = oneofl [ nan; infinity; neg_infinity ] in
+  (* (kind, fraction, value): 0-5 advance, 6 repeat, 7 stale, 8 a
+     non-finite time, 9 a jump far past the horizon (suffix only) *)
+  let step kinds = triple (int_range 0 kinds) (float_range 0.0 1.0) value in
+  let phase =
+    let* start = oneofl [ 0.0; 3.0; -2.5 ] in
+    let* v0 = map float_of_int (int_range 0 12) in
+    let* prefix = list_size (int_range 0 30) (step 8) in
+    let* vb = value in
+    let* suffix = list_size (int_range 0 30) (step 9) in
+    let* bad = bad_time in
+    let* finish = opt (float_range 0.0 1.0) in
+    let now = ref start in
+    let emit ~below_horizon (kind, a, v) =
+      match kind with
+      | 6 -> Sample (!now, v)
+      | 7 -> Sample (!now -. (10.0 *. a) -. 0.1, v)
+      | 8 -> Sample (bad, v)
+      | 9 ->
+          now := !now +. (horizon *. (1.0 +. (5.0 *. a)));
+          Sample (!now, v)
+      | _ ->
+          if below_horizon then
+            now := !now +. (a *. (start +. horizon -. !now) /. 2.0)
+          else now := !now +. (a *. horizon *. 0.3);
+          Sample (!now, v)
+    in
+    let pre = List.map (emit ~below_horizon:true) prefix in
+    let boundary = Sample (start +. horizon, vb) in
+    now := start +. horizon;
+    let post = List.map (emit ~below_horizon:false) suffix in
+    let fin =
+      match finish with
+      | Some a -> [ Finish (!now +. (a *. horizon)) ]
+      | None -> []
+    in
+    return ((Sample (start, v0) :: pre) @ (boundary :: post) @ fin)
+  in
+  map2 (fun a b -> a @ (Clear :: b)) phase phase
+
+(* capacity, bucket width (dyadic, so [capacity * width] is exact and the
+   boundary sample lands exactly on it), whether the width comes from a
+   horizon hint, the stream, and block sizes for [record_block] *)
+let gen_timeline_case =
+  let open QCheck2.Gen in
+  let* capacity = int_range 2 16 in
+  let* width = oneofl [ 0.5; 1.0; 1.25; 2.0 ] in
+  let* hinted = bool in
+  let width = if hinted then width else 1.0 in
+  let horizon = float_of_int capacity *. width in
+  let* stream = gen_stream ~horizon in
+  let* blocks =
+    list_size (int_range 0 6)
+      (frequency [ (2, return 0); (2, return 1); (3, int_range 2 8); (1, int_range 9 300) ])
+  in
+  let* last_block = int_range 1 300 in
+  return (capacity, (if hinted then Some horizon else None), stream, blocks @ [ last_block ])
+
+let bits = Int64.bits_of_float
+
+(* the non-empty buckets of a reference recorder, as a snapshot lists
+   them *)
+let ref_points (r : Ref_recorder.t) =
+  List.filter_map
+    (fun i ->
+      if r.count.(i) > 0 || r.time_cov.(i) > 0.0 then
+        Some
+          ( i,
+            r.count.(i),
+            List.map bits [ r.time_cov.(i); r.area.(i); r.sum_v.(i); r.vmin.(i); r.vmax.(i) ] )
+      else None)
+    (List.init r.used Fun.id)
+
+let snapshot_points (snap : Timeline.snapshot) =
+  List.map
+    (fun (p : Timeline.point) ->
+      ( p.Timeline.index,
+        p.Timeline.count,
+        List.map bits
+          [ p.Timeline.time_cov; p.Timeline.area; p.Timeline.sum_v; p.Timeline.vmin; p.Timeline.vmax ] ))
+    snap.Timeline.points
+
+let same_as_reference (r : Ref_recorder.t) (snap : Timeline.snapshot) =
+  bits r.t0 = bits snap.Timeline.t0
+  && bits r.width = bits snap.Timeline.width
+  && ref_points r = snapshot_points snap
+
+(* feed the samples between two non-sample ops to [record_block] in
+   blocks of the given sizes, cycling through them; the arrays are
+   longer than [n] and padded with samples that must not be read *)
+let feed_blocks s sizes samples =
+  let sizes = Array.of_list sizes in
+  let rec go k samples =
+    if samples <> [] then begin
+      let n = min sizes.(k mod Array.length sizes) (List.length samples) in
+      let pad = k mod 3 in
+      let ts = Array.make (n + pad) 1e9 and vs = Array.make (n + pad) 99.0 in
+      List.iteri
+        (fun j (t, v) ->
+          if j < n then begin
+            ts.(j) <- t;
+            vs.(j) <- v
+          end)
+        samples;
+      Timeline.record_block s ts vs n;
+      go (k + 1) (List.filteri (fun j _ -> j >= n) samples)
+    end
+  in
+  go 0 samples
+
+let timeline_matches_reference =
+  QCheck2.Test.make ~name:"record and record_block = reference recorder"
+    ~count:300 gen_timeline_case (fun (capacity, horizon, stream, sizes) ->
+      let registry = Timeline.create () in
+      let reference = Ref_recorder.create ~capacity ?horizon () in
+      let one = Timeline.series ~registry ~capacity ?horizon "urs_t_ref_record" in
+      let blk = Timeline.series ~registry ~capacity ?horizon "urs_t_ref_block" in
+      let pending = ref [] in
+      let flush () =
+        feed_blocks blk sizes (List.rev !pending);
+        pending := []
+      in
+      List.iter
+        (function
+          | Sample (t, v) ->
+              Ref_recorder.record reference ~t v;
+              Timeline.record one ~t v;
+              pending := (t, v) :: !pending
+          | Clear ->
+              flush ();
+              Ref_recorder.clear reference;
+              Timeline.clear one;
+              Timeline.clear blk
+          | Finish t ->
+              flush ();
+              Ref_recorder.finish reference ~t;
+              Timeline.finish one ~t;
+              Timeline.finish blk ~t)
+        stream;
+      flush ();
+      let ok name s =
+        same_as_reference reference (Timeline.snapshot_series s)
+        || QCheck2.Test.fail_reportf "%s differs from the reference" name
+      in
+      ok "record" one && ok "record_block" blk)
+
+let test_record_block_rejects_short_arrays () =
+  let s = Timeline.series ~registry:(Timeline.create ()) "urs_t_short" in
+  let a = Array.make 4 0.0 in
+  List.iter
+    (fun (ts, vs, n) ->
+      Alcotest.check_raises "n outside the arrays"
+        (Invalid_argument "Timeline.record_block: n outside the arrays")
+        (fun () -> Timeline.record_block s ts vs n))
+    [ (a, a, 5); (a, Array.make 2 0.0, 3); (a, a, -1) ]
+
+let sim_cfg_small =
+  {
+    Urs_sim.Server_farm.servers = 3;
+    lambda = 2.0;
+    mu = 1.0;
+    operative = Urs_prob.Distribution.exponential ~rate:0.1;
+    inoperative = Urs_prob.Distribution.exponential ~rate:1.0;
+    repair_crews = None;
+  }
+
+let test_timeline_pinned_replication () =
+  (* regression pin, taken from the per-sample recorder before samples
+     were handed over in blocks: the buckets depend only on the sample
+     sequence, so these values change only if the simulator's trajectory
+     or the bucket algebra does *)
+  let r = Timeline.create () in
+  ignore
+    (Urs_sim.Replicate.run ~seed:6 ~replications:1 ~duration:500.0
+       ~timeline_registry:r sim_cfg_small);
+  match Timeline.snapshot ~registry:r ~name:"urs_sim_jobs" () with
+  | [ snap ] ->
+      let points = snap.Timeline.points in
+      let hex x = Printf.sprintf "%h" x in
+      Alcotest.(check int) "buckets" 256 (List.length points);
+      Alcotest.(check string) "sum of areas" "0x1.0aee0dcc65b98p+11"
+        (hex (List.fold_left (fun a p -> a +. p.Timeline.area) 0.0 points));
+      Alcotest.(check int) "sum of counts" 2243
+        (List.fold_left (fun a p -> a + p.Timeline.count) 0 points);
+      Alcotest.(check string) "first bucket mean" "0x1.c686b57e4a2a8p+0"
+        (hex (Timeline.point_mean (List.hd points)));
+      Alcotest.(check string) "last bucket mean" "0x1.6c5ec8e097728p+0"
+        (hex (Timeline.point_mean (List.nth points (List.length points - 1))))
+  | l -> Alcotest.failf "expected one urs_sim_jobs series, got %d" (List.length l)
+
+(* every snapshot of a series, taken at any moment, is a consistent
+   state: each bucket's mean lies within its min and max, and no bucket
+   covers more than its width *)
+let snapshot_violation (snap : Timeline.snapshot) =
+  List.find_map
+    (fun (p : Timeline.point) ->
+      let mean = Timeline.point_mean p in
+      if not (p.Timeline.vmin <= mean && mean <= p.Timeline.vmax) then
+        Some
+          (Printf.sprintf "%s bucket %d: min %g <= mean %g <= max %g violated"
+             snap.Timeline.s_name p.Timeline.index p.Timeline.vmin mean p.Timeline.vmax)
+      else if p.Timeline.time_cov > snap.Timeline.width +. 1e-9 then
+        Some
+          (Printf.sprintf "%s bucket %d covers more than its width" snap.Timeline.s_name
+             p.Timeline.index)
+      else None)
+    snap.Timeline.points
+
+let snapshot_bits (snap : Timeline.snapshot) =
+  ( snap.Timeline.s_name,
+    snap.Timeline.s_labels,
+    bits snap.Timeline.t0,
+    bits snap.Timeline.width,
+    snapshot_points snap )
+
+let test_timeline_snapshots_while_blocks_land () =
+  (* a second domain snapshots the registry in a loop while a run hands
+     its samples over block by block *)
+  let run registry =
+    ignore
+      (Urs_sim.Replicate.run ~seed:9 ~replications:2 ~duration:20_000.0
+         ~timeline_registry:registry sim_cfg_small)
+  in
+  let solo = Timeline.create () in
+  run solo;
+  let shared = Timeline.create () in
+  let started = Atomic.make false and stop = Atomic.make false in
+  let watcher =
+    Domain.spawn (fun () ->
+        let bad = ref None in
+        let check () =
+          List.iter
+            (fun snap -> if !bad = None then bad := snapshot_violation snap)
+            (Timeline.snapshot ~registry:shared ())
+        in
+        Atomic.set started true;
+        check ();
+        while not (Atomic.get stop) do
+          check ()
+        done;
+        !bad)
+  in
+  (* the run starts only once the watcher is looping *)
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  Fun.protect ~finally:(fun () -> Atomic.set stop true) (fun () -> run shared);
+  Option.iter
+    (Alcotest.failf "inconsistent snapshot: %s")
+    (Domain.join watcher);
+  let final = List.map snapshot_bits (Timeline.snapshot ~registry:shared ()) in
+  let expected = List.map snapshot_bits (Timeline.snapshot ~registry:solo ()) in
+  Alcotest.(check int) "series count" (List.length expected) (List.length final);
+  if final <> expected then Alcotest.fail "final snapshot differs from a solo run's"
+
 (* ---- progress ---- *)
 
 let with_fake_clock f =
@@ -2811,6 +3227,13 @@ let () =
             test_timeline_horizon_layout;
           Alcotest.test_case "pool determinism" `Quick
             test_timeline_pool_determinism;
+          QCheck_alcotest.to_alcotest timeline_matches_reference;
+          Alcotest.test_case "record_block rejects short arrays" `Quick
+            test_record_block_rejects_short_arrays;
+          Alcotest.test_case "pinned replication buckets" `Quick
+            test_timeline_pinned_replication;
+          Alcotest.test_case "snapshots while blocks land" `Quick
+            test_timeline_snapshots_while_blocks_land;
         ] );
       ( "progress",
         [

@@ -1,5 +1,5 @@
 (* Tests for the discrete-event simulator: index heap, int deque,
-   collector, the server-farm model and replications. The key
+   collector, the server-farm model, probes and replications. The key
    correctness tests validate the simulator against closed forms
    (M/M/c) and against the exact spectral solution. *)
 
@@ -71,32 +71,6 @@ let test_index_heap_growth_and_recycling () =
   done;
   Alcotest.(check int) "all dropped" 5000 !n
 
-let test_index_heap_clear_resets_tiebreak () =
-  (* clear resets the sequence counter, so equal-time FIFO order
-     restarts like a fresh heap *)
-  let fresh = Index_heap.create () in
-  let cleared = Index_heap.create () in
-  for i = 0 to 99 do
-    Index_heap.push cleared ~time:(float_of_int i) ~kind:i ~server:(-1)
-      ~epoch:0
-  done;
-  Index_heap.clear cleared;
-  Alcotest.(check int) "cleared is empty" 0 (Index_heap.size cleared);
-  List.iter
-    (fun h ->
-      Index_heap.push h ~time:2.0 ~kind:1 ~server:(-1) ~epoch:0;
-      Index_heap.push h ~time:2.0 ~kind:2 ~server:(-1) ~epoch:0;
-      Index_heap.push h ~time:1.0 ~kind:3 ~server:(-1) ~epoch:0)
-    [ fresh; cleared ];
-  for _ = 1 to 3 do
-    if
-      Index_heap.top_time fresh <> Index_heap.top_time cleared
-      || Index_heap.top_kind fresh <> Index_heap.top_kind cleared
-    then Alcotest.fail "cleared heap diverges from fresh heap";
-    Index_heap.drop fresh;
-    Index_heap.drop cleared
-  done
-
 let test_index_heap_empty_drop_raises () =
   let h = Index_heap.create () in
   Alcotest.check_raises "drop on empty"
@@ -143,16 +117,6 @@ let test_int_deque_growth_wraparound () =
   Alcotest.(check bool) "empty" true (Int_deque.is_empty d);
   Int_deque.push_front d 7;
   Alcotest.(check int) "front after wrap" 7 (Int_deque.pop_front d)
-
-let test_int_deque_clear () =
-  let d = Int_deque.create () in
-  for i = 0 to 9 do
-    Int_deque.push_back d i
-  done;
-  Int_deque.clear d;
-  Alcotest.(check bool) "cleared" true (Int_deque.is_empty d);
-  Int_deque.push_back d 5;
-  Alcotest.(check int) "usable after clear" 5 (Int_deque.pop_front d)
 
 (* ---- Collector ---- *)
 
@@ -441,6 +405,34 @@ let test_replicate_pinned_summary () =
   check "mean response CI" 0.182173906069
     s.Replicate.mean_response.Replicate.half_width
 
+let test_replicate_timelines_do_not_perturb () =
+  (* the probe consumes no randomness and schedules no events, so the
+     summaries with and without timelines are bit-identical *)
+  let cfg =
+    {
+      Server_farm.servers = 3;
+      lambda = 2.0;
+      mu = 1.0;
+      operative = Urs_prob.Distribution.h2 ~w1:0.7246 ~r1:0.1663 ~r2:0.0091;
+      inoperative = Urs_prob.Distribution.exponential ~rate:1.0;
+      repair_crews = None;
+    }
+  in
+  let run timelines =
+    Replicate.run ~seed:71 ~replications:3 ~duration:5_000.0 ~timelines
+      ~timeline_registry:(Urs_obs.Timeline.create ()) cfg
+  in
+  let a = run true and b = run false in
+  let same name (x : Replicate.interval) (y : Replicate.interval) =
+    check_float ~tol:0.0 (name ^ " estimate") x.Replicate.estimate
+      y.Replicate.estimate;
+    check_float ~tol:0.0 (name ^ " half-width") x.Replicate.half_width
+      y.Replicate.half_width
+  in
+  same "mean jobs" a.Replicate.mean_jobs b.Replicate.mean_jobs;
+  same "mean response" a.Replicate.mean_response b.Replicate.mean_response;
+  same "mean operative" a.Replicate.mean_operative b.Replicate.mean_operative
+
 (* ---- allocation regression ---- *)
 
 let test_sim_allocation_per_event () =
@@ -472,6 +464,42 @@ let test_sim_allocation_per_event () =
   if per_event > 32.0 then
     Alcotest.failf "allocation regression: %.2f minor words/event" per_event
 
+let test_sim_allocation_per_event_with_probe () =
+  (* the default path: every simulation that users run records its
+     trajectory through a probe. The probe buffers samples in float
+     arrays and hands them to its timelines a block at a time, so the
+     run stays at ~0.1 minor words/event in the release profile and
+     ~10 in the dev profile (-opaque boxes the floats passed to
+     [Probe.set_jobs]). A recorder that boxes its state per sample
+     costs ~73-81, so the engine test's threshold of 32 catches a
+     return to one under either profile. *)
+  let cfg =
+    {
+      Server_farm.servers = 4;
+      lambda = 3.0;
+      mu = 1.0;
+      operative = Urs_prob.Distribution.h2 ~w1:0.7246 ~r1:0.1663 ~r2:0.0091;
+      inoperative = Urs_prob.Distribution.exponential ~rate:25.0;
+      repair_crews = None;
+    }
+  in
+  let registry = Urs_obs.Timeline.create () in
+  let probe () = Probe.create ~registry ~horizon:22_000.0 ~servers:4 () in
+  ignore
+    (Server_farm.run ~seed:61 ~track_responses:false ~probe:(probe ())
+       ~duration:2_000.0 cfg);
+  let probe = probe () in
+  let before = Gc.minor_words () in
+  let r =
+    Server_farm.run ~seed:61 ~track_responses:false ~probe ~duration:20_000.0
+      cfg
+  in
+  let words = Gc.minor_words () -. before in
+  let per_event = words /. float_of_int r.Server_farm.events in
+  if per_event > 32.0 then
+    Alcotest.failf "allocation regression with a probe: %.2f minor words/event"
+      per_event
+
 let () =
   Alcotest.run "urs_sim"
     [
@@ -481,8 +509,6 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_index_heap_fifo_ties;
           Alcotest.test_case "growth and slot recycling" `Quick
             test_index_heap_growth_and_recycling;
-          Alcotest.test_case "clear resets tie-break" `Quick
-            test_index_heap_clear_resets_tiebreak;
           Alcotest.test_case "drop on empty raises" `Quick
             test_index_heap_empty_drop_raises;
         ] );
@@ -493,7 +519,6 @@ let () =
             test_int_deque_push_front;
           Alcotest.test_case "growth with wraparound" `Quick
             test_int_deque_growth_wraparound;
-          Alcotest.test_case "clear" `Quick test_int_deque_clear;
         ] );
       ( "collector",
         [
@@ -531,10 +556,14 @@ let () =
             test_replicate_ci_narrows;
           Alcotest.test_case "pinned summary (split-stream seeds)" `Slow
             test_replicate_pinned_summary;
+          Alcotest.test_case "timelines do not perturb results" `Quick
+            test_replicate_timelines_do_not_perturb;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "minor words per event bounded" `Slow
             test_sim_allocation_per_event;
+          Alcotest.test_case "minor words per event bounded with a probe"
+            `Slow test_sim_allocation_per_event_with_probe;
         ] );
     ]
