@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test bench bench-gate sim-bench fmt smoke \
+.PHONY: all build test bench bench-gate bench-scale sim-bench fmt smoke \
 	doctor-smoke serve-smoke trace-smoke report-smoke soak-smoke \
 	benchstats-test ci clean
 
@@ -31,6 +31,20 @@ bench-gate:
 	  dune exec bench/main.exe -- n5 speedup
 	dune exec bin/urs_cli.exe -- report \
 	  --history /tmp/urs_gate_history.jsonl --max-ratio 2.0 --detect
+
+# Spectral stages against N, mirrored by the bench-regression CI job:
+# the bench `scale` section (release profile) solves the paper model at
+# N = 5..24 into a scratch history and prints each stage's seconds and
+# log-log exponent; the table is kept in bench-scale.txt. It runs in a
+# scratch directory, so the BENCH_solvers.json and BENCH_ledger.jsonl
+# of an earlier bench-gate stay as they are. Ungated: a failed N is
+# printed and recorded, and does not fail the target.
+bench-scale:
+	dune build --profile release bench/main.exe
+	mkdir -p /tmp/urs_scale
+	cd /tmp/urs_scale && URS_BENCH_HISTORY=/tmp/urs_scale_history.jsonl \
+	  $(CURDIR)/_build/default/bench/main.exe scale > $(CURDIR)/bench-scale.txt
+	cat bench-scale.txt
 
 # The pinned ocamlformat (see .ocamlformat) is not a build dependency of
 # the library, so a missing binary only skips the check locally; CI

@@ -469,7 +469,12 @@ let section_n5 () =
 (* Two legs over the same four trajectories: the bare engine
    ([Server_farm.run], no probe) and the path every simulation users run
    takes ([Replicate.run] with its defaults: timelines on, spans, ledger
-   records). Each leg gates its seconds/event under its own key. *)
+   records). Each leg gates its seconds/event under its own key. Its
+   words/event are the slope between a short and a long run over the
+   same seeds, read from the exact domain-local counters: per-run
+   set-up cancels, and what remains is the event loop's own allocation
+   plus that of the runtime-events capture thread (about 0.005
+   words/event), which runs during the long run. *)
 let section_sim () =
   header "Simulation engine — events/sec on the Figure-8 workload";
   Format.printf
@@ -493,7 +498,7 @@ let section_sim () =
      [Replicate.run ~seed:2024 ~replications:4] draws the same four *)
   let master = Urs_prob.Rng.create 2024 in
   let seeds = Array.init 4 (fun _ -> Urs_prob.Rng.split_seed master) in
-  let duration = 50_000.0 in
+  let duration = 50_000.0 and short_duration = 10_000.0 in
   let events_total () =
     Option.value ~default:0.0 (Metrics.value "urs_sim_events_total")
   in
@@ -501,14 +506,24 @@ let section_sim () =
   ignore
     (Urs_sim.Server_farm.run ~seed:seeds.(0) ~track_responses:false
        ~duration:2_000.0 cfg);
+  (* events, wall seconds and (minor, promoted, major) words of one run *)
+  let measure run duration =
+    let e0 = events_total () in
+    let m0, p0, j0 = Span.gc_counters () in
+    let t0 = Span.now () in
+    run duration;
+    let wall = Span.now () -. t0 in
+    let m1, p1, j1 = Span.gc_counters () in
+    (events_total () -. e0, wall, (m1 -. m0, p1 -. p0, j1 -. j0))
+  in
   let leg ~key ~label run =
+    let short_events, _, (short_minor, short_promoted, short_major) =
+      measure run short_duration
+    in
     let gc_capture = Urs_obs.Runtime.start_events () in
     if gc_capture then Urs_obs.Runtime.clear_events ();
-    let e0 = events_total () in
     let g0 = Urs_obs.Runtime.sample () in
-    let t0 = Span.now () in
-    run ();
-    let wall = Span.now () -. t0 in
+    let events, wall, (minor, promoted, major) = measure run duration in
     let d =
       Urs_obs.Runtime.delta ~before:g0 ~after:(Urs_obs.Runtime.sample ())
     in
@@ -525,14 +540,16 @@ let section_sim () =
       end
       else None
     in
-    let events = events_total () -. e0 in
-    let per_event w = if events > 0.0 then w /. events else nan in
+    let extra_events = events -. short_events in
+    let slope w w_short =
+      if extra_events > 0.0 then (w -. w_short) /. extra_events else nan
+    in
     let stat =
       {
-        Urs_obs.Perf.seconds = per_event wall;
-        minor_words = per_event d.Urs_obs.Runtime.d_minor_words;
-        promoted_words = per_event d.Urs_obs.Runtime.d_promoted_words;
-        major_words = per_event d.Urs_obs.Runtime.d_major_words;
+        Urs_obs.Perf.seconds = (if events > 0.0 then wall /. events else nan);
+        minor_words = slope minor short_minor;
+        promoted_words = slope promoted short_promoted;
+        major_words = slope major short_major;
       }
     in
     gate_stats := (key, stat) :: !gate_stats;
@@ -540,8 +557,8 @@ let section_sim () =
     Format.printf "  events processed     %12.0f@." events;
     Format.printf "  wall time            %12.3f s@." wall;
     Format.printf "  events/sec           %12.0f@." (events /. wall);
-    Format.printf "  minor words/event    %12.2f@."
-      stat.Urs_obs.Perf.minor_words;
+    Format.printf "  minor words/event    %12.3f  (%.0f-%.0f time-unit slope)@."
+      stat.Urs_obs.Perf.minor_words short_duration duration;
     Format.printf "  promoted words/event %12.4f@."
       stat.Urs_obs.Perf.promoted_words;
     Format.printf "  major words/event    %12.4f@."
@@ -555,7 +572,7 @@ let section_sim () =
     (events, wall, stat)
   in
   let events, wall, stat =
-    leg ~key:"sim" ~label:"engine: Server_farm.run, no probe" (fun () ->
+    leg ~key:"sim" ~label:"engine: Server_farm.run, no probe" (fun duration ->
         Array.iter
           (fun seed ->
             ignore
@@ -578,7 +595,7 @@ let section_sim () =
     wall;
   let _, _, p_stat =
     leg ~key:"sim_probe" ~label:"default path: Replicate.run, timelines on"
-      (fun () ->
+      (fun duration ->
         ignore
           (Urs_sim.Replicate.run ~seed:2024 ~replications:4 ~duration cfg))
   in
@@ -588,6 +605,123 @@ let section_sim () =
     "@.(CI's sim-perf job runs this section twice against a scratch@.\
      history and fails when either leg's seconds/event regresses beyond@.\
      --max-ratio)@.";
+  flush ()
+
+(* ---- scale: the spectral solver's stages against N ---- *)
+
+(* The paper model at 80% load over N = 5..24 (s = 21..325): seconds
+   per solve and per stage, words per solve and the residual, then a
+   least-squares log-log exponent per stage over s. Each N goes into the
+   perf history under an ungated key (spectral_n10, ...); a failed solve
+   is printed and recorded with null figures. *)
+let section_scale () =
+  header "Spectral expansion — stage seconds against N (s = 21..325)";
+  Format.printf
+    "(fitted operative H2, η=25, µ=1, λ = 0.8·N·availability; each N \
+     solved once@.to warm up and check, then timed over as many solves \
+     as fit in ~1 s, at most 5)@.@.";
+  let stages = [ "eigenvalues"; "eigenvectors"; "boundary"; "normalization" ] in
+  (* the span histogram sums of urs_spectral_stage, per stage *)
+  let stage_sums () =
+    List.map
+      (fun st ->
+        List.fold_left
+          (fun acc (e : Metrics.entry) ->
+            match e.data with
+            | Metrics.Histogram_value { sum; _ }
+              when e.name = "urs_spectral_stage_seconds"
+                   && e.labels = [ ("stage", st) ] ->
+                acc +. sum
+            | _ -> acc)
+          0.0 (Metrics.snapshot ()))
+      stages
+  in
+  Format.printf "  %3s %4s %10s %10s %10s %10s %10s %12s %10s@." "N" "s"
+    "solve s" "eigval s" "eigvec s" "boundary s" "norm s" "kw/solve"
+    "residual";
+  let rows =
+    List.filter_map
+      (fun servers ->
+        let key = Printf.sprintf "spectral_n%d" servers in
+        remove_gate_stat key;
+        let lambda =
+          0.8 *. float_of_int servers *. (34.6209 /. (34.6209 +. 0.04))
+        in
+        let q = Option.get (Urs.Model.qbd (model ~servers ~lambda)) in
+        let s = Urs_mmq.Qbd.s q in
+        let t0 = Span.now () in
+        match Urs_mmq.Spectral.solve q with
+        | Error e ->
+            Format.printf "  %3d %4d FAILED: %a@." servers s
+              Urs_mmq.Spectral.pp_error e;
+            gate_stats :=
+              ( key,
+                {
+                  Urs_obs.Perf.seconds = nan;
+                  minor_words = nan;
+                  promoted_words = nan;
+                  major_words = nan;
+                } )
+              :: !gate_stats;
+            flush ();
+            None
+        | Ok sol ->
+            let first = Span.now () -. t0 in
+            let reps = max 1 (min 5 (int_of_float (1.0 /. first))) in
+            let sums0 = stage_sums () in
+            let m0, p0, j0 = Span.gc_counters () in
+            let t0 = Span.now () in
+            for _ = 1 to reps do
+              ignore (Urs_mmq.Spectral.solve q)
+            done;
+            let per x = x /. float_of_int reps in
+            let seconds = per (Span.now () -. t0) in
+            let m1, p1, j1 = Span.gc_counters () in
+            let stage_s =
+              List.map2 (fun a b -> per (b -. a)) sums0 (stage_sums ())
+            in
+            let stat =
+              {
+                Urs_obs.Perf.seconds;
+                minor_words = per (m1 -. m0);
+                promoted_words = per (p1 -. p0);
+                major_words = per (j1 -. j0);
+              }
+            in
+            gate_stats := (key, stat) :: !gate_stats;
+            let residual = Urs_mmq.Spectral.residual sol in
+            Format.printf "  %3d %4d %10.4f" servers s seconds;
+            List.iter (fun x -> Format.printf " %10.4f" x) stage_s;
+            Format.printf " %12.0f %10.2e@." (stat.minor_words /. 1e3) residual;
+            flush ();
+            Some (float_of_int s, seconds, stage_s))
+      [ 5; 10; 15; 20; 24 ]
+  in
+  (* least-squares slope of log seconds against log s *)
+  let slope pts =
+    let pts = List.filter (fun (_, y) -> y > 0.0) pts in
+    let n = float_of_int (List.length pts) in
+    if n < 2.0 then nan
+    else
+      let lx = List.map (fun (x, _) -> log x) pts
+      and ly = List.map (fun (_, y) -> log y) pts in
+      let mean l = List.fold_left ( +. ) 0.0 l /. n in
+      let mx = mean lx and my = mean ly in
+      let sxy =
+        List.fold_left2 (fun a x y -> a +. ((x -. mx) *. (y -. my))) 0.0 lx ly
+      and sxx = List.fold_left (fun a x -> a +. ((x -. mx) ** 2.0)) 0.0 lx in
+      sxy /. sxx
+  in
+  Format.printf "@.  log-log exponent over s (%d sizes):@." (List.length rows);
+  Format.printf "    %-14s %6.2f@." "solve"
+    (slope (List.map (fun (s, t, _) -> (s, t)) rows));
+  List.iteri
+    (fun i st ->
+      Format.printf "    %-14s %6.2f@." st
+        (slope (List.map (fun (s, _, ts) -> (s, List.nth ts i)) rows)))
+    stages;
+  Format.printf
+    "@.(the history gets one ungated key per N, spectral_n5 .. spectral_n24)@.";
   flush ()
 
 (* ---- serve: request throughput and tail latency over HTTP ---- *)
@@ -889,6 +1023,7 @@ let sections : (string * string * (unit -> unit)) list =
     ( "sim",
       "Simulation events/sec, bare engine and default probes (sim-perf gate)",
       section_sim );
+    ("scale", "Spectral stage seconds against N = 5..24", section_scale);
     ("serve", "HTTP serve throughput and p99 (healthz, cached solve)", section_serve);
     ("query", "Ledger query engine: cold vs indexed scan", section_query);
     ("conv", "Convergence: iterations to tolerance per solver", section_conv);
@@ -939,7 +1074,7 @@ let write_bench_json path =
   close_out oc;
   Format.printf "@.wrote %s (%d sections)@." path (List.length sections)
 
-(* Whenever a gate section (n5, sim) ran, append one urs-perf/1 line
+(* Whenever a gate section (n5, sim) or scale ran, append one urs-perf/1 line
    (see Perf.schema in perf.mli) to the committed BENCH_history.jsonl —
    never truncate; `urs report` consumes the trend. URS_BENCH_HISTORY
    overrides the path (CI's report-smoke and sim-perf jobs use a

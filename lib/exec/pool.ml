@@ -21,8 +21,8 @@ type t = {
   (* per-task GC deltas, recorded only while [Span.gc_profiling_enabled]
      (armed by [Urs_obs.Runtime.set_profiling]; off by default, so the
      width = 1 fast path keeps its no-extra-metrics promise unless the
-     user explicitly profiles). [Gc.quick_stat] minor words are
-     domain-local, so each task measures its own domain's allocation. *)
+     user explicitly profiles). [Span.gc_counters] is domain-local, so
+     each task measures its own domain's allocation. *)
   m_gc_minor : Metrics.counter;
   m_gc_promoted : Metrics.counter;
   m_gc_major : Metrics.counter;
@@ -131,19 +131,19 @@ let with_pool ?name ~domains f =
   let t = create ?name ~domains () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* Wrap one task with a [Gc.quick_stat] delta when profiling is armed;
-   raises pass through (the words allocated up to the raise still
-   count). One atomic load when profiling is off. *)
+(* Wrap one task with a GC word delta when profiling is armed; raises
+   pass through (the words allocated up to the raise still count). One
+   atomic load when profiling is off. *)
 let with_gc_delta t f =
   if not (Span.gc_profiling_enabled ()) then f ()
   else begin
-    (* Gc.counters is domain-local (quick_stat aggregates the whole
-       process): tasks running concurrently on sibling domains must not
-       leak into each other's delta *)
-    let minor0, promoted0, major0 = Gc.counters () in
+    (* domain-local counters (quick_stat aggregates the whole process):
+       tasks running concurrently on sibling domains must not leak into
+       each other's delta *)
+    let minor0, promoted0, major0 = Span.gc_counters () in
     Fun.protect
       ~finally:(fun () ->
-        let minor1, promoted1, major1 = Gc.counters () in
+        let minor1, promoted1, major1 = Span.gc_counters () in
         Metrics.inc ~by:(minor1 -. minor0) t.m_gc_minor;
         Metrics.inc ~by:(promoted1 -. promoted0) t.m_gc_promoted;
         Metrics.inc ~by:(major1 -. major0) t.m_gc_major)

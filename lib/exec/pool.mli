@@ -39,7 +39,7 @@ val create : ?name:string -> domains:int -> unit -> t
 
     When GC profiling is armed ([Urs_obs.Runtime.set_profiling], off by
     default), every task — inline or on a worker domain — additionally
-    folds its [Gc.counters] delta into
+    folds its {!Urs_obs.Span.gc_counters} delta into
     [urs_pool_gc_minor_words_total] / [urs_pool_gc_promoted_words_total]
     / [urs_pool_gc_major_words_total] (labelled [pool=<name>]); minor
     words are domain-local, so the totals account per-task allocation

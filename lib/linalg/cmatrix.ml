@@ -85,8 +85,14 @@ let row m i = Array.init m.cols (fun j -> get m i j)
 
 let col m j = Array.init m.rows (fun i -> get m i j)
 
+(* a plain loop, as [Matrix.max_abs]; a NaN modulus sticks *)
 let max_abs m =
-  Array.fold_left (fun acc z -> Float.max acc (Cx.modulus z)) 0.0 m.data
+  let best = ref 0.0 in
+  for k = 0 to Array.length m.data - 1 do
+    let v = Cx.modulus m.data.(k) in
+    if v > !best || Float.is_nan v then best := v
+  done;
+  !best
 
 let norm_inf m =
   let best = ref 0.0 in

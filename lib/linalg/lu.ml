@@ -8,42 +8,58 @@ exception Singular
 
 let dim f = f.lu.Matrix.rows
 
-(* Crout-style factorization with partial pivoting on a copy. The inner
-   loops index the flat data array directly: without flambda, going
-   through Matrix.get/set costs a (non-inlined) call per element, which
-   dominates at the sizes the solvers use.
+(* Crout-style factorization with partial pivoting, in place on [m]
+   (the factors alias it). The inner loops index the flat data array
+   directly: without flambda, going through Matrix.get/set costs a
+   (non-inlined) call per element, which dominates at the sizes the
+   solvers use.
 
-   [last.(i)] is the last nonzero column of stored row i; it moves with
-   the row through swaps, and an update by pivot row k extends it to
-   [last.(k)]. Row updates stop there, so a banded matrix (Q(z) is
-   block-tridiagonal in the operative-server count) skips the exact
-   zeros beyond its band and the factors are the same.
+   Two bounds skip exact zeros, so the factors are those of plain dense
+   elimination:
+   - [kl], the lower bandwidth of the input. Step k touches only rows up
+     to k + kl: earlier steps swapped and updated rows up to k − 1 + kl,
+     so any row below k + kl is still an input row, zero in column k.
+     The pivot search and the eliminations stop there.
+   - [last.(i)], the last nonzero column of stored row i. It moves with
+     the row through swaps, and an update by pivot row k extends it to
+     [last.(k)]. Row updates stop there, so a banded matrix (Q(z) is
+     block-tridiagonal in the operative-server count) skips the zeros
+     beyond its band.
 
    [patch]: when [Some eps], zero pivots are replaced by [eps] so the
    factorization always completes (inverse-iteration use). *)
-let factor_general ?patch a =
-  if not (Matrix.is_square a) then invalid_arg "Lu.factor: not square";
-  let n = a.Matrix.rows in
-  let m = Matrix.copy a in
+let factor_in_place ?patch m =
+  if not (Matrix.is_square m) then invalid_arg "Lu.factor: not square";
+  let n = m.Matrix.rows in
   let d = m.Matrix.data in
   let perm = Array.init n (fun i -> i) in
-  let last =
-    Array.init n (fun i ->
-        let j = ref (n - 1) in
-        while !j >= 0 && d.((i * n) + !j) = 0.0 do
-          decr j
-        done;
-        !j)
-  in
+  let last = Array.make n (-1) in
+  let kl = ref 0 in
+  for i = 0 to n - 1 do
+    let ri = i * n in
+    let j = ref (n - 1) in
+    while !j >= 0 && d.(ri + !j) = 0.0 do
+      decr j
+    done;
+    last.(i) <- !j;
+    (* only a nonzero left of column i − kl can widen the band *)
+    let j = ref 0 in
+    while !j < i - !kl && d.(ri + !j) = 0.0 do
+      incr j
+    done;
+    if !j < i - !kl then kl := i - !j
+  done;
+  let kl = !kl in
   let sign = ref 1 in
   let patched = ref false in
   let singular = ref false in
   (try
      for k = 0 to n - 1 do
+       let hi = min (n - 1) (k + kl) in
        (* pivot search in column k *)
        let piv = ref k in
        let best = ref (abs_float d.((k * n) + k)) in
-       for i = k + 1 to n - 1 do
+       for i = k + 1 to hi do
          let v = abs_float d.((i * n) + k) in
          if v > !best then begin
            best := v;
@@ -79,7 +95,7 @@ let factor_general ?patch a =
        let rk = k * n in
        let pivot = d.(rk + k) in
        let last_k = last.(k) in
-       for i = k + 1 to n - 1 do
+       for i = k + 1 to hi do
          let ri = i * n in
          let factor = d.(ri + k) /. pivot in
          d.(ri + k) <- factor;
@@ -95,16 +111,19 @@ let factor_general ?patch a =
   if !singular then Error `Singular
   else Ok ({ lu = m; perm; sign = !sign }, !patched)
 
-let factor a = Result.map fst (factor_general a)
+let factor a = Result.map fst (factor_in_place (Matrix.copy a))
 
 let factor_exn a =
   match factor a with Ok f -> f | Error `Singular -> raise Singular
 
-let factor_regularized a =
+(* the pivot that replaces an exact zero: 1e-300 + ε·max|a_ij| *)
+let regularized_in_place a =
   let eps = 1e-300 +. (epsilon_float *. Matrix.max_abs a) in
-  match factor_general ~patch:eps a with
+  match factor_in_place ~patch:eps a with
   | Ok (f, patched) -> (f, patched)
   | Error `Singular -> assert false
+
+let factor_regularized a = regularized_in_place (Matrix.copy a)
 
 let solve f b =
   let n = dim f in
@@ -166,16 +185,75 @@ let solve_transposed f b =
   done;
   x
 
+(* [x] (n × cols, its rows already in pivot order) := U⁻¹ L⁻¹ x, one
+   whole row of right-hand sides at a time: row i subtracts l_ij times
+   row j for j < i, then u_ij times row j for j > i, then divides by
+   u_ii. Every entry sees the operations of [solve] in the same order.
+   A zero l_ij or u_ij would subtract exact zeros, so its row update is
+   skipped: against the factors of λI a solve costs O(n·(n + cols)).
+   [lower]: x is lower triangular in the forward sweep, so the update
+   by row j stops at column j. *)
+let substitute ~lower f x =
+  let n = dim f in
+  let d = f.lu.Matrix.data in
+  let cols = x.Matrix.cols and xd = x.Matrix.data in
+  for i = 1 to n - 1 do
+    let ri = i * n and xi = i * cols in
+    for j = 0 to i - 1 do
+      let l = d.(ri + j) in
+      if l <> 0.0 then begin
+        let xj = j * cols in
+        for c = 0 to (if lower then j else cols - 1) do
+          xd.(xi + c) <- xd.(xi + c) -. (l *. xd.(xj + c))
+        done
+      end
+    done
+  done;
+  for i = n - 1 downto 0 do
+    let ri = i * n and xi = i * cols in
+    for j = i + 1 to n - 1 do
+      let u = d.(ri + j) in
+      if u <> 0.0 then begin
+        let xj = j * cols in
+        for c = 0 to cols - 1 do
+          xd.(xi + c) <- xd.(xi + c) -. (u *. xd.(xj + c))
+        done
+      end
+    done;
+    let dii = d.(ri + i) in
+    if dii = 0.0 then raise Singular;
+    for c = 0 to cols - 1 do
+      xd.(xi + c) <- xd.(xi + c) /. dii
+    done
+  done
+
 let solve_matrix f b =
   let n = dim f in
   if b.Matrix.rows <> n then invalid_arg "Lu.solve_matrix: dimension mismatch";
   let cols = b.Matrix.cols in
   let x = Matrix.create n cols in
-  for j = 0 to cols - 1 do
-    let bj = Matrix.col b j in
-    let xj = solve f bj in
-    for i = 0 to n - 1 do
-      Matrix.set x i j xj.(i)
+  for i = 0 to n - 1 do
+    Array.blit b.Matrix.data (f.perm.(i) * cols) x.Matrix.data (i * cols) cols
+  done;
+  substitute ~lower:false f x;
+  x
+
+(* P·diag(c) with its columns also put in pivot order is diag(c_perm(i)),
+   so the forward sweep keeps the work array lower triangular; the
+   columns go back to their places at the end. *)
+let solve_diagonal f c =
+  let n = dim f in
+  if Vec.dim c <> n then invalid_arg "Lu.solve_diagonal: dimension mismatch";
+  let w = Matrix.create n n in
+  for i = 0 to n - 1 do
+    w.Matrix.data.((i * n) + i) <- c.(f.perm.(i))
+  done;
+  substitute ~lower:true f w;
+  let x = Matrix.create n n in
+  for i = 0 to n - 1 do
+    let ri = i * n in
+    for q = 0 to n - 1 do
+      x.Matrix.data.(ri + f.perm.(q)) <- w.Matrix.data.(ri + q)
     done
   done;
   x
@@ -202,7 +280,7 @@ let det a =
   match factor a with Ok f -> det_of_factor f | Error `Singular -> 0.0
 
 let log_abs_det a =
-  match factor a with
+  match Result.map fst (factor_in_place a) with
   | Error `Singular -> (neg_infinity, 0)
   | Ok f ->
       let n = dim f in
@@ -219,7 +297,7 @@ let inverse a =
   match factor a with
   | Error `Singular -> Error `Singular
   | Ok f -> (
-      try Ok (solve_matrix f (Matrix.identity (dim f)))
+      try Ok (solve_diagonal f (Array.make (dim f) 1.0))
       with Singular -> Error `Singular)
 
 let solve_system a b =
@@ -233,7 +311,7 @@ let start_vector n =
   Array.init n (fun i -> 0.5 +. (0.5 *. sin (float_of_int ((i * 37) + 11))))
 
 let left_null_vector a =
-  let f, _ = factor_regularized a in
+  let f, _ = regularized_in_place a in
   (* uᵀ with aᵀ uᵀ = 0: inverse iteration using the transposed solve *)
   let x = ref (Vec.normalize (start_vector (dim f))) in
   for _ = 1 to 4 do

@@ -4,13 +4,23 @@
     permutation, [L] is unit lower triangular and [U] is upper
     triangular.
 
-    The elimination stops each row update at the pivot row's last
-    nonzero column (tracked through row swaps). The skipped terms are
-    exact zeros, so the factors are those of plain dense elimination,
-    while the row updates of a banded matrix such as the
-    block-tridiagonal [Q(z)] of the spectral solver touch only its band
-    and the fill that pivoting adds (28,917 instead of 156,825 updates
-    for [Q(z)] at [s = 171]). *)
+    The elimination skips exact zeros in two ways, and the factors are
+    still those of plain dense elimination:
+    - it computes the lower bandwidth [kl] of [a] once and bounds each
+      step's pivot search and row eliminations to the [kl] rows below
+      the pivot. Rows further down are still rows of [a], zero in the
+      pivot column, so partial pivoting cannot widen the band ([kl = 18]
+      for [Q(z)] at [s = 171]);
+    - it stops each row update at the pivot row's last nonzero column
+      (tracked through row swaps), so the row updates of a banded matrix
+      such as the block-tridiagonal [Q(z)] of the spectral solver touch
+      only its band and the fill that pivoting adds (28,917 instead of
+      156,825 updates for [Q(z)] at [s = 171]).
+
+    {!factor} and {!factor_regularized} work on a copy. {!log_abs_det}
+    and {!left_null_vector} factor their argument in place: in every
+    caller it is a temporary (the [Q(z)] that [Qbd.char_poly_real]
+    fills), and a copy would be the largest allocation of the call. *)
 
 type t
 (** An LU factorization. *)
@@ -50,7 +60,22 @@ val solve_transposed : t -> Vec.t -> Vec.t
     reading them row by row like {!solve}. *)
 
 val solve_matrix : t -> Matrix.t -> Matrix.t
-(** [solve_matrix lu b] solves [a x = b] column by column. *)
+(** [solve_matrix lu b] solves [a x = b] for all columns of [b] in one
+    pass over the factors, updating whole rows of right-hand sides. Each
+    entry sees the operations of {!solve} in the same order; a zero
+    multiplier or zero [U] entry, whose update would subtract exact
+    zeros, is skipped. So the result is [solve] column by column (up to
+    the sign of an exact zero), and against the factors of a diagonal
+    matrix such as [λI] the solve costs [O(n·(n + cols))]. *)
+
+val solve_diagonal : t -> Vec.t -> Matrix.t
+(** [solve_diagonal lu c] is [a⁻¹·diag(c)], equal to
+    [solve_matrix lu (Matrix.diagonal c)] (up to the sign of an exact
+    zero), without forming [diag(c)]. With its columns in pivot order
+    the work array stays lower triangular through the forward sweep,
+    whose row updates stop at the diagonal: about a third less
+    arithmetic than {!solve_matrix}, and no per-column extraction. Zeros
+    in [c] are allowed. *)
 
 val det : Matrix.t -> float
 (** Determinant via LU; [0.] for singular matrices. *)
@@ -60,10 +85,11 @@ val det_of_factor : t -> float
 
 val log_abs_det : Matrix.t -> float * int
 (** [(log |det|, sign)] with sign in {-1, 0, 1}; avoids overflow for large
-    matrices. Sign [0] means singular. *)
+    matrices. Sign [0] means singular. Factors its argument {e in place}:
+    afterwards it holds packed LU factors, not the matrix. *)
 
 val inverse : Matrix.t -> (Matrix.t, [ `Singular ]) result
-(** Matrix inverse. *)
+(** Matrix inverse: {!solve_diagonal} with ones. *)
 
 val solve_system : Matrix.t -> Vec.t -> (Vec.t, [ `Singular ]) result
 (** One-shot [a x = b] convenience wrapper. *)
@@ -71,6 +97,8 @@ val solve_system : Matrix.t -> Vec.t -> (Vec.t, [ `Singular ]) result
 val left_null_vector : Matrix.t -> Vec.t
 (** Left null vector of a (near-)singular square matrix: [u] with
     [u a ≈ 0], unit 2-norm, its largest-modulus component positive. Four
-    sweeps of inverse iteration on {!factor_regularized}, started from
-    the real part of the start vector of {!Clu.left_null_vector}, so
-    that for a real matrix the two agree after {!Cvec.normalize}. *)
+    sweeps of inverse iteration on the factors of {!factor_regularized},
+    started from the real part of the start vector of
+    {!Clu.left_null_vector}, so that for a real matrix the two agree
+    after {!Cvec.normalize}. Factors its argument {e in place}:
+    afterwards it holds packed LU factors, not the matrix. *)

@@ -140,7 +140,15 @@ let norm_frobenius m =
   Array.iter (fun x -> acc := !acc +. (x *. x)) m.data;
   sqrt !acc
 
-let max_abs m = Array.fold_left (fun acc x -> Float.max acc (abs_float x)) 0.0 m.data
+(* a plain loop: a fold over [Float.max] boxes its accumulator per
+   entry. A NaN entry sticks, as with [Float.max]. *)
+let max_abs m =
+  let best = ref 0.0 in
+  for k = 0 to Array.length m.data - 1 do
+    let v = abs_float m.data.(k) in
+    if v > !best || Float.is_nan v then best := v
+  done;
+  !best
 
 let is_square m = m.rows = m.cols
 

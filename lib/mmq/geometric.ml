@@ -34,7 +34,10 @@ let solve_inner ~scan_points q =
   let verdict = Stability.check ~env ~lambda:(Qbd.lambda q) ~mu:(Qbd.mu q) in
   if not verdict.Stability.stable then Error (Unstable verdict)
   else begin
-    let f z = Qbd.det_q_scaled q z in
+    (* one matrix serves every det Q(z) of the scan and the refinement,
+       then the weight vector's null-vector solve *)
+    let work = Urs_linalg.Matrix.create (Qbd.s q) (Qbd.s q) in
+    let f z = Qbd.det_q_scaled q work z in
     (* per-iteration bracket telemetry of the Brent refinement; gated
        globally, zero overhead when off *)
     let conv =
@@ -72,7 +75,8 @@ let solve_inner ~scan_points q =
     | None -> Error Root_not_found
     | Some z ->
         finish_conv true;
-        let u = Urs_linalg.Lu.left_null_vector (Qbd.char_poly_real q z) in
+        Qbd.char_poly_real q z work;
+        let u = Urs_linalg.Lu.left_null_vector work in
         let weights = V.scale (1.0 /. V.sum u) u in
         Ok { qbd = q; z; weights }
   end

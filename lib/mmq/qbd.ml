@@ -67,6 +67,12 @@ let c_diag t j =
 
 let transition_block t j = M.sub (M.sub (M.sub t.a t.d_a) t.b) (c t j)
 
+(* element by element in the order of [transition_block] *)
+let transition_diag t j =
+  let cj = c_diag t j in
+  Array.init (s t) (fun i ->
+      ((M.get t.a i i -. M.get t.d_a i i) -. M.get t.b i i) -. cj.(i))
+
 let q0 t = b t
 
 let q1 t = M.copy t.q1
@@ -76,20 +82,22 @@ let q2 t = M.copy t.c_full
 let char_poly_at t z =
   Urs_linalg.Companion.evaluate ~q0:t.b ~q1:t.q1 ~q2:t.c_full z
 
-let char_poly_real t z =
-  let b = t.b.M.data and q1 = t.q1.M.data and c = t.c_full.M.data in
-  let z2 = z *. z in
+let char_poly_real t z q =
   let sm = s t in
-  let q = M.create sm sm in
+  if q.M.rows <> sm || q.M.cols <> sm then
+    invalid_arg "Qbd.char_poly_real: destination is not s x s";
+  let b = t.b.M.data and q1 = t.q1.M.data and c = t.c_full.M.data in
+  let d = q.M.data in
+  let z2 = z *. z in
   (* as (B + z·T) + z²·C: another association moves the root that
      Geometric finds by scanning [det_q_scaled] in its last bits *)
   for k = 0 to (sm * sm) - 1 do
-    q.M.data.(k) <- (b.(k) +. (z *. q1.(k))) +. (z2 *. c.(k))
-  done;
-  q
+    d.(k) <- (b.(k) +. (z *. q1.(k))) +. (z2 *. c.(k))
+  done
 
-let det_q_scaled t z =
-  let log_det, sign = Urs_linalg.Lu.log_abs_det (char_poly_real t z) in
+let det_q_scaled t work z =
+  char_poly_real t z work;
+  let log_det, sign = Urs_linalg.Lu.log_abs_det work in
   if sign = 0 then 0.0
   else float_of_int sign *. exp (log_det /. float_of_int (s t))
 
@@ -109,18 +117,15 @@ let generator_residual t vs j =
   match vs with
   | [| v_prev; v_j; v_next |] ->
       let sm = s t in
-      let cj = c_diag t j and cj1 = c_diag t (j + 1) in
+      let tj = transition_diag t j and cj1 = c_diag t (j + 1) in
       let q1 = t.q1.M.data in
       let mid = Array.make sm 0.0 in
       for i = 0 to sm - 1 do
         let vi = v_j.(i) in
         if vi <> 0.0 then begin
           let ri = i * sm in
-          let tii =
-            ((M.get t.a i i -. M.get t.d_a i i) -. M.get t.b i i) -. cj.(i)
-          in
           for k = 0 to sm - 1 do
-            let tik = if k = i then tii else q1.(ri + k) in
+            let tik = if k = i then tj.(i) else q1.(ri + k) in
             mid.(k) <- mid.(k) +. (vi *. tik)
           done
         end

@@ -49,6 +49,11 @@ val transition_block : t -> int -> Urs_linalg.Matrix.t
     of [v_j] in the level-[j] balance equation. Always nonsingular (a
     strictly row-diagonally-dominant M-matrix transpose). *)
 
+val transition_diag : t -> int -> Urs_linalg.Vec.t
+(** The diagonal of {!transition_block}[ t j], formed entry by entry in
+    the same order. Off its diagonal [T_j] equals [Q1], so the two give
+    every entry of [T_j] without building it. *)
+
 val q0 : t -> Urs_linalg.Matrix.t
 
 val q1 : t -> Urs_linalg.Matrix.t
@@ -60,16 +65,24 @@ val q2 : t -> Urs_linalg.Matrix.t
 val char_poly_at : t -> Urs_linalg.Cx.t -> Urs_linalg.Cmatrix.t
 (** [Q(z)] evaluated at a complex point. *)
 
-val char_poly_real : t -> float -> Urs_linalg.Matrix.t
-(** [Q(z)] at a real point, formed as [(Q0 + z·Q1) + z²·Q2] from the
-    prebuilt blocks. The real-eigenvalue path of {!Spectral} and the
-    dominant root of {!Geometric} take their left null vectors from it;
-    {!det_q_scaled} takes its determinant. *)
+val char_poly_real : t -> float -> Urs_linalg.Matrix.t -> unit
+(** [char_poly_real t z q] writes [Q(z)] at a real point into the
+    caller's [s×s] matrix [q], formed as [(Q0 + z·Q1) + z²·Q2] from the
+    prebuilt blocks. Raises [Invalid_argument] if [q] is not [s×s]. A
+    solve fills one such matrix per real point and factors it in place
+    ({!Urs_linalg.Lu.left_null_vector}, {!Urs_linalg.Lu.log_abs_det}),
+    so no [s×s] matrix is allocated per point. The matrix belongs to
+    the call that made it, never to [t]: pool domains share [t]. The
+    real-eigenvalue path of {!Spectral} and the dominant root of
+    {!Geometric} take their left null vectors from it; {!det_q_scaled}
+    takes its determinant. *)
 
-val det_q_scaled : t -> float -> float
-(** [det Q(z)] for real [z], rescaled as
+val det_q_scaled : t -> Urs_linalg.Matrix.t -> float -> float
+(** [det_q_scaled t work z] is [det Q(z)] for real [z], rescaled as
     [sign·exp(log|det|/s)] to avoid overflow — same sign and same roots
-    as the determinant, used for locating the dominant eigenvalue. *)
+    as the determinant, used for locating the dominant eigenvalue.
+    [work] is an [s×s] scratch matrix: it receives [Q(z)] and then its
+    LU factors. *)
 
 val eigenpair_residual : t -> Urs_linalg.Cx.t -> Urs_linalg.Cvec.t -> float
 (** [eigenpair_residual t z u] is [‖u·Q(z)‖∞ / ‖u‖∞] — the a-posteriori

@@ -205,14 +205,16 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
           ~labels:[ ("stage", "eigenvectors") ]
           (fun () ->
             let us = Array.make s [||] in
+            (* one matrix for every real Q(z_k), factored in place *)
+            let work = M.create s s in
             for k = 0 to s - 1 do
               let z = zs.(k) in
-              if Cx.im z = 0.0 then
+              if Cx.im z = 0.0 then begin
+                Qbd.char_poly_real q (Cx.re z) work;
                 us.(k) <-
                   CV.normalize
-                    (CV.of_real
-                       (Urs_linalg.Lu.left_null_vector
-                          (Qbd.char_poly_real q (Cx.re z))))
+                    (CV.of_real (Urs_linalg.Lu.left_null_vector work))
+              end
               else if Cx.im z > 0.0 then
                 us.(k) <- Clu.left_null_vector (Qbd.char_poly_at q z)
             done;
@@ -268,48 +270,49 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
             in
             let phi0_re, phi0_im = phi 0 in
             let phi1_re, phi1_im = phi 1 in
-            let tt j = M.transpose (Qbd.transition_block q j) in
             let module Lu = Urs_linalg.Lu in
+            (* M_j = λS_{j−1} + T_jᵀ, filled in one pass into one buffer
+               (Lu.factor copies it): T_jᵀ equals Q1ᵀ off the diagonal,
+               and its diagonal comes from [Qbd.transition_diag]. Each
+               entry is (λ·s) + t, the value of forming λS_{j−1} and
+               T_jᵀ as matrices and adding them. *)
+            let q1t = M.transpose q1 in
+            let mj = M.create s s in
+            let level_factor j s_prev =
+              let tj = Qbd.transition_diag q j in
+              let d = mj.M.data and t = q1t.M.data in
+              for i = 0 to s - 1 do
+                let ri = i * s in
+                for k = 0 to s - 1 do
+                  let tik = if k = i then tj.(i) else t.(ri + k) in
+                  d.(ri + k) <-
+                    (match s_prev with
+                    | None -> tik
+                    | Some sp -> (lambda *. sp.M.data.(ri + k)) +. tik)
+                done
+              done;
+              Metrics.inc m_lu;
+              match Lu.factor mj with
+              | Ok f -> note_cond f
+              | Error `Singular ->
+                  raise (Solve_error (Numerical "singular boundary block"))
+            in
             (* forward elimination of the block-tridiagonal boundary system:
-               S_j = −(λ S_{j−1} + T_jᵀ)⁻¹ C_{j+1}ᵀ, all real *)
+               S_j = −M_j⁻¹ C_{j+1}ᵀ, all real; C_{j+1} is diagonal, so
+               S_j is the inverse with its columns scaled *)
             let ss = Array.make (max 0 (n_servers - 1)) (M.create 0 0) in
             let prev = ref None in
             for j = 0 to n_servers - 2 do
-              let mj =
-                match !prev with
-                | None -> tt j
-                | Some s_prev -> M.add (M.scale lambda s_prev) (tt j)
-              in
-              Metrics.inc m_lu;
-              let f =
-                match Lu.factor mj with
-                | Ok f -> note_cond f
-                | Error `Singular ->
-                    raise (Solve_error (Numerical "singular boundary block"))
-              in
-              let cj1 = Qbd.c_diag q (j + 1) in
+              let f = level_factor j !prev in
               let s_j =
-                Lu.solve_matrix f
-                  (M.diagonal (Urs_linalg.Vec.scale (-1.0) cj1))
+                Lu.solve_diagonal f (V.scale (-1.0) (Qbd.c_diag q (j + 1)))
               in
               ss.(j) <- s_j;
               prev := Some s_j
             done;
             (* level N-1 equation: x_{N-1} = W γᵀ with
                W = −M_last⁻¹ (C Φ0) (C diagonal) *)
-            let m_last =
-              match !prev with
-              | None -> tt (n_servers - 1) (* N = 1 *)
-              | Some s_prev ->
-                  M.add (M.scale lambda s_prev) (tt (n_servers - 1))
-            in
-            Metrics.inc m_lu;
-            let f_last =
-              match Lu.factor m_last with
-              | Ok f -> note_cond f
-              | Error `Singular ->
-                  raise (Solve_error (Numerical "singular boundary block"))
-            in
+            let f_last = level_factor (n_servers - 1) !prev in
             let c_full_diag = Qbd.c_diag q n_servers in
             let scale_rows_neg d m =
               M.init s s (fun i j -> -.d.(i) *. M.get m i j)
@@ -320,20 +323,16 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
             let w_im =
               Lu.solve_matrix f_last (scale_rows_neg c_full_diag phi0_im)
             in
-            (* level N equation: [λW + T_Nᵀ Φ0 + C Φ1] γᵀ = 0 *)
-            let t_full = tt n_servers in
-            let scale_rows d m = M.init s s (fun i j -> d.(i) *. M.get m i j) in
-            let mg_re =
-              M.add (M.scale lambda w_re)
-                (M.add (M.mul t_full phi0_re) (scale_rows c_full_diag phi1_re))
-            in
-            let mg_im =
-              M.add (M.scale lambda w_im)
-                (M.add (M.mul t_full phi0_im) (scale_rows c_full_diag phi1_im))
-            in
+            (* level N equation: [λW + T_Nᵀ Φ0 + C Φ1] γᵀ = 0, with
+               T_N = Q1 *)
+            let tp_re = M.mul q1t phi0_re and tp_im = M.mul q1t phi0_im in
             let m_gamma =
               CM.init s s (fun i j ->
-                  Cx.make (M.get mg_re i j) (M.get mg_im i j))
+                  let level w tp phi1 =
+                    (lambda *. M.get w i j)
+                    +. (M.get tp i j +. (c_full_diag.(i) *. M.get phi1 i j))
+                  in
+                  Cx.make (level w_re tp_re phi1_re) (level w_im tp_im phi1_im))
             in
             let g = Clu.null_vector m_gamma in
             (* back substitution: x_{N-1} = W g, then x_j = S_j x_{j+1} *)

@@ -19,6 +19,17 @@ let set_gc_profiling b = Atomic.set gc_profiling b
 
 let gc_profiling_enabled () = Atomic.get gc_profiling
 
+(* Domain-local minor, promoted and major word counts. Minor words come
+   from [Gc.minor_words]: the OCaml 5.1 runtime's [Gc.counters] counts
+   the words allocated since the last minor collection an eighth too
+   low (young_end − young_ptr, a difference of [value *] pointers and
+   so already in words, is converted from bytes once more), so its
+   deltas lose 7/8 of what a task allocates between collections.
+   Promoted and major words have no such part. *)
+let gc_counters () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), promoted, major)
+
 type gc_words = {
   gc_minor : float;  (* words allocated in the minor heap during the span *)
   gc_promoted : float;
@@ -126,11 +137,11 @@ let with_ ?registry ?(labels = []) ~name f =
   (* sampled only when both tracing and GC profiling are on: the words
      are attached to the trace node (flame JSON fields, perfetto args),
      while aggregate counters belong to [Runtime] probes *)
-  (* Gc.counters is domain-local, so a span on a pool domain measures
+  (* the counters are domain-local, so a span on a pool domain measures
      only its own allocation, not its concurrently-running siblings' *)
   let gc0 =
     match node with
-    | Some _ when Atomic.get gc_profiling -> Some (Gc.counters ())
+    | Some _ when Atomic.get gc_profiling -> Some (gc_counters ())
     | _ -> None
   in
   Fun.protect
@@ -144,7 +155,7 @@ let with_ ?registry ?(labels = []) ~name f =
           (match gc0 with
           | None -> ()
           | Some (minor0, promoted0, major0) ->
-              let minor1, promoted1, major1 = Gc.counters () in
+              let minor1, promoted1, major1 = gc_counters () in
               n.gc <-
                 Some
                   {

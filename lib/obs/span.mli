@@ -44,7 +44,7 @@ val tracing_enabled : unit -> bool
 
 val set_gc_profiling : bool -> unit
 (** Enable/disable GC profiling (default: disabled). When on (and
-    tracing is also on), every span samples [Gc.quick_stat] at entry and
+    tracing is also on), every span samples {!gc_counters} at entry and
     exit and attaches the minor/promoted/major word deltas to its trace
     node (["gc_minor_words"] etc. in {!trace_json}, [args] in
     {!trace_perfetto}). The same switch gates the per-task GC deltas in
@@ -53,6 +53,14 @@ val set_gc_profiling : bool -> unit
     disabled probe costs one atomic load per span. *)
 
 val gc_profiling_enabled : unit -> bool
+
+val gc_counters : unit -> float * float * float
+(** [(minor, promoted, major)] words allocated so far by the calling
+    domain. Minor words come from [Gc.minor_words], because the OCaml
+    5.1 runtime's [Gc.counters] counts the words allocated since the
+    last minor collection an eighth too low; deltas of [Gc.counters]
+    lose words unless a collection falls in between. The spans and
+    [Urs_exec.Pool]'s per-task deltas read this. *)
 
 val with_ :
   ?registry:Metrics.t -> ?labels:Metrics.labels -> name:string ->

@@ -111,10 +111,10 @@ let test_pool_domains () =
 
 (* ---- per-task GC accounting ---- *)
 
-(* With profiling armed, every task folds its Gc.quick_stat delta into
-   the pool's gc counters; minor words are domain-local, so a 4-domain
-   pool must account the same per-task allocation as the sequential
-   inline path. With profiling off the counters must never move — the
+(* With profiling armed, every task folds its GC word delta into the
+   pool's gc counters; minor words are domain-local, so a 4-domain pool
+   must account the same per-task allocation as the sequential inline
+   path. With profiling off the counters must never move — the
    zero-overhead default. *)
 let test_pool_gc_accounting () =
   let work x =

@@ -167,6 +167,23 @@ let test_lu_left_null_vector_zero_pivot () =
     (fun i e -> check_float ~tol:1e-12 (Printf.sprintf "u.(%d)" i) e u.(i))
     [| 2.0 /. r5; -1.0 /. r5; 0.0 |]
 
+let test_max_abs_nan () =
+  let m = Matrix.of_arrays [| [| 1.0; -3.0 |]; [| 2.0; 0.5 |] |] in
+  check_float ~tol:0.0 "largest entry" 3.0 (Matrix.max_abs m);
+  (* a NaN sticks wherever it sits, also before a larger entry *)
+  let m = Matrix.of_arrays [| [| 1.0; Float.nan |]; [| -7.0; 2.0 |] |] in
+  Alcotest.(check bool) "real NaN propagates" true
+    (Float.is_nan (Matrix.max_abs m));
+  let c =
+    Cmatrix.init 2 2 (fun i j ->
+        if i = 0 && j = 0 then Cx.make 0.5 Float.nan
+        else Cx.make (float_of_int (i + j)) 1.0)
+  in
+  Alcotest.(check bool) "complex NaN propagates" true
+    (Float.is_nan (Cmatrix.max_abs c));
+  let c = Cmatrix.init 1 2 (fun _ j -> Cx.make 3.0 (float_of_int (4 * j))) in
+  check_float ~tol:0.0 "largest modulus" 5.0 (Cmatrix.max_abs c)
+
 (* ---- Qr ---- *)
 
 let test_qr_square_solve () =
@@ -549,18 +566,19 @@ let prop_lu_roundtrip =
              generous residual bound *)
           Vec.norm_inf (Vec.sub (Matrix.mul_vec a x) b) /. scale < 1e-6)
 
-(* an n×n matrix with lower bandwidth p and upper bandwidth q; about
+(* an n×m matrix with lower bandwidth p and upper bandwidth q; about
    one band entry in five is an exact zero *)
-let gen_banded =
+let gen_banded_dims n m =
   QCheck2.Gen.(
-    int_range 1 12 >>= fun n ->
-    triple (int_range 0 (n - 1)) (int_range 0 (n - 1))
-      (array_size (return (n * n))
+    triple (int_range 0 (n - 1)) (int_range 0 (m - 1))
+      (array_size (return (n * m))
          (pair (int_range 0 4) (float_range (-1.0) 1.0)))
     >|= fun (p, q, cells) ->
-    Matrix.init n n (fun i j ->
-        let zero, x = cells.((i * n) + j) in
+    Matrix.init n m (fun i j ->
+        let zero, x = cells.((i * m) + j) in
         if j - i > q || i - j > p || zero = 0 then 0.0 else x))
+
+let gen_banded = QCheck2.Gen.(int_range 1 12 >>= fun n -> gen_banded_dims n n)
 
 (* Gaussian elimination with partial pivoting on [a | b], every row
    update run across the full width: the operations of Lu.factor and
@@ -633,6 +651,158 @@ let prop_lu_transposed_solve =
       let y = Lu.solve (Lu.factor_exn (Matrix.transpose a)) b in
       Vec.norm_inf (Vec.sub x y) <= 1e-12 *. (1.0 +. Vec.norm_inf y))
 
+(* ---- bit-exactness of the zero skips ----
+
+   Lu skips a row update whose multiplier or U entry is an exact zero,
+   stops eliminations at the lower bandwidth, and solves diagonal
+   right-hand sides on a triangular work array. Each skip drops only
+   subtractions of exact zeros, so the properties below compare bits:
+   a skipped nonzero or a reordered sum shows up in the last bit. (The
+   generated inputs hold no −0.0, the one value a zero subtraction
+   changes: +0 − 0 = +0.) *)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* a square matrix to factor: dense, banded with row swaps, or λI *)
+let gen_square =
+  QCheck2.Gen.(
+    oneof
+      [
+        gen_matrix;
+        gen_permuted_dominant;
+        ( pair small_dim (float_range 0.5 4.0) >|= fun (n, l) ->
+          Matrix.scalar n l );
+      ])
+
+(* n right-hand-side columns: dense, banded, or dense with zero columns *)
+let gen_rhs n =
+  QCheck2.Gen.(
+    int_range 1 6 >>= fun m ->
+    oneof
+      [
+        ( array_size (return (n * m)) (float_range (-1.0) 1.0) >|= fun d ->
+          Matrix.init n m (fun i j -> d.((i * m) + j)) );
+        gen_banded_dims n m;
+        ( pair
+            (array_size (return m) (int_range 0 2))
+            (array_size (return (n * m)) (float_range (-1.0) 1.0))
+        >|= fun (zero, d) ->
+          Matrix.init n m (fun i j ->
+              if zero.(j) = 0 then 0.0 else d.((i * m) + j)) );
+      ])
+
+let prop_solve_matrix_by_columns =
+  QCheck2.Test.make ~name:"row-wise solve_matrix = solve by columns, bits"
+    ~count:300
+    QCheck2.Gen.(
+      gen_square >>= fun a ->
+      gen_rhs a.Matrix.rows >|= fun b -> (a, b))
+    (fun (a, b) ->
+      match Lu.factor a with
+      | Error `Singular -> true
+      | Ok f ->
+          let x = Lu.solve_matrix f b in
+          let ok = ref true in
+          for j = 0 to b.Matrix.cols - 1 do
+            let xj = Lu.solve f (Matrix.col b j) in
+            Array.iteri
+              (fun i v ->
+                if not (same_bits (Matrix.get x i j) v) then ok := false)
+              xj
+          done;
+          !ok)
+
+let prop_solve_diagonal =
+  QCheck2.Test.make ~name:"solve_diagonal = solve_matrix on diag(c), bits"
+    ~count:300
+    QCheck2.Gen.(
+      gen_square >>= fun a ->
+      array_size (return a.Matrix.rows)
+        (pair (int_range 0 2) (float_range (-2.0) 2.0))
+      >|= fun c -> (a, Array.map (fun (z, x) -> if z = 0 then 0.0 else x) c))
+    (fun (a, c) ->
+      match Lu.factor a with
+      | Error `Singular -> true
+      | Ok f ->
+          let x = Lu.solve_diagonal f c in
+          let y = Lu.solve_matrix f (Matrix.diagonal c) in
+          Array.for_all2 same_bits x.Matrix.data y.Matrix.data)
+
+(* plain dense elimination with partial pivoting, packed as Lu packs
+   its factors (multipliers below the diagonal, U on and above it):
+   every row below the pivot, every column to its right. An exact zero
+   pivot is replaced by [patch], or ends the elimination with None. *)
+let dense_factor ?patch a =
+  let n = a.Matrix.rows in
+  let m = Matrix.to_arrays a in
+  try
+    for k = 0 to n - 1 do
+      let piv = ref k in
+      for i = k + 1 to n - 1 do
+        if abs_float m.(i).(k) > abs_float m.(!piv).(k) then piv := i
+      done;
+      if m.(!piv).(k) = 0.0 then (
+        match patch with None -> raise Exit | Some eps -> m.(k).(k) <- eps);
+      let r = m.(k) in
+      m.(k) <- m.(!piv);
+      m.(!piv) <- r;
+      for i = k + 1 to n - 1 do
+        let f = m.(i).(k) /. m.(k).(k) in
+        m.(i).(k) <- f;
+        for j = k + 1 to n - 1 do
+          m.(i).(j) <- m.(i).(j) -. (f *. m.(k).(j))
+        done
+      done
+    done;
+    Some (Array.concat (Array.to_list m))
+  with Exit -> None
+
+(* [Lu.log_abs_det] and [Lu.left_null_vector] leave their argument
+   holding the packed factors of the bandwidth- and row-bounded
+   elimination. Float.equal, not bits: plain elimination stores
+   0/pivot (−0 for a negative pivot) below the band, where the bounded
+   one leaves the input's +0. *)
+let in_place_matches_dense a =
+  let m = Matrix.copy a in
+  let _, sign = Lu.log_abs_det m in
+  match dense_factor a with
+  | None -> sign = 0
+  | Some d -> sign <> 0 && Array.for_all2 Float.equal m.Matrix.data d
+
+let patched_in_place_matches_dense a =
+  let m = Matrix.copy a in
+  (* the factors are in [m] before the inverse iteration starts, which
+     can overflow to a zero vector on a degenerate draw *)
+  (try ignore (Lu.left_null_vector m : Vec.t) with Invalid_argument _ -> ());
+  let eps = 1e-300 +. (epsilon_float *. Matrix.max_abs a) in
+  match dense_factor ~patch:eps a with
+  | None -> false
+  | Some d -> Array.for_all2 Float.equal m.Matrix.data d
+
+(* a banded matrix with one column zeroed: its pivot must be patched *)
+let gen_zero_column =
+  QCheck2.Gen.(
+    gen_banded >>= fun a ->
+    let n = a.Matrix.rows in
+    int_range 0 (n - 1) >|= fun k ->
+    Matrix.init n n (fun i j -> if j = k then 0.0 else Matrix.get a i j))
+
+let prop_lu_in_place_banded =
+  QCheck2.Test.make
+    ~name:"in-place band-bounded LU = dense elimination (banded)" ~count:200
+    gen_banded in_place_matches_dense
+
+let prop_lu_in_place_dense =
+  QCheck2.Test.make ~name:"in-place band-bounded LU = dense elimination (dense)"
+    ~count:100 gen_matrix in_place_matches_dense
+
+let prop_lu_in_place_patched =
+  QCheck2.Test.make
+    ~name:"in-place band-bounded LU = dense elimination (patched pivot)"
+    ~count:200
+    QCheck2.Gen.(oneof [ gen_zero_column; gen_banded; gen_matrix ])
+    patched_in_place_matches_dense
+
 let prop_eigen_count =
   QCheck2.Test.make ~name:"eigenvalue count = dimension" ~count:40 gen_matrix
     (fun a -> Array.length (Eigen.eigenvalues a) = a.Matrix.rows)
@@ -678,6 +848,7 @@ let () =
           Alcotest.test_case "singular detection" `Quick test_lu_singular_detection;
           Alcotest.test_case "left null vector, zero pivot" `Quick
             test_lu_left_null_vector_zero_pivot;
+          Alcotest.test_case "max_abs propagates NaN" `Quick test_max_abs_nan;
         ] );
       ( "qr",
         [
@@ -760,6 +931,11 @@ let () =
             prop_lu_row_bound_banded;
             prop_lu_row_bound_dense;
             prop_lu_transposed_solve;
+            prop_solve_matrix_by_columns;
+            prop_solve_diagonal;
+            prop_lu_in_place_banded;
+            prop_lu_in_place_dense;
+            prop_lu_in_place_patched;
             prop_eigen_count;
             prop_transpose_mul;
           ] );

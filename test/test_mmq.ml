@@ -373,11 +373,11 @@ let test_spectral_real_eigenvectors_match_complex () =
         (fun z ->
           if Cx.im z <> 0.0 then
             Alcotest.failf "N=%d: complex eigenvalue %a" servers Cx.pp z;
+          let qz = M.create (Qbd.s q) (Qbd.s q) in
+          Qbd.char_poly_real q (Cx.re z) qz;
           let real =
             Urs_linalg.Cvec.normalize
-              (Urs_linalg.Cvec.of_real
-                 (Urs_linalg.Lu.left_null_vector
-                    (Qbd.char_poly_real q (Cx.re z))))
+              (Urs_linalg.Cvec.of_real (Urs_linalg.Lu.left_null_vector qz))
           in
           let complex =
             Urs_linalg.Clu.left_null_vector (Qbd.char_poly_at q z)
@@ -387,6 +387,62 @@ let test_spectral_real_eigenvectors_match_complex () =
               servers (Cx.re z))
         (Spectral.eigenvalues (solve_exn q)))
     [ 5; 10 ]
+
+(* Answers pinned bit for bit (%h). The solvers skip arithmetic on
+   exact zeros (the LU's bandwidth and row bounds, the row-wise and
+   diagonal solves, the one-pass boundary assembly, the in-place Q(z)
+   factorizations); every skipped term subtracts a zero, so none of
+   these may move. *)
+let test_pinned_answers () =
+  let bits name expected actual =
+    let b = Int64.bits_of_float in
+    if not (Int64.equal (b expected) (b actual)) then
+      Alcotest.failf "%s: expected %h, got %h" name expected actual
+  in
+  let pin label q ~l ~residual ~cond ~z ~geo_z ~geo_l =
+    let sol = solve_exn q in
+    bits (label ^ " L") l (Spectral.mean_queue_length sol);
+    bits (label ^ " residual") residual (Spectral.residual sol);
+    bits (label ^ " boundary_condition") cond (Spectral.boundary_condition sol);
+    bits (label ^ " dominant z") z (Spectral.dominant_eigenvalue sol);
+    match Geometric.solve q with
+    | Error e -> Alcotest.failf "%s: %a" label Geometric.pp_error e
+    | Ok g ->
+        bits (label ^ " geometric z") geo_z (Geometric.dominant_eigenvalue g);
+        bits (label ^ " geometric L") geo_l (Geometric.mean_queue_length g)
+  in
+  let paper servers =
+    Qbd.create ~env:(paper_env ~servers)
+      ~lambda:(0.8 *. float_of_int servers) ~mu:1.0
+  in
+  pin "paper N=5" (paper 5) ~l:0x1.8f438c15114ep+2 ~residual:0x1.ep-51
+    ~cond:0x1.ff98911bf1317p+4 ~z:0x1.9a157f3806fe4p-1
+    ~geo_z:0x1.9a157f3806f41p-1 ~geo_l:0x1.0185043e000d6p+2;
+  pin "paper N=12" (paper 12) ~l:0x1.630765a01d238p+3 ~residual:0x1.57p-52
+    ~cond:0x1.ff593becefccep+4 ~z:0x1.9a157f3806feap-1
+    ~geo_z:0x1.9a157f38070c6p-1 ~geo_l:0x1.0185043e005a1p+2;
+  let erlang3 =
+    Environment.create_ph ~servers:3
+      ~operative:
+        (Urs_prob.Phase_type.of_erlang (Urs_prob.Erlang.create ~k:3 ~rate:0.3))
+      ~inoperative:(Urs_prob.Phase_type.of_hyperexponential (exp_dist 2.0))
+      ()
+  in
+  pin "erlang-3 N=3"
+    (Qbd.create ~env:erlang3 ~lambda:2.0 ~mu:1.0)
+    ~l:0x1.9d9334781377ep+1 ~residual:0x1.d8p-52 ~cond:0x1.62c4efbf9ef3bp+1
+    ~z:0x1.6832419510b21p-1 ~geo_z:0x1.6832419510c06p-1
+    ~geo_l:0x1.2fb7290ba0ecp+1;
+  (* the paper's fitted H2 repair periods *)
+  let h2_repairs =
+    Environment.create ~servers:6 ~operative:paper_operative
+      ~inoperative:(H.of_pairs [ (0.9303, 25.0043); (0.0697, 1.6346) ])
+  in
+  pin "H2 repairs N=6"
+    (Qbd.create ~env:h2_repairs ~lambda:4.5 ~mu:1.0)
+    ~l:0x1.729fd96c9a6f8p+2 ~residual:0x1.7450cd8p-50
+    ~cond:0x1.1028a5692af5bp+5 ~z:0x1.81035c61a8924p-1
+    ~geo_z:0x1.81035c61a8965p-1 ~geo_l:0x1.8415b86c885a4p+1
 
 (* ---- phase-type extension (beyond the paper) ---- *)
 
@@ -901,6 +957,8 @@ let () =
             test_spectral_three_phase_operative;
           Alcotest.test_case "real eigenvectors = complex-LU ones" `Quick
             test_spectral_real_eigenvectors_match_complex;
+          Alcotest.test_case "answers pinned bit for bit" `Quick
+            test_pinned_answers;
         ] );
       ( "phase-type extension",
         [
