@@ -613,7 +613,13 @@ let section_sim () =
    per solve and per stage, words per solve and the residual, then a
    least-squares log-log exponent per stage over s. Each N goes into the
    perf history under an ungated key (spectral_n10, ...); a failed solve
-   is printed and recorded with null figures. *)
+   is printed and recorded with null figures. A size that does not solve,
+   or whose residual exceeds [scale_max_residual], is also collected in
+   [scale_failures], and the bench exits 1 once every section has run. *)
+let scale_max_residual = 1e-10
+
+let scale_failures : string list ref = ref []
+
 let section_scale () =
   header "Spectral expansion — stage seconds against N (s = 21..325)";
   Format.printf
@@ -654,6 +660,9 @@ let section_scale () =
         | Error e ->
             Format.printf "  %3d %4d FAILED: %a@." servers s
               Urs_mmq.Spectral.pp_error e;
+            scale_failures :=
+              Format.asprintf "N=%d: %a" servers Urs_mmq.Spectral.pp_error e
+              :: !scale_failures;
             gate_stats :=
               ( key,
                 {
@@ -690,6 +699,10 @@ let section_scale () =
             in
             gate_stats := (key, stat) :: !gate_stats;
             let residual = Urs_mmq.Spectral.residual sol in
+            if not (residual <= scale_max_residual) then
+              scale_failures :=
+                Printf.sprintf "N=%d: residual %.2e" servers residual
+                :: !scale_failures;
             Format.printf "  %3d %4d %10.4f" servers s seconds;
             List.iter (fun x -> Format.printf " %10.4f" x) stage_s;
             Format.printf " %12.0f %10.2e@." (stat.minor_words /. 1e3) residual;
@@ -722,6 +735,13 @@ let section_scale () =
     stages;
   Format.printf
     "@.(the history gets one ungated key per N, spectral_n5 .. spectral_n24)@.";
+  (match List.rev !scale_failures with
+  | [] ->
+      Format.printf "gate: every N solved with residual <= %.0e@."
+        scale_max_residual
+  | failures ->
+      Format.printf "gate FAILED (residual bound %.0e): %s@." scale_max_residual
+        (String.concat "; " failures));
   flush ()
 
 (* ---- serve: request throughput and tail latency over HTTP ---- *)
@@ -1137,4 +1157,5 @@ let () =
         names);
   Urs_obs.Ledger.close ();
   if !bench_records <> [] then write_bench_json "BENCH_solvers.json";
-  append_history ()
+  append_history ();
+  if !scale_failures <> [] then exit 1

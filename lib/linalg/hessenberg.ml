@@ -4,17 +4,21 @@ let balance a0 =
   if not (Matrix.is_square a0) then invalid_arg "Hessenberg.balance: not square";
   let a = Matrix.copy a0 in
   let n = a.Matrix.rows in
+  (* flat-array indexing, as in [reduce]: a Matrix.get/set call boxes
+     its float without flambda *)
+  let d = a.Matrix.data in
   let radix = 2.0 in
   let sqrdx = radix *. radix in
   let continue_scaling = ref true in
   while !continue_scaling do
     continue_scaling := false;
     for i = 0 to n - 1 do
+      let ri = i * n in
       let c = ref 0.0 and r = ref 0.0 in
       for j = 0 to n - 1 do
         if j <> i then begin
-          c := !c +. abs_float (Matrix.get a j i);
-          r := !r +. abs_float (Matrix.get a i j)
+          c := !c +. abs_float d.((j * n) + i);
+          r := !r +. abs_float d.(ri + j)
         end
       done;
       if !c <> 0.0 && !r <> 0.0 then begin
@@ -32,12 +36,12 @@ let balance a0 =
         done;
         if (!c +. !r) /. !f < 0.95 *. s then begin
           continue_scaling := true;
-          let ginv = 1.0 /. !f in
+          let ginv = 1.0 /. !f and f = !f in
           for j = 0 to n - 1 do
-            Matrix.set a i j (Matrix.get a i j *. ginv)
+            d.(ri + j) <- d.(ri + j) *. ginv
           done;
           for j = 0 to n - 1 do
-            Matrix.set a j i (Matrix.get a j i *. !f)
+            d.((j * n) + i) <- d.((j * n) + i) *. f
           done
         end
       end
@@ -106,11 +110,13 @@ let reduce a0 =
   a
 
 let is_hessenberg ?(tol = 0.0) a =
-  let n = a.Matrix.rows in
+  let n = a.Matrix.rows and d = a.Matrix.data in
   let ok = ref (Matrix.is_square a) in
-  for i = 2 to n - 1 do
-    for j = 0 to i - 2 do
-      if abs_float (Matrix.get a i j) > tol then ok := false
-    done
-  done;
+  if !ok then
+    for i = 2 to n - 1 do
+      let ri = i * n in
+      for j = 0 to i - 2 do
+        if abs_float d.(ri + j) > tol then ok := false
+      done
+    done;
   !ok

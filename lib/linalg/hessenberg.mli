@@ -8,7 +8,11 @@
 val balance : Matrix.t -> Matrix.t
 (** [balance a] returns a diagonally-scaled similarity of the square
     matrix [a] whose rows and columns have comparable norms, improving
-    the accuracy of subsequent QR iteration. *)
+    the accuracy of subsequent QR iteration. Its loops index the copy's
+    flat data directly: a [Matrix.get]/[Matrix.set] call boxes its
+    float without flambda, which made balancing the largest allocator
+    of a spectral solve. The sums and scalings run in the same order,
+    so the result is the same bit for bit. *)
 
 val reduce : Matrix.t -> Matrix.t
 (** [reduce a] returns an upper Hessenberg matrix similar to the square
@@ -17,5 +21,5 @@ val reduce : Matrix.t -> Matrix.t
     subdiagonal of the result are exactly zero. *)
 
 val is_hessenberg : ?tol:float -> Matrix.t -> bool
-(** Whether all entries below the first subdiagonal are [<= tol]
-    (default [0.]) in absolute value. *)
+(** Whether [a] is square and all entries below the first subdiagonal
+    are [<= tol] (default [0.]) in absolute value. *)

@@ -1,21 +1,54 @@
+(* A square matrix with a column window per row: outside columns
+   lo.(i) .. hi.(i), row i holds only +0. A factorization runs in place
+   on the storage and widens the windows where it writes, so they keep
+   bounding the packed factors; [reset] clears just the windows before
+   the next matrix goes in. *)
+type workspace = {
+  m : Matrix.t;
+  lo : int array;
+  hi : int array;
+}
+
 type t = {
-  lu : Matrix.t; (* packed L (unit diag, below) and U (on and above) *)
+  ws : workspace; (* packed L (unit diag, below) and U (on and above) *)
   perm : int array; (* row permutation: factored row i came from perm.(i) *)
   sign : int; (* parity of the permutation, for determinants *)
 }
 
 exception Singular
 
-let dim f = f.lu.Matrix.rows
+let dim f = f.ws.m.Matrix.rows
 
-(* Crout-style factorization with partial pivoting, in place on [m]
-   (the factors alias it). The inner loops index the flat data array
-   directly: without flambda, going through Matrix.get/set costs a
-   (non-inlined) call per element, which dominates at the sizes the
-   solvers use.
+let workspace n =
+  { m = Matrix.create n n; lo = Array.make n 0; hi = Array.make n (-1) }
 
-   Two bounds skip exact zeros, so the factors are those of plain dense
-   elimination:
+let reset w ~lo ~hi =
+  let n = w.m.Matrix.rows in
+  if Array.length lo <> n || Array.length hi <> n then
+    invalid_arg "Lu.reset: windows do not match the workspace";
+  let d = w.m.Matrix.data in
+  for i = 0 to n - 1 do
+    if lo.(i) < 0 || hi.(i) >= n then
+      invalid_arg "Lu.reset: window out of range";
+    let l = w.lo.(i) in
+    if w.hi.(i) >= l then Array.fill d ((i * n) + l) (w.hi.(i) - l + 1) 0.0
+  done;
+  Array.blit lo 0 w.lo 0 n;
+  Array.blit hi 0 w.hi 0 n;
+  d
+
+(* Crout-style factorization with partial pivoting, in place on the
+   workspace (the factors alias it). The inner loops index the flat
+   data array directly: without flambda, going through Matrix.get/set
+   costs a (non-inlined) call per element, which dominates at the sizes
+   the solvers use.
+
+   Three bounds skip exact zeros, so the factors are those of plain
+   dense elimination:
+   - the windows. The scans below, the row swaps and the transposed
+     solves read only inside them; an elimination widens a row's window
+     to the fill it writes, and a multiplier is written only over a
+     nonzero, which lies inside it already.
    - [kl], the lower bandwidth of the input. Step k touches only rows up
      to k + kl: earlier steps swapped and updated rows up to k − 1 + kl,
      so any row below k + kl is still an input row, zero in column k.
@@ -28,22 +61,21 @@ let dim f = f.lu.Matrix.rows
 
    [patch]: when [Some eps], zero pivots are replaced by [eps] so the
    factorization always completes (inverse-iteration use). *)
-let factor_in_place ?patch m =
-  if not (Matrix.is_square m) then invalid_arg "Lu.factor: not square";
-  let n = m.Matrix.rows in
-  let d = m.Matrix.data in
+let factor_in_place ?patch w =
+  let n = w.m.Matrix.rows in
+  let d = w.m.Matrix.data and lo = w.lo and hi = w.hi in
   let perm = Array.init n (fun i -> i) in
   let last = Array.make n (-1) in
   let kl = ref 0 in
   for i = 0 to n - 1 do
-    let ri = i * n in
-    let j = ref (n - 1) in
-    while !j >= 0 && d.(ri + !j) = 0.0 do
+    let ri = i * n and l = lo.(i) in
+    let j = ref hi.(i) in
+    while !j >= l && d.(ri + !j) = 0.0 do
       decr j
     done;
-    last.(i) <- !j;
+    last.(i) <- (if !j >= l then !j else -1);
     (* only a nonzero left of column i − kl can widen the band *)
-    let j = ref 0 in
+    let j = ref l in
     while !j < i - !kl && d.(ri + !j) = 0.0 do
       incr j
     done;
@@ -55,11 +87,11 @@ let factor_in_place ?patch m =
   let singular = ref false in
   (try
      for k = 0 to n - 1 do
-       let hi = min (n - 1) (k + kl) in
+       let bottom = min (n - 1) (k + kl) in
        (* pivot search in column k *)
        let piv = ref k in
        let best = ref (abs_float d.((k * n) + k)) in
-       for i = k + 1 to hi do
+       for i = k + 1 to bottom do
          let v = abs_float d.((i * n) + k) in
          if v > !best then begin
            best := v;
@@ -74,61 +106,86 @@ let factor_in_place ?patch m =
          | Some eps ->
              d.((k * n) + k) <- eps;
              last.(k) <- max last.(k) k;
+             lo.(k) <- min lo.(k) k;
+             hi.(k) <- max hi.(k) k;
              patched := true
        end;
        if !piv <> k then begin
-         (* swap rows k and piv *)
-         let rk = k * n and rp = !piv * n in
-         for j = 0 to n - 1 do
+         (* swap rows k and piv, over both windows *)
+         let p = !piv in
+         let rk = k * n and rp = p * n in
+         for j = min lo.(k) lo.(p) to max hi.(k) hi.(p) do
            let tmp = d.(rk + j) in
            d.(rk + j) <- d.(rp + j);
            d.(rp + j) <- tmp
          done;
-         let tp = perm.(k) in
-         perm.(k) <- perm.(!piv);
-         perm.(!piv) <- tp;
-         let tl = last.(k) in
-         last.(k) <- last.(!piv);
-         last.(!piv) <- tl;
+         let swap a =
+           let t = a.(k) in
+           a.(k) <- a.(p);
+           a.(p) <- t
+         in
+         swap perm;
+         swap last;
+         swap lo;
+         swap hi;
          sign := - !sign
        end;
        let rk = k * n in
        let pivot = d.(rk + k) in
        let last_k = last.(k) in
-       for i = k + 1 to hi do
+       for i = k + 1 to bottom do
          let ri = i * n in
-         let factor = d.(ri + k) /. pivot in
-         d.(ri + k) <- factor;
-         if factor <> 0.0 then begin
-           for j = k + 1 to last_k do
-             d.(ri + j) <- d.(ri + j) -. (factor *. d.(rk + j))
-           done;
-           if last_k > last.(i) then last.(i) <- last_k
+         let a = d.(ri + k) in
+         if a <> 0.0 then begin
+           let factor = a /. pivot in
+           d.(ri + k) <- factor;
+           if factor <> 0.0 then begin
+             for j = k + 1 to last_k do
+               d.(ri + j) <- d.(ri + j) -. (factor *. d.(rk + j))
+             done;
+             if last_k > last.(i) then last.(i) <- last_k;
+             if last_k > hi.(i) then hi.(i) <- last_k
+           end
          end
        done
      done
    with Exit -> ());
   if !singular then Error `Singular
-  else Ok ({ lu = m; perm; sign = !sign }, !patched)
+  else Ok ({ ws = w; perm; sign = !sign }, !patched)
 
-let factor a = Result.map fst (factor_in_place (Matrix.copy a))
+(* a bare matrix goes in whole, as a copy: every window spans its row *)
+let full_workspace a =
+  if not (Matrix.is_square a) then invalid_arg "Lu.factor: not square";
+  let n = a.Matrix.rows in
+  { m = Matrix.copy a; lo = Array.make n 0; hi = Array.make n (n - 1) }
+
+let factor a = Result.map fst (factor_in_place (full_workspace a))
 
 let factor_exn a =
   match factor a with Ok f -> f | Error `Singular -> raise Singular
 
-(* the pivot that replaces an exact zero: 1e-300 + ε·max|a_ij| *)
-let regularized_in_place a =
-  let eps = 1e-300 +. (epsilon_float *. Matrix.max_abs a) in
-  match factor_in_place ~patch:eps a with
+(* the pivot that replaces an exact zero: 1e-300 + ε·max|a_ij|, the
+   maximum taken over the windows (a NaN propagates, as in
+   [Matrix.max_abs]) *)
+let regularized_in_place w =
+  let n = w.m.Matrix.rows and d = w.m.Matrix.data in
+  let best = ref 0.0 in
+  for i = 0 to n - 1 do
+    for k = (i * n) + w.lo.(i) to (i * n) + w.hi.(i) do
+      let v = abs_float d.(k) in
+      if v > !best || Float.is_nan v then best := v
+    done
+  done;
+  match factor_in_place ~patch:(1e-300 +. (epsilon_float *. !best)) w with
   | Ok (f, patched) -> (f, patched)
   | Error `Singular -> assert false
 
-let factor_regularized a = regularized_in_place (Matrix.copy a)
+let factor_regularized a = regularized_in_place (full_workspace a)
 
 let solve f b =
   let n = dim f in
   if Vec.dim b <> n then invalid_arg "Lu.solve: dimension mismatch";
-  let d = f.lu.Matrix.data in
+  let d = f.ws.m.Matrix.data in
   let x = Array.init n (fun i -> b.(f.perm.(i))) in
   (* forward substitution with unit lower triangle *)
   for i = 1 to n - 1 do
@@ -156,11 +213,11 @@ let solve f b =
    (backward), then undo the permutation. Both sweeps walk the rows of
    the packed factors, as [solve] does: once y_i is known, row i of U
    (resp. L) carries its contribution to the later (resp. earlier)
-   unknowns. *)
+   unknowns, and only its window can hold a nonzero. *)
 let solve_transposed f b =
   let n = dim f in
   if Vec.dim b <> n then invalid_arg "Lu.solve_transposed: dimension mismatch";
-  let d = f.lu.Matrix.data in
+  let d = f.ws.m.Matrix.data and lo = f.ws.lo and hi = f.ws.hi in
   let y = Vec.copy b in
   for i = 0 to n - 1 do
     let ri = i * n in
@@ -168,14 +225,14 @@ let solve_transposed f b =
     if dii = 0.0 then raise Singular;
     let yi = y.(i) /. dii in
     y.(i) <- yi;
-    for j = i + 1 to n - 1 do
+    for j = i + 1 to hi.(i) do
       y.(j) <- y.(j) -. (d.(ri + j) *. yi)
     done
   done;
   for i = n - 1 downto 1 do
     let ri = i * n in
     let yi = y.(i) in
-    for j = 0 to i - 1 do
+    for j = lo.(i) to i - 1 do
       y.(j) <- y.(j) -. (d.(ri + j) *. yi)
     done
   done;
@@ -195,7 +252,7 @@ let solve_transposed f b =
    by row j stops at column j. *)
 let substitute ~lower f x =
   let n = dim f in
-  let d = f.lu.Matrix.data in
+  let d = f.ws.m.Matrix.data in
   let cols = x.Matrix.cols and xd = x.Matrix.data in
   for i = 1 to n - 1 do
     let ri = i * n and xi = i * cols in
@@ -262,7 +319,7 @@ let pivot_condition f =
   let n = dim f in
   let lo = ref infinity and hi = ref 0.0 in
   for i = 0 to n - 1 do
-    let d = abs_float (Matrix.get f.lu i i) in
+    let d = abs_float (Matrix.get f.ws.m i i) in
     if d < !lo then lo := d;
     if d > !hi then hi := d
   done;
@@ -272,24 +329,25 @@ let det_of_factor f =
   let n = dim f in
   let acc = ref (float_of_int f.sign) in
   for i = 0 to n - 1 do
-    acc := !acc *. Matrix.get f.lu i i
+    acc := !acc *. Matrix.get f.ws.m i i
   done;
   !acc
 
 let det a =
   match factor a with Ok f -> det_of_factor f | Error `Singular -> 0.0
 
-let log_abs_det a =
-  match Result.map fst (factor_in_place a) with
+let log_abs_det w =
+  match Result.map fst (factor_in_place w) with
   | Error `Singular -> (neg_infinity, 0)
   | Ok f ->
       let n = dim f in
+      let d = f.ws.m.Matrix.data in
       let log_acc = ref 0.0 in
       let sign = ref f.sign in
       for i = 0 to n - 1 do
-        let d = Matrix.get f.lu i i in
-        log_acc := !log_acc +. log (abs_float d);
-        if d < 0.0 then sign := - !sign
+        let p = d.((i * n) + i) in
+        log_acc := !log_acc +. log (abs_float p);
+        if p < 0.0 then sign := - !sign
       done;
       (!log_acc, !sign)
 
@@ -310,12 +368,25 @@ let solve_system a b =
 let start_vector n =
   Array.init n (fun i -> 0.5 +. (0.5 *. sin (float_of_int ((i * 37) + 11))))
 
-let left_null_vector a =
-  let f, _ = regularized_in_place a in
+(* unit 2-norm, as [Vec.normalize]. A sweep against a patched 1e-300
+   pivot can reach 1e300, whose square overflows the norm; only then
+   (or for a norm that underflowed to 0) is the vector first scaled by
+   its largest modulus, so every finite, nonzero norm keeps its bits. *)
+let unit_vector y =
+  let norm = Vec.norm2 y in
+  if norm > 0.0 && norm < infinity then Vec.scale (1.0 /. norm) y
+  else
+    let big = Vec.norm_inf y in
+    if big > 0.0 && big < infinity then
+      Vec.normalize (Vec.scale (1.0 /. big) y)
+    else Vec.normalize y
+
+let left_null_vector w =
+  let f, _ = regularized_in_place w in
   (* uᵀ with aᵀ uᵀ = 0: inverse iteration using the transposed solve *)
-  let x = ref (Vec.normalize (start_vector (dim f))) in
+  let x = ref (unit_vector (start_vector (dim f))) in
   for _ = 1 to 4 do
-    x := Vec.normalize (solve_transposed f !x)
+    x := unit_vector (solve_transposed f !x)
   done;
   (* the sign [Cvec.normalize] would pick: largest component positive *)
   if !x.(Vec.max_abs_index !x) < 0.0 then Vec.scale (-1.0) !x else !x

@@ -4,7 +4,7 @@
     permutation, [L] is unit lower triangular and [U] is upper
     triangular.
 
-    The elimination skips exact zeros in two ways, and the factors are
+    The elimination skips exact zeros in three ways, and the factors are
     still those of plain dense elimination:
     - it computes the lower bandwidth [kl] of [a] once and bounds each
       step's pivot search and row eliminations to the [kl] rows below
@@ -15,12 +15,33 @@
       (tracked through row swaps), so the row updates of a banded matrix
       such as the block-tridiagonal [Q(z)] of the spectral solver touch
       only its band and the fill that pivoting adds (28,917 instead of
-      156,825 updates for [Q(z)] at [s = 171]).
+      156,825 updates for [Q(z)] at [s = 171]);
+    - it reads and swaps each row only inside its {e window} (below).
+      A bare matrix ({!factor}, {!factor_regularized}) goes in as a
+      copy whose windows span every row.
 
-    {!factor} and {!factor_regularized} work on a copy. {!log_abs_det}
-    and {!left_null_vector} factor their argument in place: in every
-    caller it is a temporary (the [Q(z)] that [Qbd.char_poly_real]
-    fills), and a copy would be the largest allocation of the call. *)
+    {2:workspaces Workspaces}
+
+    A {!workspace} is an [n×n] row-major matrix that also records, for
+    every row [i], a column window [lo_i .. hi_i]: outside its window a
+    row holds only [+0]. It serves a sequence of matrices with one
+    sparsity pattern, such as the [Q(z_k)] of a spectral solve or the
+    determinant scan of the geometric approximation, one at a time:
+    - {!reset} zeroes only the windows the last use wrote and installs
+      the new matrix's windows; the caller then writes each row inside
+      its window ([Qbd.char_poly_real] writes [Q(z)]'s band);
+    - {!log_abs_det} and {!left_null_vector} factor it {e in place}:
+      afterwards it holds the packed factors. The kl and last-column
+      scans, the maximum modulus behind a patched pivot, row swaps and
+      both sweeps of every transposed solve stay inside the windows,
+      and the factorization widens a row's window wherever it writes
+      fill, so the windows still bound the factors.
+    Every nonzero goes through the operations of dense elimination in
+    the same order, so the factors, determinants and null vectors equal
+    those of the whole matrix bit for bit, up to the sign of an exact
+    zero (a skipped [x − 0·y] leaves [x = −0] as it is). A workspace
+    belongs to one call at a time, never to a value that pool domains
+    share. *)
 
 type t
 (** An LU factorization. *)
@@ -44,6 +65,25 @@ val factor_regularized : Matrix.t -> t * bool
 
 val dim : t -> int
 (** Order of the factored matrix. *)
+
+type workspace
+(** An [n×n] matrix with a column window per row, factored in place
+    (see {!section-workspaces} above). *)
+
+val workspace : int -> workspace
+(** [workspace n]: all entries [+0], every window empty. *)
+
+val reset : workspace -> lo:int array -> hi:int array -> float array
+(** [reset w ~lo ~hi] zeroes the windows of [w] (as its last
+    factorization left them), makes columns [lo.(i) .. hi.(i)] the
+    window of row [i] ([lo.(i) > hi.(i)] for an empty row) and returns
+    the row-major storage itself, entry [(i, j)] at [i·n + j]. The
+    caller writes each row only inside its new window. After
+    {!log_abs_det} or {!left_null_vector} the same array holds the
+    packed factors: [L]'s multipliers below the diagonal, [U] on and
+    above it, rows in pivot order. The arrays [lo] and [hi] are copied,
+    not kept. Raises [Invalid_argument] if their lengths are not [n] or
+    a window leaves [0 .. n−1]. *)
 
 val pivot_condition : t -> float
 (** Ratio of the largest to the smallest pivot modulus [max|u_ii| /
@@ -83,10 +123,10 @@ val det : Matrix.t -> float
 val det_of_factor : t -> float
 (** Determinant from an existing factorization. *)
 
-val log_abs_det : Matrix.t -> float * int
-(** [(log |det|, sign)] with sign in {-1, 0, 1}; avoids overflow for large
-    matrices. Sign [0] means singular. Factors its argument {e in place}:
-    afterwards it holds packed LU factors, not the matrix. *)
+val log_abs_det : workspace -> float * int
+(** [(log |det|, sign)] of the matrix in the workspace, with sign in
+    {-1, 0, 1}; avoids overflow for large matrices. Sign [0] means
+    singular. Factors the workspace {e in place}. *)
 
 val inverse : Matrix.t -> (Matrix.t, [ `Singular ]) result
 (** Matrix inverse: {!solve_diagonal} with ones. *)
@@ -94,11 +134,13 @@ val inverse : Matrix.t -> (Matrix.t, [ `Singular ]) result
 val solve_system : Matrix.t -> Vec.t -> (Vec.t, [ `Singular ]) result
 (** One-shot [a x = b] convenience wrapper. *)
 
-val left_null_vector : Matrix.t -> Vec.t
-(** Left null vector of a (near-)singular square matrix: [u] with
-    [u a ≈ 0], unit 2-norm, its largest-modulus component positive. Four
-    sweeps of inverse iteration on the factors of {!factor_regularized},
-    started from the real part of the start vector of
-    {!Clu.left_null_vector}, so that for a real matrix the two agree
-    after {!Cvec.normalize}. Factors its argument {e in place}:
-    afterwards it holds packed LU factors, not the matrix. *)
+val left_null_vector : workspace -> Vec.t
+(** Left null vector of the (near-)singular matrix in the workspace:
+    [u] with [u a ≈ 0], unit 2-norm, its largest-modulus component
+    positive. Four sweeps of inverse iteration on the factors of
+    {!factor_regularized}, started from the real part of the start
+    vector of {!Clu.left_null_vector}, so that for a real matrix the two
+    agree after {!Cvec.normalize}. A sweep whose 2-norm overflows (a
+    patched pivot near [1e-300], as in a zero matrix) is first scaled
+    by its largest modulus; every other sweep is normalized as by
+    {!Vec.normalize}. Factors the workspace {e in place}. *)

@@ -1,11 +1,12 @@
 (* Francis implicit double-shift QR ("hqr"), following the classical
    EISPACK/Numerical-Recipes formulation, 0-based. The matrix is
-   destroyed during iteration, so we work on a copy held as an array of
-   rows. The algorithm repeatedly: (1) deflates at negligible
-   subdiagonal entries, (2) extracts trailing 1x1 / 2x2 blocks as
-   converged eigenvalues, and (3) otherwise performs an implicit
-   double-shift sweep on rows l..nn, with an exceptional shift every 10
-   stalled iterations. *)
+   destroyed during iteration, so we work on a flat row-major copy, as
+   Lu and Hessenberg do: without flambda an array of rows costs a
+   bounds-checked load of the row per entry. The algorithm repeatedly:
+   (1) deflates at negligible subdiagonal entries, (2) extracts
+   trailing 1x1 / 2x2 blocks as converged eigenvalues, and (3)
+   otherwise performs an implicit double-shift sweep on rows l..nn,
+   with an exceptional shift every 10 stalled iterations. *)
 
 exception No_convergence of { dim : int; block : int; iterations : int }
 
@@ -34,15 +35,17 @@ let eigenvalues_hessenberg ?(max_iter = 100) ?observe h =
   if not (Matrix.is_square h) then invalid_arg "Qr_eig: not square";
   if not (Hessenberg.is_hessenberg h) then invalid_arg "Qr_eig: not Hessenberg";
   let n = h.Matrix.rows in
-  let a = Matrix.to_arrays h in
+  (* a flat row-major copy, entry (i, j) at i·n + j *)
+  let a = Array.copy h.Matrix.data in
   let wr = Array.make n 0.0 and wi = Array.make n 0.0 in
   if n = 0 then [||]
   else begin
     let eps = epsilon_float in
     let anorm = ref 0.0 in
     for i = 0 to n - 1 do
+      let ri = i * n in
       for j = max 0 (i - 1) to n - 1 do
-        anorm := !anorm +. abs_float a.(i).(j)
+        anorm := !anorm +. abs_float a.(ri + j)
       done
     done;
     let anorm = !anorm in
@@ -72,21 +75,25 @@ let eigenvalues_hessenberg ?(max_iter = 100) ?observe h =
       let deflated = ref false in
       while not !deflated do
         let nn_v = !nn in
+        let rnn = nn_v * n in
         (* find l: smallest row index of the active trailing block *)
         let l = ref 0 in
         (try
            for ll = nn_v downto 1 do
-             let s0 = abs_float a.(ll - 1).(ll - 1) +. abs_float a.(ll).(ll) in
+             let rll = ll * n in
+             let s0 =
+               abs_float a.(rll - n + ll - 1) +. abs_float a.(rll + ll)
+             in
              let s = if s0 = 0.0 then anorm else s0 in
-             if abs_float a.(ll).(ll - 1) <= eps *. s then begin
-               a.(ll).(ll - 1) <- 0.0;
+             if abs_float a.(rll + ll - 1) <= eps *. s then begin
+               a.(rll + ll - 1) <- 0.0;
                l := ll;
                raise Exit
              end
            done
          with Exit -> ());
         let l = !l in
-        let x = a.(nn_v).(nn_v) in
+        let x = a.(rnn + nn_v) in
         if l = nn_v then begin
           (* one real root *)
           wr.(nn_v) <- x +. !t;
@@ -97,8 +104,9 @@ let eigenvalues_hessenberg ?(max_iter = 100) ?observe h =
             ~shift:x ~exceptional:false
         end
         else begin
-          let y = a.(nn_v - 1).(nn_v - 1) in
-          let w = a.(nn_v).(nn_v - 1) *. a.(nn_v - 1).(nn_v) in
+          let rn1 = rnn - n in
+          let y = a.(rn1 + nn_v - 1) in
+          let w = a.(rnn + nn_v - 1) *. a.(rn1 + nn_v) in
           if l = nn_v - 1 then begin
             (* a trailing 2x2 block: two roots *)
             let p = 0.5 *. (y -. x) in
@@ -132,11 +140,11 @@ let eigenvalues_hessenberg ?(max_iter = 100) ?observe h =
               (* exceptional shift *)
               t := !t +. !x;
               for i = 0 to nn_v do
-                a.(i).(i) <- a.(i).(i) -. !x
+                a.((i * n) + i) <- a.((i * n) + i) -. !x
               done;
               let s =
-                abs_float a.(nn_v).(nn_v - 1)
-                +. abs_float a.(nn_v - 1).(nn_v - 2)
+                abs_float a.(rnn + nn_v - 1)
+                +. abs_float a.(rn1 + nn_v - 2)
               in
               x := 0.75 *. s;
               y := !x;
@@ -147,7 +155,7 @@ let eigenvalues_hessenberg ?(max_iter = 100) ?observe h =
             incr local_sweeps;
             notify Sweep ~sweeps:!its ~remaining:(nn_v + 1)
               ~block:(nn_v - l + 1)
-              ~residual:(abs_float a.(nn_v).(nn_v - 1))
+              ~residual:(abs_float a.(rnn + nn_v - 1))
               ~shift:!x ~exceptional;
             (* find m: start row of the sweep, where two consecutive
                subdiagonals are small *)
@@ -156,23 +164,27 @@ let eigenvalues_hessenberg ?(max_iter = 100) ?observe h =
             (try
                while !m >= l do
                  let mm = !m in
-                 let z = a.(mm).(mm) in
+                 let rm = mm * n in
+                 let rm1 = rm + n in
+                 let z = a.(rm + mm) in
                  let rr = !x -. z in
                  let ss = !y -. z in
-                 p := (((rr *. ss) -. !w) /. a.(mm + 1).(mm)) +. a.(mm).(mm + 1);
-                 q := a.(mm + 1).(mm + 1) -. z -. rr -. ss;
-                 r := a.(mm + 2).(mm + 1);
+                 p := (((rr *. ss) -. !w) /. a.(rm1 + mm)) +. a.(rm + mm + 1);
+                 q := a.(rm1 + mm + 1) -. z -. rr -. ss;
+                 r := a.(rm1 + n + mm + 1);
                  let s = abs_float !p +. abs_float !q +. abs_float !r in
                  p := !p /. s;
                  q := !q /. s;
                  r := !r /. s;
                  if mm = l then raise Exit;
-                 let u = abs_float a.(mm).(mm - 1) *. (abs_float !q +. abs_float !r) in
+                 let u =
+                   abs_float a.(rm + mm - 1) *. (abs_float !q +. abs_float !r)
+                 in
                  let v =
                    abs_float !p
-                   *. (abs_float a.(mm - 1).(mm - 1)
+                   *. (abs_float a.(rm - n + mm - 1)
                       +. abs_float z
-                      +. abs_float a.(mm + 1).(mm + 1))
+                      +. abs_float a.(rm1 + mm + 1))
                  in
                  if u <= eps *. v then raise Exit;
                  decr m
@@ -180,15 +192,22 @@ let eigenvalues_hessenberg ?(max_iter = 100) ?observe h =
              with Exit -> ());
             let m = !m in
             for i = m + 2 to nn_v do
-              a.(i).(i - 2) <- 0.0;
-              if i <> m + 2 then a.(i).(i - 3) <- 0.0
+              let ri = i * n in
+              a.(ri + i - 2) <- 0.0;
+              if i <> m + 2 then a.(ri + i - 3) <- 0.0
             done;
-            (* double QR sweep over rows m..nn-1 *)
+            (* double QR sweep over rows m..nn-1. The last step (k =
+               nn − 1) has no third row: its row and column updates add
+               0.0 in its place, as the three-row formula with r = 0
+               does, which turns a −0 sum into +0. *)
             for k = m to nn_v - 1 do
+              let rk = k * n in
+              let rk1 = rk + n in
+              let three = k <> nn_v - 1 in
               if k <> m then begin
-                p := a.(k).(k - 1);
-                q := a.(k + 1).(k - 1);
-                r := if k <> nn_v - 1 then a.(k + 2).(k - 1) else 0.0;
+                p := a.(rk + k - 1);
+                q := a.(rk1 + k - 1);
+                r := if three then a.(rk1 + n + k - 1) else 0.0;
                 let xs = abs_float !p +. abs_float !q +. abs_float !r in
                 x := xs;
                 if xs <> 0.0 then begin
@@ -202,40 +221,56 @@ let eigenvalues_hessenberg ?(max_iter = 100) ?observe h =
               in
               if s <> 0.0 then begin
                 if k = m then begin
-                  if l <> m then a.(k).(k - 1) <- -.a.(k).(k - 1)
+                  if l <> m then a.(rk + k - 1) <- -.a.(rk + k - 1)
                 end
-                else a.(k).(k - 1) <- -.s *. !x;
+                else a.(rk + k - 1) <- -.s *. !x;
                 p := !p +. s;
                 x := !p /. s;
                 y := !q /. s;
                 let z = !r /. s in
                 q := !q /. !p;
                 r := !r /. !p;
-                for j = k to nn_v do
-                  (* row modification *)
-                  let pj =
-                    a.(k).(j)
-                    +. (!q *. a.(k + 1).(j))
-                    +.
-                    (if k <> nn_v - 1 then !r *. a.(k + 2).(j) else 0.0)
-                  in
-                  if k <> nn_v - 1 then a.(k + 2).(j) <- a.(k + 2).(j) -. (pj *. z);
-                  a.(k + 1).(j) <- a.(k + 1).(j) -. (pj *. !y);
-                  a.(k).(j) <- a.(k).(j) -. (pj *. !x)
-                done;
+                let x = !x and y = !y and q = !q and r = !r in
                 let mmin = min nn_v (k + 3) in
-                for i = l to mmin do
-                  (* column modification *)
-                  let pi =
-                    (!x *. a.(i).(k))
-                    +. (!y *. a.(i).(k + 1))
-                    +.
-                    (if k <> nn_v - 1 then z *. a.(i).(k + 2) else 0.0)
-                  in
-                  if k <> nn_v - 1 then a.(i).(k + 2) <- a.(i).(k + 2) -. (pi *. !r);
-                  a.(i).(k + 1) <- a.(i).(k + 1) -. (pi *. !q);
-                  a.(i).(k) <- a.(i).(k) -. pi
-                done
+                if three then begin
+                  let rk2 = rk1 + n in
+                  for j = k to nn_v do
+                    (* row modification *)
+                    let pj =
+                      a.(rk + j) +. (q *. a.(rk1 + j)) +. (r *. a.(rk2 + j))
+                    in
+                    a.(rk2 + j) <- a.(rk2 + j) -. (pj *. z);
+                    a.(rk1 + j) <- a.(rk1 + j) -. (pj *. y);
+                    a.(rk + j) <- a.(rk + j) -. (pj *. x)
+                  done;
+                  for i = l to mmin do
+                    (* column modification *)
+                    let ri = i * n in
+                    let pi =
+                      (x *. a.(ri + k))
+                      +. (y *. a.(ri + k + 1))
+                      +. (z *. a.(ri + k + 2))
+                    in
+                    a.(ri + k + 2) <- a.(ri + k + 2) -. (pi *. r);
+                    a.(ri + k + 1) <- a.(ri + k + 1) -. (pi *. q);
+                    a.(ri + k) <- a.(ri + k) -. pi
+                  done
+                end
+                else begin
+                  for j = k to nn_v do
+                    let pj = a.(rk + j) +. (q *. a.(rk1 + j)) +. 0.0 in
+                    a.(rk1 + j) <- a.(rk1 + j) -. (pj *. y);
+                    a.(rk + j) <- a.(rk + j) -. (pj *. x)
+                  done;
+                  for i = l to mmin do
+                    let ri = i * n in
+                    let pi =
+                      (x *. a.(ri + k)) +. (y *. a.(ri + k + 1)) +. 0.0
+                    in
+                    a.(ri + k + 1) <- a.(ri + k + 1) -. (pi *. q);
+                    a.(ri + k) <- a.(ri + k) -. pi
+                  done
+                end
               end
             done
           end

@@ -48,4 +48,13 @@ val eigenvalues_hessenberg :
     Hessenberg matrix [h] (which is copied, not modified).
     [max_iter] bounds the QR sweeps per eigenvalue (default [100]).
     [observe] is invoked once before every sweep and once per deflation.
-    Raises [Invalid_argument] if [h] is not square or not Hessenberg. *)
+    Raises [Invalid_argument] if [h] is not square or not Hessenberg.
+
+    The iteration runs on a flat row-major copy of [h]'s data, with the
+    row offsets of each step hoisted out of its loops (an array of rows
+    costs a bounds-checked row load per entry without flambda). The last
+    step of a sweep, which has no third row, has its own loops, and they
+    still add [0.0] where the third term would be: that addition turns a
+    [−0] sum into [+0], so every eigenvalue and every observed value,
+    signed zeros included, is the one the array-of-rows formulation
+    gives. *)

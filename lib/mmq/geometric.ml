@@ -34,9 +34,9 @@ let solve_inner ~scan_points q =
   let verdict = Stability.check ~env ~lambda:(Qbd.lambda q) ~mu:(Qbd.mu q) in
   if not verdict.Stability.stable then Error (Unstable verdict)
   else begin
-    (* one matrix serves every det Q(z) of the scan and the refinement,
-       then the weight vector's null-vector solve *)
-    let work = Urs_linalg.Matrix.create (Qbd.s q) (Qbd.s q) in
+    (* one workspace serves every det Q(z) of the scan and the
+       refinement, then the weight vector's null-vector solve *)
+    let work = Urs_linalg.Lu.workspace (Qbd.s q) in
     let f z = Qbd.det_q_scaled q work z in
     (* per-iteration bracket telemetry of the Brent refinement; gated
        globally, zero overhead when off *)

@@ -9,6 +9,8 @@ type t = {
   d_a : M.t;
   c_full : M.t; (* C_j for j >= N *)
   q1 : M.t; (* T_N = A − D^A − B − C, the coefficient Q1 of Q(z) *)
+  band_lo : int array; (* per row, the first and last column where B, *)
+  band_hi : int array; (* Q1 or C is nonzero: Q(z)'s windows *)
 }
 
 let create ~env ~lambda ~mu =
@@ -32,7 +34,22 @@ let create ~env ~lambda ~mu =
     q1.M.data.(k) <-
       ((a.M.data.(k) -. d_a.M.data.(k)) -. b.M.data.(k)) -. c_full.M.data.(k)
   done;
-  { env; lambda; mu; a; b; d_a; c_full; q1 }
+  let band_lo = Array.make s 0 and band_hi = Array.make s (-1) in
+  let bd = b.M.data and qd = q1.M.data and cd = c_full.M.data in
+  for i = 0 to s - 1 do
+    let ri = i * s in
+    let j = ref ri in
+    while !j < ri + s && bd.(!j) = 0.0 && qd.(!j) = 0.0 && cd.(!j) = 0.0 do
+      incr j
+    done;
+    band_lo.(i) <- !j - ri;
+    let j = ref (ri + s - 1) in
+    while !j >= ri && bd.(!j) = 0.0 && qd.(!j) = 0.0 && cd.(!j) = 0.0 do
+      decr j
+    done;
+    band_hi.(i) <- !j - ri
+  done;
+  { env; lambda; mu; a; b; d_a; c_full; q1; band_lo; band_hi }
 
 let env t = t.env
 
@@ -82,22 +99,23 @@ let q2 t = M.copy t.c_full
 let char_poly_at t z =
   Urs_linalg.Companion.evaluate ~q0:t.b ~q1:t.q1 ~q2:t.c_full z
 
-let char_poly_real t z q =
+let char_poly_real t z w =
   let sm = s t in
-  if q.M.rows <> sm || q.M.cols <> sm then
-    invalid_arg "Qbd.char_poly_real: destination is not s x s";
+  let d = Urs_linalg.Lu.reset w ~lo:t.band_lo ~hi:t.band_hi in
   let b = t.b.M.data and q1 = t.q1.M.data and c = t.c_full.M.data in
-  let d = q.M.data in
   let z2 = z *. z in
   (* as (B + z·T) + z²·C: another association moves the root that
      Geometric finds by scanning [det_q_scaled] in its last bits *)
-  for k = 0 to (sm * sm) - 1 do
-    d.(k) <- (b.(k) +. (z *. q1.(k))) +. (z2 *. c.(k))
+  for i = 0 to sm - 1 do
+    let ri = i * sm in
+    for k = ri + t.band_lo.(i) to ri + t.band_hi.(i) do
+      d.(k) <- (b.(k) +. (z *. q1.(k))) +. (z2 *. c.(k))
+    done
   done
 
-let det_q_scaled t work z =
-  char_poly_real t z work;
-  let log_det, sign = Urs_linalg.Lu.log_abs_det work in
+let det_q_scaled t w z =
+  char_poly_real t z w;
+  let log_det, sign = Urs_linalg.Lu.log_abs_det w in
   if sign = 0 then 0.0
   else float_of_int sign *. exp (log_det /. float_of_int (s t))
 

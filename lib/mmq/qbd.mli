@@ -65,24 +65,30 @@ val q2 : t -> Urs_linalg.Matrix.t
 val char_poly_at : t -> Urs_linalg.Cx.t -> Urs_linalg.Cmatrix.t
 (** [Q(z)] evaluated at a complex point. *)
 
-val char_poly_real : t -> float -> Urs_linalg.Matrix.t -> unit
-(** [char_poly_real t z q] writes [Q(z)] at a real point into the
-    caller's [s×s] matrix [q], formed as [(Q0 + z·Q1) + z²·Q2] from the
-    prebuilt blocks. Raises [Invalid_argument] if [q] is not [s×s]. A
-    solve fills one such matrix per real point and factors it in place
-    ({!Urs_linalg.Lu.left_null_vector}, {!Urs_linalg.Lu.log_abs_det}),
-    so no [s×s] matrix is allocated per point. The matrix belongs to
-    the call that made it, never to [t]: pool domains share [t]. The
-    real-eigenvalue path of {!Spectral} and the dominant root of
-    {!Geometric} take their left null vectors from it; {!det_q_scaled}
-    takes its determinant. *)
+val char_poly_real : t -> float -> Urs_linalg.Lu.workspace -> unit
+(** [char_poly_real t z w] writes [Q(z)] at a real point into the
+    caller's [s×s] workspace [w], each entry formed as
+    [(Q0 + z·Q1) + z²·Q2] from the prebuilt blocks. {!create} records
+    [Q(z)]'s band once: for each row, the first and last column where
+    [Q0], [Q1] or [Q2] is nonzero (at [s = 171]: [kl = ku = 18], 783
+    nonzeros in a band of 4,200 of the 29,241 entries). The fill ({!Urs_linalg.Lu.reset}) zeroes only the
+    windows the workspace's last factorization wrote, then writes only
+    the band, so a fill costs the band, not [s²]; every entry equals the
+    one the whole-matrix formula gives. Raises [Invalid_argument] if [w]
+    is not [s×s]. A solve fills one workspace per real point and
+    factors it in place ({!Urs_linalg.Lu.left_null_vector},
+    {!Urs_linalg.Lu.log_abs_det}), so no [s×s] matrix is allocated per
+    point. The workspace belongs to the call that made it, never to
+    [t]: pool domains share [t]. The real-eigenvalue path of {!Spectral}
+    and the dominant root of {!Geometric} take their left null vectors
+    from it; {!det_q_scaled} takes its determinant. *)
 
-val det_q_scaled : t -> Urs_linalg.Matrix.t -> float -> float
-(** [det_q_scaled t work z] is [det Q(z)] for real [z], rescaled as
+val det_q_scaled : t -> Urs_linalg.Lu.workspace -> float -> float
+(** [det_q_scaled t w z] is [det Q(z)] for real [z], rescaled as
     [sign·exp(log|det|/s)] to avoid overflow — same sign and same roots
     as the determinant, used for locating the dominant eigenvalue.
-    [work] is an [s×s] scratch matrix: it receives [Q(z)] and then its
-    LU factors. *)
+    [w] is an [s×s] workspace: it receives [Q(z)] and then its LU
+    factors. *)
 
 val eigenpair_residual : t -> Urs_linalg.Cx.t -> Urs_linalg.Cvec.t -> float
 (** [eigenpair_residual t z u] is [‖u·Q(z)‖∞ / ‖u‖∞] — the a-posteriori

@@ -205,8 +205,8 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
           ~labels:[ ("stage", "eigenvectors") ]
           (fun () ->
             let us = Array.make s [||] in
-            (* one matrix for every real Q(z_k), factored in place *)
-            let work = M.create s s in
+            (* one workspace for every real Q(z_k), factored in place *)
+            let work = Urs_linalg.Lu.workspace s in
             for k = 0 to s - 1 do
               let z = zs.(k) in
               if Cx.im z = 0.0 then begin

@@ -21,11 +21,13 @@ type sample = {
 }
 
 let sample () =
-  (* [quick_stat] is cheap but domain-local for minor_words and does not
-     walk the heap; heap_words/top_heap_words are still maintained. *)
+  (* [quick_stat] is cheap and does not walk the heap; heap_words and
+     top_heap_words are still maintained. Its minor_words move only at
+     minor collections in OCaml 5.1, so they come from [Gc.minor_words]
+     (exact and domain-local), as in [Span.gc_counters]. *)
   let q = Gc.quick_stat () in
   {
-    minor_words = q.Gc.minor_words;
+    minor_words = Gc.minor_words ();
     promoted_words = q.Gc.promoted_words;
     major_words = q.Gc.major_words;
     minor_collections = q.Gc.minor_collections;

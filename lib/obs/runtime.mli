@@ -3,8 +3,9 @@
     Two independent, off-by-default mechanisms:
 
     - {b Quick-stat probes}: {!sample}/{!delta}/{!measure} wrap a code
-      region with [Gc.quick_stat] and report words allocated (minor,
-      promoted, major), collection counts and heap sizes. {!probe}
+      region with [Gc.quick_stat] (and [Gc.minor_words]) and report
+      words allocated (minor, promoted, major), collection counts and
+      heap sizes. {!probe}
       additionally folds the delta into [urs_runtime_*] registry
       counters/gauges and appends a ["runtime"] record to the ledger.
       {!set_profiling} arms the same sampling inside [Span.with_] (per
@@ -34,7 +35,10 @@ type sample = {
   top_heap_words : int;
 }
 (** A point-in-time [Gc.quick_stat] snapshot (word counts are
-    domain-local for the minor heap, process-wide for the major). *)
+    domain-local for the minor heap, process-wide for the major). Minor
+    words come from [Gc.minor_words], which counts every word allocated
+    so far; [Gc.quick_stat]'s own figure moves only at minor
+    collections in OCaml 5.1. *)
 
 val sample : unit -> sample
 

@@ -137,9 +137,17 @@ let test_lu_inverse () =
         (Matrix.approx_equal ~tol:1e-8 (Matrix.mul a inv) (Matrix.identity 6))
   | Error `Singular -> Alcotest.fail "unexpected singular"
 
+(* a workspace holding a copy of [a], every window its whole row *)
+let workspace_of a =
+  let n = a.Matrix.rows in
+  let w = Lu.workspace n in
+  let d = Lu.reset w ~lo:(Array.make n 0) ~hi:(Array.make n (n - 1)) in
+  Array.blit a.Matrix.data 0 d 0 (n * n);
+  w
+
 let test_lu_log_det () =
   let a = Matrix.scalar 5 2.0 in
-  let log_d, sign = Lu.log_abs_det a in
+  let log_d, sign = Lu.log_abs_det (workspace_of a) in
   Alcotest.(check int) "sign" 1 sign;
   check_float "log det" (5.0 *. log 2.0) log_d
 
@@ -161,11 +169,36 @@ let test_lu_left_null_vector_zero_pivot () =
   | Ok _ -> Alcotest.fail "expected an exact zero pivot");
   let _, patched = Lu.factor_regularized a in
   Alcotest.(check bool) "pivot patched" true patched;
-  let u = Lu.left_null_vector a in
+  let u = Lu.left_null_vector (workspace_of a) in
   let r5 = sqrt 5.0 in
   Array.iteri
     (fun i e -> check_float ~tol:1e-12 (Printf.sprintf "u.(%d)" i) e u.(i))
     [| 2.0 /. r5; -1.0 /. r5; 0.0 |]
+
+let test_lu_left_null_vector_zero_matrix () =
+  (* every vector is a null vector of 0; the patched pivots are 1e-300,
+     so a sweep reaches 1e300 and its 2-norm overflows *)
+  List.iter
+    (fun n ->
+      let u = Lu.left_null_vector (workspace_of (Matrix.create n n)) in
+      check_float ~tol:1e-15 (Printf.sprintf "n=%d: unit norm" n) 1.0
+        (Vec.norm2 u);
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d: largest entry positive" n)
+        true
+        (u.(Vec.max_abs_index u) > 0.0))
+    [ 1; 2 ];
+  let u = Lu.left_null_vector (workspace_of (Matrix.create 1 1)) in
+  check_float ~tol:0.0 "1x1" 1.0 u.(0)
+
+let test_lu_workspace_reset_checks () =
+  let w = Lu.workspace 3 in
+  Alcotest.check_raises "window length"
+    (Invalid_argument "Lu.reset: windows do not match the workspace")
+    (fun () -> ignore (Lu.reset w ~lo:[| 0; 0 |] ~hi:[| 2; 2 |]));
+  Alcotest.check_raises "window range"
+    (Invalid_argument "Lu.reset: window out of range") (fun () ->
+      ignore (Lu.reset w ~lo:[| 0; 0; 0 |] ~hi:[| 2; 3; 2 |]))
 
 let test_max_abs_nan () =
   let m = Matrix.of_arrays [| [| 1.0; -3.0 |]; [| 2.0; 0.5 |] |] in
@@ -533,6 +566,64 @@ let test_eigen_observed_bit_identical () =
         Alcotest.failf "eigenvalue %d differs under observation" i)
     plain
 
+(* The last step of a double-shift sweep has no third row, and its row
+   and column updates add 0.0 where the third term would be, which
+   turns a −0 sum into +0. On these two Hessenberg matrices (found by a
+   search over small matrices with signed zeros) that shows: the third
+   observation's shift, the bottom diagonal entry, is −0 with the 0.0
+   added and +0 without it, in the row update (first) and the column
+   update (second). The observed (residual, shift) stream and the
+   eigenvalues are pinned with %h. *)
+let test_qr_signed_zeros_pinned () =
+  let run rows =
+    let h = Matrix.of_arrays rows in
+    let buf = Buffer.create 256 in
+    let observe (p : Qr_eig.progress) =
+      Buffer.add_string buf (Printf.sprintf "%h %h;" p.residual p.shift)
+    in
+    let ev = Qr_eig.eigenvalues_hessenberg ~observe h in
+    Array.iter
+      (fun z ->
+        Buffer.add_string buf (Printf.sprintf "%h,%h " (Cx.re z) (Cx.im z)))
+      ev;
+    Buffer.contents buf
+  in
+  Alcotest.(check string)
+    "row update"
+    "0x1p+0 0x0p+0;0x0p+0 0x0p+0;0x1p+0 -0x0p+0;\
+     0x1.7d9f4cf754636p-1 0x1.5555555555557p-1;\
+     0x1.4c92203f41082p-3 0x1.97749b79f7f54p-1;\
+     0x1.9e77d20fa2fa4p-6 0x1.d2f76991b468cp-1;\
+     0x1.140651728de2p-9 0x1.eb7465270012dp-1;\
+     0x1.e741f2154b28p-12 0x1.f58ea3c0f0571p-1;\
+     0x1.c56d36f466ap-14 0x1.faf7379be561cp-1;\
+     0x0p+0 0x1.fd7c27efa8c6bp-1;0x0p+0 -0x1.36b4015c5123cp-2;\
+     -0x1p-1,-0x1.bb67ae8584caap-1 -0x1p-1,0x1.bb67ae8584caap-1 \
+     0x1.0000000000003p+0,-0x1.d30ab0643f369p-28 \
+     0x1.0000000000003p+0,0x1.d30ab0643f369p-28 0x0p+0,0x0p+0 "
+    (run
+       [|
+         [| 0.0; -0.0; -0.0; 0.0; -0.0 |];
+         [| -1.0; -0.0; -0.0; 0.0; -1.0 |];
+         [| 0.0; 1.0; 1.0; 0.0; 1.0 |];
+         [| 0.0; 0.0; -1.0; -0.0; 0.0 |];
+         [| 0.0; 0.0; 0.0; -1.0; 0.0 |];
+       |]);
+  Alcotest.(check string)
+    "column update"
+    "0x1p+0 -0x0p+0;0x0p+0 0x0p+0;0x0p+0 -0x0p+0;0x1.6a09e667f3bcdp+0 0x0p+0;\
+     0x0p+0 -0x1.69cd456880e75p-1;0x0p+0 0x1p+0;0x1p+0,0x0p+0 \
+     0x1.6a09e6cp-27,0x0p+0 -0x1.6a09e64p-27,0x0p+0 0x0p+0,0x0p+0 \
+     0x0p+0,0x0p+0 "
+    (run
+       [|
+         [| 0.0; 0.0; -0.0; 1.0; 0.0 |];
+         [| 1.0; 0.0; 0.0; 0.0; -1.0 |];
+         [| 0.0; 1.0; 1.0; -0.0; 0.0 |];
+         [| 0.0; 0.0; -1.0; -0.0; -0.0 |];
+         [| 0.0; 0.0; 0.0; 1.0; -0.0 |];
+       |])
+
 let test_qr_exhaustion_payload () =
   let a = random_matrix 8 in
   match Eigen.eigenvalues ~max_iter:1 a with
@@ -731,10 +822,12 @@ let prop_solve_diagonal =
 (* plain dense elimination with partial pivoting, packed as Lu packs
    its factors (multipliers below the diagonal, U on and above it):
    every row below the pivot, every column to its right. An exact zero
-   pivot is replaced by [patch], or ends the elimination with None. *)
+   pivot is replaced by [patch], or ends the elimination with None.
+   Also returns the permutation: stored row i came from row perm.(i). *)
 let dense_factor ?patch a =
   let n = a.Matrix.rows in
   let m = Matrix.to_arrays a in
+  let perm = Array.init n Fun.id in
   try
     for k = 0 to n - 1 do
       let piv = ref k in
@@ -743,9 +836,11 @@ let dense_factor ?patch a =
       done;
       if m.(!piv).(k) = 0.0 then (
         match patch with None -> raise Exit | Some eps -> m.(k).(k) <- eps);
-      let r = m.(k) in
+      let r = m.(k) and p = perm.(k) in
       m.(k) <- m.(!piv);
       m.(!piv) <- r;
+      perm.(k) <- perm.(!piv);
+      perm.(!piv) <- p;
       for i = k + 1 to n - 1 do
         let f = m.(i).(k) /. m.(k).(k) in
         m.(i).(k) <- f;
@@ -754,30 +849,76 @@ let dense_factor ?patch a =
         done
       done
     done;
-    Some (Array.concat (Array.to_list m))
+    Some (Array.concat (Array.to_list m), perm)
   with Exit -> None
 
-(* [Lu.log_abs_det] and [Lu.left_null_vector] leave their argument
-   holding the packed factors of the bandwidth- and row-bounded
-   elimination. Float.equal, not bits: plain elimination stores
-   0/pivot (−0 for a negative pivot) below the band, where the bounded
-   one leaves the input's +0. *)
-let in_place_matches_dense a =
-  let m = Matrix.copy a in
-  let _, sign = Lu.log_abs_det m in
-  match dense_factor a with
-  | None -> sign = 0
-  | Some d -> sign <> 0 && Array.for_all2 Float.equal m.Matrix.data d
+(* (log|det|, sign) from dense factors: the permutation's parity times
+   the signs of U's diagonal *)
+let dense_log_abs_det n (d, perm) =
+  let parity = ref 1 and seen = Array.make n false in
+  for i = 0 to n - 1 do
+    if not seen.(i) then begin
+      let j = ref perm.(i) in
+      seen.(i) <- true;
+      while !j <> i do
+        seen.(!j) <- true;
+        parity := - !parity;
+        j := perm.(!j)
+      done
+    end
+  done;
+  let log_acc = ref 0.0 and sign = ref !parity in
+  for i = 0 to n - 1 do
+    let p = d.((i * n) + i) in
+    log_acc := !log_acc +. log (abs_float p);
+    if p < 0.0 then sign := - !sign
+  done;
+  (!log_acc, !sign)
 
-let patched_in_place_matches_dense a =
-  let m = Matrix.copy a in
-  (* the factors are in [m] before the inverse iteration starts, which
-     can overflow to a zero vector on a degenerate draw *)
-  (try ignore (Lu.left_null_vector m : Vec.t) with Invalid_argument _ -> ());
+(* Lu.left_null_vector's specification over dense factors: the
+   patched-pivot factorization, four transposed solves with every loop
+   across the full width, each normalized (by the largest modulus
+   first if the 2-norm is 0 or not finite) *)
+let dense_left_null_vector a =
+  let n = a.Matrix.rows in
   let eps = 1e-300 +. (epsilon_float *. Matrix.max_abs a) in
   match dense_factor ~patch:eps a with
-  | None -> false
-  | Some d -> Array.for_all2 Float.equal m.Matrix.data d
+  | None -> None
+  | Some (d, perm) ->
+      let solve_t b =
+        let y = Array.copy b in
+        for i = 0 to n - 1 do
+          let yi = y.(i) /. d.((i * n) + i) in
+          y.(i) <- yi;
+          for j = i + 1 to n - 1 do
+            y.(j) <- y.(j) -. (d.((i * n) + j) *. yi)
+          done
+        done;
+        for i = n - 1 downto 1 do
+          let yi = y.(i) in
+          for j = 0 to i - 1 do
+            y.(j) <- y.(j) -. (d.((i * n) + j) *. yi)
+          done
+        done;
+        let x = Array.make n 0.0 in
+        Array.iteri (fun i p -> x.(p) <- y.(i)) perm;
+        x
+      in
+      let unit y =
+        let nrm = Vec.norm2 y in
+        if nrm > 0.0 && nrm < infinity then Vec.normalize y
+        else Vec.normalize (Vec.scale (1.0 /. Vec.norm_inf y) y)
+      in
+      let x =
+        ref
+          (unit
+             (Array.init n (fun i ->
+                  0.5 +. (0.5 *. sin (float_of_int ((i * 37) + 11))))))
+      in
+      for _ = 1 to 4 do
+        x := unit (solve_t !x)
+      done;
+      Some (if !x.(Vec.max_abs_index !x) < 0.0 then Vec.scale (-1.0) !x else !x)
 
 (* a banded matrix with one column zeroed: its pivot must be patched *)
 let gen_zero_column =
@@ -787,21 +928,121 @@ let gen_zero_column =
     int_range 0 (n - 1) >|= fun k ->
     Matrix.init n n (fun i j -> if j = k then 0.0 else Matrix.get a i j))
 
+(* ---- workspaces: windowed rows, factored and refilled in place ----
+
+   A matrix goes into a workspace with a window per row: its first to
+   last nonzero column, widened by up to two columns of +0 on either
+   side. Lu.log_abs_det and Lu.left_null_vector leave the workspace
+   holding the packed factors of the windowed, bandwidth- and
+   row-bounded elimination. The factors (the whole storage, so a stale
+   entry anywhere shows), the log-determinant and the null vector must
+   equal those of dense elimination on the whole matrix. Float.equal,
+   not bits, for factors and vectors: plain elimination stores 0/pivot
+   (−0 for a negative pivot) where the bounded one leaves the input's
+   +0. A workspace is also used again without being cleared by hand,
+   so the second matrix meets the windows the first one's pivoting and
+   fill widened. *)
+
+let gen_windowed_of gen =
+  QCheck2.Gen.(
+    gen >>= fun a ->
+    let n = a.Matrix.rows in
+    array_size (return (2 * n)) (int_range 0 2) >|= fun slack ->
+    let lo = Array.make n 0 and hi = Array.make n (-1) in
+    for i = 0 to n - 1 do
+      let nz =
+        List.filter (fun j -> Matrix.get a i j <> 0.0) (List.init n Fun.id)
+      in
+      match nz with
+      | [] ->
+          if slack.(i) > 0 then begin
+            lo.(i) <- min (n - 1) i;
+            hi.(i) <- min (n - 1) (i + slack.(n + i))
+          end
+      | first :: _ ->
+          let last = List.fold_left max first nz in
+          lo.(i) <- max 0 (first - slack.(i));
+          hi.(i) <- min (n - 1) (last + slack.(n + i))
+    done;
+    (a, lo, hi))
+
+(* the storage, which holds the factors after a factorization *)
+let load w (a, lo, hi) =
+  let n = a.Matrix.rows in
+  let d = Lu.reset w ~lo ~hi in
+  for i = 0 to n - 1 do
+    for j = lo.(i) to hi.(i) do
+      d.((i * n) + j) <- Matrix.get a i j
+    done
+  done;
+  d
+
+let workspace_matches_dense w ((a, _, _) as input) =
+  let storage = load w input in
+  let log_d, sign = Lu.log_abs_det w in
+  match dense_factor a with
+  | None -> sign = 0
+  | Some ((d, _) as f) ->
+      let ref_log, ref_sign = dense_log_abs_det a.Matrix.rows f in
+      sign = ref_sign && same_bits log_d ref_log
+      && Array.for_all2 Float.equal storage d
+
+let null_vector_matches_dense w ((a, _, _) as input) =
+  let storage = load w input in
+  let u = Lu.left_null_vector w in
+  let eps = 1e-300 +. (epsilon_float *. Matrix.max_abs a) in
+  match (dense_factor ~patch:eps a, dense_left_null_vector a) with
+  | Some (d, _), Some v ->
+      Array.for_all2 Float.equal storage d && Array.for_all2 Float.equal u v
+  | _ -> false
+
+let fresh f ((a, _, _) as input) = f (Lu.workspace a.Matrix.rows) input
+
 let prop_lu_in_place_banded =
   QCheck2.Test.make
-    ~name:"in-place band-bounded LU = dense elimination (banded)" ~count:200
-    gen_banded in_place_matches_dense
+    ~name:"in-place band-bounded LU = dense elimination (banded)" ~count:300
+    (gen_windowed_of
+       QCheck2.Gen.(oneof [ gen_banded; gen_permuted_dominant ]))
+    (fresh workspace_matches_dense)
 
 let prop_lu_in_place_dense =
   QCheck2.Test.make ~name:"in-place band-bounded LU = dense elimination (dense)"
-    ~count:100 gen_matrix in_place_matches_dense
+    ~count:100 (gen_windowed_of gen_matrix)
+    (fresh workspace_matches_dense)
 
 let prop_lu_in_place_patched =
   QCheck2.Test.make
     ~name:"in-place band-bounded LU = dense elimination (patched pivot)"
-    ~count:200
-    QCheck2.Gen.(oneof [ gen_zero_column; gen_banded; gen_matrix ])
-    patched_in_place_matches_dense
+    ~count:300
+    (gen_windowed_of
+       QCheck2.Gen.(
+         oneof
+           [ gen_zero_column; gen_banded; gen_permuted_dominant; gen_matrix ]))
+    (fresh null_vector_matches_dense)
+
+(* two windowed matrices of one order; the first pivots *)
+let prop_workspace_refill =
+  QCheck2.Test.make
+    ~name:"workspace refilled after pivoting = dense elimination" ~count:300
+    QCheck2.Gen.(
+      gen_windowed_of
+        (oneof [ gen_banded; gen_permuted_dominant; gen_zero_column; gen_matrix ])
+      >>= fun ((a, _, _) as second) ->
+      let n = a.Matrix.rows in
+      gen_windowed_of
+        ( shuffle_a (Array.init n Fun.id) >|= fun perm ->
+          Matrix.init n n (fun i j ->
+              if j = perm.(i) then float_of_int (n + 1)
+              else if abs (i - j) <= 1 then 0.5
+              else 0.0) )
+      >|= fun first -> (first, second))
+    (fun (((a, _, _) as first), second) ->
+      let w = Lu.workspace a.Matrix.rows in
+      ignore (load w first : float array);
+      ignore (Lu.left_null_vector w : Vec.t);
+      workspace_matches_dense w second
+      && null_vector_matches_dense w first
+      && workspace_matches_dense w second)
 
 let prop_eigen_count =
   QCheck2.Test.make ~name:"eigenvalue count = dimension" ~count:40 gen_matrix
@@ -848,6 +1089,10 @@ let () =
           Alcotest.test_case "singular detection" `Quick test_lu_singular_detection;
           Alcotest.test_case "left null vector, zero pivot" `Quick
             test_lu_left_null_vector_zero_pivot;
+          Alcotest.test_case "left null vector, zero matrix" `Quick
+            test_lu_left_null_vector_zero_matrix;
+          Alcotest.test_case "workspace windows checked" `Quick
+            test_lu_workspace_reset_checks;
           Alcotest.test_case "max_abs propagates NaN" `Quick test_max_abs_nan;
         ] );
       ( "qr",
@@ -923,6 +1168,8 @@ let () =
             test_eigen_observed_bit_identical;
           Alcotest.test_case "qr exhaustion payload" `Quick
             test_qr_exhaustion_payload;
+          Alcotest.test_case "qr signed zeros pinned" `Quick
+            test_qr_signed_zeros_pinned;
         ] );
       ( "properties",
         qc
@@ -936,6 +1183,7 @@ let () =
             prop_lu_in_place_banded;
             prop_lu_in_place_dense;
             prop_lu_in_place_patched;
+            prop_workspace_refill;
             prop_eigen_count;
             prop_transpose_mul;
           ] );

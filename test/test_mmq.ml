@@ -362,22 +362,24 @@ let test_geometric_queue_quantiles () =
 
 let test_spectral_real_eigenvectors_match_complex () =
   (* the paper model's spectrum is real, so every left eigenvector comes
-     from the real LU; it must be the one the complex LU finds *)
+     from the real LU; it must be the one the complex LU finds. One
+     workspace serves every eigenvalue, as in the solver, so each Q(z_k)
+     goes in over the windows the previous factorization left. *)
   List.iter
     (fun servers ->
       let q =
         Qbd.create ~env:(paper_env ~servers)
           ~lambda:(0.8 *. float_of_int servers) ~mu:1.0
       in
+      let work = Urs_linalg.Lu.workspace (Qbd.s q) in
       Array.iter
         (fun z ->
           if Cx.im z <> 0.0 then
             Alcotest.failf "N=%d: complex eigenvalue %a" servers Cx.pp z;
-          let qz = M.create (Qbd.s q) (Qbd.s q) in
-          Qbd.char_poly_real q (Cx.re z) qz;
+          Qbd.char_poly_real q (Cx.re z) work;
           let real =
             Urs_linalg.Cvec.normalize
-              (Urs_linalg.Cvec.of_real (Urs_linalg.Lu.left_null_vector qz))
+              (Urs_linalg.Cvec.of_real (Urs_linalg.Lu.left_null_vector work))
           in
           let complex =
             Urs_linalg.Clu.left_null_vector (Qbd.char_poly_at q z)
@@ -443,6 +445,73 @@ let test_pinned_answers () =
     ~l:0x1.729fd96c9a6f8p+2 ~residual:0x1.7450cd8p-50
     ~cond:0x1.1028a5692af5bp+5 ~z:0x1.81035c61a8924p-1
     ~geo_z:0x1.81035c61a8965p-1 ~geo_l:0x1.8415b86c885a4p+1
+
+(* The eigenvalue stage pinned bit for bit: Osborne balancing and the
+   Francis QR iteration on the companion matrices of the paper model at
+   N = 5 (42 real eigenvalues) and of Erlang-3 operative periods at
+   N = 3 (40 eigenvalues, complex pairs among them). Each digest is the
+   MD5 of the values' %h renderings in output order, so a change to any
+   bit, zero signs included, or to the order fails; a few values are
+   spelt out for the reader. *)
+let digest_floats xs =
+  Digest.to_hex
+    (Digest.string (String.concat ";" (List.map (Printf.sprintf "%h") xs)))
+
+let erlang3_env () =
+  Environment.create_ph ~servers:3
+    ~operative:
+      (Urs_prob.Phase_type.of_erlang (Urs_prob.Erlang.create ~k:3 ~rate:0.3))
+    ~inoperative:(Urs_prob.Phase_type.of_hyperexponential (exp_dist 2.0))
+    ()
+
+let pinned_companions () =
+  [
+    ( "paper N=5",
+      Qbd.create ~env:(paper_env ~servers:5) ~lambda:4.0 ~mu:1.0,
+      "3451a81c64cf3f3f6fb71ecc61df8f81",
+      "1a9e0150cc46b0d6a3f5dd053853ef31",
+      [ (1, 0x1.0348133d3b228p+5, 0.0); (22, 0x1.ffffffffffffap-1, 0.0) ] );
+    ( "erlang-3 N=3",
+      Qbd.create ~env:(erlang3_env ()) ~lambda:2.0 ~mu:1.0,
+      "d3cedf68272ca596934ca0de2e1490c0",
+      "f527379f431613cd7f98a4f328a5d014",
+      [
+        (2, 0x1.d15c82c8f4398p+1, -0x1.850e83ad5c44cp-3);
+        (3, 0x1.d15c82c8f4398p+1, 0x1.850e83ad5c44cp-3);
+        (22, 0x1.1facce01f2382p-3, -0x1.be1887e3da33bp-9);
+      ] );
+  ]
+
+let test_pinned_eigenvalue_stage () =
+  let bits name expected actual =
+    let b = Int64.bits_of_float in
+    if not (Int64.equal (b expected) (b actual)) then
+      Alcotest.failf "%s: expected %h, got %h" name expected actual
+  in
+  List.iter
+    (fun (label, q, eig_digest, balance_digest, spelt) ->
+      let m =
+        Urs_linalg.Companion.reversed ~q0:(Qbd.q0 q) ~q1:(Qbd.q1 q)
+          ~q2:(Qbd.q2 q)
+      in
+      let b = Urs_linalg.Hessenberg.balance m in
+      Alcotest.(check string)
+        (label ^ " balanced companion") balance_digest
+        (digest_floats (Array.to_list b.M.data));
+      let ev =
+        Urs_linalg.Qr_eig.eigenvalues_hessenberg
+          (Urs_linalg.Hessenberg.reduce b)
+      in
+      List.iter
+        (fun (i, re, im) ->
+          bits (Printf.sprintf "%s eigenvalue %d re" label i) re (Cx.re ev.(i));
+          bits (Printf.sprintf "%s eigenvalue %d im" label i) im (Cx.im ev.(i)))
+        spelt;
+      Alcotest.(check string)
+        (label ^ " eigenvalues") eig_digest
+        (digest_floats
+           (List.concat_map (fun z -> [ Cx.re z; Cx.im z ]) (Array.to_list ev))))
+    (pinned_companions ())
 
 (* ---- phase-type extension (beyond the paper) ---- *)
 
@@ -959,6 +1028,8 @@ let () =
             test_spectral_real_eigenvectors_match_complex;
           Alcotest.test_case "answers pinned bit for bit" `Quick
             test_pinned_answers;
+          Alcotest.test_case "balancing and QR eigenvalues pinned bit for bit"
+            `Quick test_pinned_eigenvalue_stage;
         ] );
       ( "phase-type extension",
         [

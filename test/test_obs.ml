@@ -1711,7 +1711,16 @@ let test_runtime_measure () =
   if d.Runtime.heap_words_after <= 0 then
     Alcotest.fail "heap_words_after should be positive";
   if d.Runtime.top_heap_words_after < d.Runtime.heap_words_after then
-    Alcotest.fail "top heap below current heap"
+    Alcotest.fail "top heap below current heap";
+  (* 10,000 boxed floats in a list, five words each, all in the minor
+     heap: Gc.quick_stat's minor words would read 0 unless a collection
+     fell inside the region *)
+  let _, d =
+    Runtime.measure (fun () ->
+        List.length (Sys.opaque_identity (List.init 10_000 Float.of_int)))
+  in
+  if d.Runtime.d_minor_words < 30_000.0 then
+    Alcotest.failf "minor words undercounted: %g" d.Runtime.d_minor_words
 
 let test_runtime_probe () =
   with_clean_ledger @@ fun () ->
