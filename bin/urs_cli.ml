@@ -334,34 +334,12 @@ let read_ledger_records ?filter cmd path =
 (* ---- shared argument parsing ---- *)
 
 let dist_conv =
-  (* "exp:RATE" | "h2:W1,R1,R2" | "det:VALUE" | "erlang:K,RATE" *)
+  (* "exp:RATE" | "h2:W1,R1,R2" | "det:VALUE" | "erlang:K,RATE", parsed
+     as in POST /solve *)
   let parse s =
-    match String.split_on_char ':' s with
-    | [ "exp"; r ] -> (
-        match float_of_string_opt r with
-        | Some r when r > 0.0 -> Ok (Urs_prob.Distribution.exponential ~rate:r)
-        | _ -> Error (`Msg "exp: needs a positive rate"))
-    | [ "h2"; rest ] -> (
-        match List.map float_of_string_opt (String.split_on_char ',' rest) with
-        | [ Some w1; Some r1; Some r2 ] when w1 >= 0.0 && w1 <= 1.0 ->
-            Ok (Urs_prob.Distribution.h2 ~w1 ~r1 ~r2)
-        | _ -> Error (`Msg "h2: needs W1,RATE1,RATE2"))
-    | [ "det"; v ] -> (
-        match float_of_string_opt v with
-        | Some v when v > 0.0 -> Ok (Urs_prob.Distribution.deterministic v)
-        | _ -> Error (`Msg "det: needs a positive value"))
-    | [ "erlang"; rest ] -> (
-        match String.split_on_char ',' rest with
-        | [ k; r ] -> (
-            match (int_of_string_opt k, float_of_string_opt r) with
-            | Some k, Some r when k >= 1 && r > 0.0 ->
-                Ok (Urs_prob.Distribution.erlang ~k ~rate:r)
-            | _ -> Error (`Msg "erlang: needs K,RATE"))
-        | _ -> Error (`Msg "erlang: needs K,RATE"))
-    | _ -> Error (`Msg (Printf.sprintf "unknown distribution %S" s))
+    Result.map_error (fun msg -> `Msg msg) (Urs.Solve_service.dist_of_string s)
   in
-  let print ppf d = Urs_prob.Distribution.pp ppf d in
-  Arg.conv (parse, print)
+  Arg.conv (parse, Urs_prob.Distribution.pp)
 
 let servers =
   Arg.(value & opt int 10 & info [ "N"; "servers" ] ~doc:"Number of servers.")

@@ -40,66 +40,67 @@ let strategy_label = function
   | Matrix_geometric -> "mg"
   | Simulation _ -> "sim"
 
+(* The three QBD solvers share one shape: solve, map the solver's error,
+   and read L, W and z_s off the solution together with the gauge values
+   of this very solve (z_s first, then [more]) for the ledger record. *)
+let analytic model verdict strategy ~solve ~error ~answer =
+  match Model.qbd model with
+  | None -> Error Not_phase_type
+  | Some q -> (
+      match solve q with
+      | Error e -> Error (error e)
+      | Ok sol ->
+          let mean_jobs, mean_response, z, more = answer sol in
+          Ok
+            ( {
+                strategy_used = strategy;
+                mean_jobs;
+                mean_response;
+                utilization = verdict.Mq.Stability.utilization;
+                dominant_eigenvalue = Some z;
+                confidence_half_width = None;
+              },
+              ("urs_spectral_dominant_z", z) :: more ))
+
 let evaluate_inner ?pool ?max_iter ?(strategy = Exact) model =
   let verdict = Model.stability model in
   if not verdict.Mq.Stability.stable then Error (Unstable verdict)
   else
     match strategy with
-    | Exact -> (
-        match Model.qbd model with
-        | None -> Error Not_phase_type
-        | Some q -> (
-            match Mq.Spectral.solve ?max_iter q with
-            | Error (Mq.Spectral.Unstable v) -> Error (Unstable v)
-            | Error e -> Error (Solver_failure (render Mq.Spectral.pp_error e))
-            | Ok sol ->
-                Ok
-                  {
-                    strategy_used = strategy;
-                    mean_jobs = Mq.Spectral.mean_queue_length sol;
-                    mean_response = Mq.Spectral.mean_response_time sol;
-                    utilization = verdict.Mq.Stability.utilization;
-                    dominant_eigenvalue =
-                      Some (Mq.Spectral.dominant_eigenvalue sol);
-                    confidence_half_width = None;
-                  }))
-    | Approximate -> (
-        match Model.qbd model with
-        | None -> Error Not_phase_type
-        | Some q -> (
-            match Mq.Geometric.solve q with
-            | Error (Mq.Geometric.Unstable v) -> Error (Unstable v)
-            | Error e -> Error (Solver_failure (render Mq.Geometric.pp_error e))
-            | Ok sol ->
-                Ok
-                  {
-                    strategy_used = strategy;
-                    mean_jobs = Mq.Geometric.mean_queue_length sol;
-                    mean_response = Mq.Geometric.mean_response_time sol;
-                    utilization = verdict.Mq.Stability.utilization;
-                    dominant_eigenvalue =
-                      Some (Mq.Geometric.dominant_eigenvalue sol);
-                    confidence_half_width = None;
-                  }))
-    | Matrix_geometric -> (
-        match Model.qbd model with
-        | None -> Error Not_phase_type
-        | Some q -> (
-            match Mq.Matrix_geometric.solve q with
-            | Error (Mq.Matrix_geometric.Unstable v) -> Error (Unstable v)
-            | Error e ->
-                Error (Solver_failure (render Mq.Matrix_geometric.pp_error e))
-            | Ok sol ->
-                Ok
-                  {
-                    strategy_used = strategy;
-                    mean_jobs = Mq.Matrix_geometric.mean_queue_length sol;
-                    mean_response = Mq.Matrix_geometric.mean_response_time sol;
-                    utilization = verdict.Mq.Stability.utilization;
-                    dominant_eigenvalue =
-                      Some (Mq.Matrix_geometric.spectral_radius_estimate sol);
-                    confidence_half_width = None;
-                  }))
+    | Exact ->
+        analytic model verdict strategy ~solve:(Mq.Spectral.solve ?max_iter)
+          ~error:(function
+            | Mq.Spectral.Unstable v -> Unstable v
+            | e -> Solver_failure (render Mq.Spectral.pp_error e))
+          ~answer:(fun sol ->
+            ( Mq.Spectral.mean_queue_length sol,
+              Mq.Spectral.mean_response_time sol,
+              Mq.Spectral.dominant_eigenvalue sol,
+              [
+                ("urs_spectral_residual", Mq.Spectral.residual sol);
+                ( "urs_spectral_eigenvalues",
+                  float_of_int (Array.length (Mq.Spectral.eigenvalues sol)) );
+              ] ))
+    | Approximate ->
+        analytic model verdict strategy ~solve:Mq.Geometric.solve
+          ~error:(function
+            | Mq.Geometric.Unstable v -> Unstable v
+            | e -> Solver_failure (render Mq.Geometric.pp_error e))
+          ~answer:(fun sol ->
+            ( Mq.Geometric.mean_queue_length sol,
+              Mq.Geometric.mean_response_time sol,
+              Mq.Geometric.dominant_eigenvalue sol,
+              [] ))
+    | Matrix_geometric ->
+        analytic model verdict strategy ~solve:Mq.Matrix_geometric.solve
+          ~error:(function
+            | Mq.Matrix_geometric.Unstable v -> Unstable v
+            | e -> Solver_failure (render Mq.Matrix_geometric.pp_error e))
+          ~answer:(fun sol ->
+            ( Mq.Matrix_geometric.mean_queue_length sol,
+              Mq.Matrix_geometric.mean_response_time sol,
+              Mq.Matrix_geometric.spectral_radius_estimate sol,
+              [] ))
     | Simulation opts ->
         let cfg =
           {
@@ -116,15 +117,16 @@ let evaluate_inner ?pool ?max_iter ?(strategy = Exact) model =
             ~replications:opts.replications ~duration:opts.duration cfg
         in
         Ok
-          {
-            strategy_used = strategy;
-            mean_jobs = summary.Urs_sim.Replicate.mean_jobs.estimate;
-            mean_response = summary.Urs_sim.Replicate.mean_response.estimate;
-            utilization = verdict.Mq.Stability.utilization;
-            dominant_eigenvalue = None;
-            confidence_half_width =
-              Some summary.Urs_sim.Replicate.mean_jobs.half_width;
-          }
+          ( {
+              strategy_used = strategy;
+              mean_jobs = summary.Urs_sim.Replicate.mean_jobs.estimate;
+              mean_response = summary.Urs_sim.Replicate.mean_response.estimate;
+              utilization = verdict.Mq.Stability.utilization;
+              dominant_eigenvalue = None;
+              confidence_half_width =
+                Some summary.Urs_sim.Replicate.mean_jobs.half_width;
+            },
+            [] )
 
 let ledger_params model =
   [
@@ -137,19 +139,6 @@ let ledger_params model =
       | None -> Json.Null );
   ]
 
-(* snapshot of the last-write gauges that belong to this strategy; the
-   ledger keeps the per-solve history the process-wide gauges cannot *)
-let ledger_gauges strat =
-  let labels = [ ("strategy", strategy_label strat) ] in
-  List.filter_map
-    (fun name ->
-      Option.map (fun v -> (name, v)) (Metrics.value ~labels name))
-    [
-      "urs_spectral_dominant_z";
-      "urs_spectral_residual";
-      "urs_spectral_eigenvalues";
-    ]
-
 let evaluate ?pool ?max_iter ?(strategy = Exact) model =
   let labels = [ ("strategy", strategy_label strategy) ] in
   Metrics.inc
@@ -161,44 +150,38 @@ let evaluate ?pool ?max_iter ?(strategy = Exact) model =
         evaluate_inner ?pool ?max_iter ~strategy model)
   in
   let wall = Span.now () -. t0 in
-  let outcome_counter =
+  let outcome, summary, gauges =
     match result with
-    | Ok _ ->
-        Metrics.counter ~labels ~help:"Solver.evaluate successes"
-          "urs_solver_success_total"
-    | Error _ ->
-        Metrics.counter ~labels ~help:"Solver.evaluate failures"
-          "urs_solver_failures_total"
+    | Ok (p, gauges) ->
+        Metrics.inc
+          (Metrics.counter ~labels ~help:"Solver.evaluate successes"
+             "urs_solver_success_total");
+        ( "ok",
+          List.concat
+            [
+              [
+                ("mean_jobs", Json.Float p.mean_jobs);
+                ("mean_response", Json.Float p.mean_response);
+                ("utilization", Json.Float p.utilization);
+              ];
+              (match p.dominant_eigenvalue with
+              | Some z -> [ ("dominant_z", Json.Float z) ]
+              | None -> []);
+              (match p.confidence_half_width with
+              | Some hw -> [ ("ci_half_width", Json.Float hw) ]
+              | None -> []);
+            ],
+          gauges )
+    | Error e ->
+        Metrics.inc
+          (Metrics.counter ~labels ~help:"Solver.evaluate failures"
+             "urs_solver_failures_total");
+        ("error", [ ("error", Json.String (render pp_error e)) ], [])
   in
-  Metrics.inc outcome_counter;
-  (match result with
-  | Ok p ->
-      Ledger.record ~kind:"solver.evaluate"
-        ~strategy:(strategy_label strategy) ~params:(ledger_params model)
-        ~wall_seconds:wall
-        ~summary:
-          (List.concat
-             [
-               [
-                 ("mean_jobs", Json.Float p.mean_jobs);
-                 ("mean_response", Json.Float p.mean_response);
-                 ("utilization", Json.Float p.utilization);
-               ];
-               (match p.dominant_eigenvalue with
-               | Some z -> [ ("dominant_z", Json.Float z) ]
-               | None -> []);
-               (match p.confidence_half_width with
-               | Some hw -> [ ("ci_half_width", Json.Float hw) ]
-               | None -> []);
-             ])
-        ~gauges:(ledger_gauges strategy) ()
-  | Error e ->
-      Ledger.record ~kind:"solver.evaluate"
-        ~strategy:(strategy_label strategy) ~params:(ledger_params model)
-        ~wall_seconds:wall ~outcome:"error"
-        ~summary:[ ("error", Json.String (render pp_error e)) ]
-        ());
-  result
+  Ledger.record ~kind:"solver.evaluate" ~strategy:(strategy_label strategy)
+    ~params:(ledger_params model) ~wall_seconds:wall ~outcome ~summary ~gauges
+    ();
+  Result.map fst result
 
 let evaluate_exn ?pool ?max_iter ?strategy model =
   match evaluate ?pool ?max_iter ?strategy model with

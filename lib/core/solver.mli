@@ -61,10 +61,14 @@ val evaluate :
     a solver which fails on demand.
 
     Besides the per-strategy call/success/failure counters and the
-    [urs_solver_evaluate] span, every call appends a
+    [urs_solver_evaluate] span, every call appends one
     ["solver.evaluate"] record to the active {!Urs_obs.Ledger}
-    (strategy, model parameters, wall time, performance summary and a
-    snapshot of the strategy's last-solve gauges). *)
+    (strategy, model parameters, wall time, and the performance summary
+    or the error). Its [gauges] are the values of this call's own solve,
+    under the names of the last-solve gauges: [urs_spectral_dominant_z]
+    for the three analytic strategies, and for [Exact] also
+    [urs_spectral_residual] and [urs_spectral_eigenvalues] — so the
+    record is the same whatever runs on other pool domains. *)
 
 val evaluate_exn :
   ?pool:Urs_exec.Pool.t ->

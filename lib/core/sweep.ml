@@ -35,35 +35,27 @@ let eval_point ?strategy ?cache ~sweep ~param model =
   let t0 = Span.now () in
   let result = Solve_cache.evaluate ?cache ?strategy model in
   let wall = Span.now () -. t0 in
-  let base_summary =
-    [ ("sweep", Json.String sweep); ("param", Json.String param) ]
+  let outcome, fields =
+    match result with
+    | Ok perf ->
+        ( "ok",
+          [
+            ("mean_jobs", Json.Float perf.Solver.mean_jobs);
+            ("mean_response", Json.Float perf.Solver.mean_response);
+            ("utilization", Json.Float perf.Solver.utilization);
+          ] )
+    | Error e ->
+        ( "dropped",
+          [ ("error", Json.String (Format.asprintf "%a" Solver.pp_error e)) ]
+        )
   in
-  let strategy_label =
-    Solver.strategy_label (Option.value strategy ~default:Solver.Exact)
-  in
-  (match result with
-  | Ok perf ->
-      Ledger.record ~kind:"sweep.point" ~strategy:strategy_label
-        ~params:(Solver.ledger_params model) ~wall_seconds:wall
-        ~summary:
-          (base_summary
-          @ [
-              ("mean_jobs", Json.Float perf.Solver.mean_jobs);
-              ("mean_response", Json.Float perf.Solver.mean_response);
-              ("utilization", Json.Float perf.Solver.utilization);
-            ])
-        ()
-  | Error e ->
-      Ledger.record ~kind:"sweep.point" ~strategy:strategy_label
-        ~params:(Solver.ledger_params model) ~wall_seconds:wall
-        ~outcome:"dropped"
-        ~summary:
-          (base_summary
-          @ [
-              ( "error",
-                Json.String (Format.asprintf "%a" Solver.pp_error e) );
-            ])
-        ());
+  Ledger.record ~kind:"sweep.point"
+    ~strategy:
+      (Solver.strategy_label (Option.value strategy ~default:Solver.Exact))
+    ~params:(Solver.ledger_params model) ~wall_seconds:wall ~outcome
+    ~summary:
+      (("sweep", Json.String sweep) :: ("param", Json.String param) :: fields)
+    ();
   match result with
   | Ok perf -> Some perf
   | Error e ->

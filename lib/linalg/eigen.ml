@@ -1,6 +1,5 @@
-let eigenvalues ?(balance = true) ?max_iter ?observe a =
-  let b = if balance then Hessenberg.balance a else a in
-  let h = Hessenberg.reduce b in
+let eigenvalues ?max_iter ?observe a =
+  let h = Hessenberg.reduce (Hessenberg.balance a) in
   Qr_eig.eigenvalues_hessenberg ?max_iter ?observe h
 
 let shifted a z =

@@ -29,7 +29,10 @@ let pp_error ppf = function
 
 type t = { qbd : Qbd.t; z : float; weights : V.t }
 
-let solve_inner ~scan_points q =
+(* sign-scan resolution for locating the dominant root in (0, 1) *)
+let scan_points = 400
+
+let solve_inner q =
   let env = Qbd.env q in
   let verdict = Stability.check ~env ~lambda:(Qbd.lambda q) ~mu:(Qbd.mu q) in
   if not verdict.Stability.stable then Error (Unstable verdict)
@@ -38,73 +41,44 @@ let solve_inner ~scan_points q =
        refinement, then the weight vector's null-vector solve *)
     let work = Urs_linalg.Lu.workspace (Qbd.s q) in
     let f z = Qbd.det_q_scaled q work z in
-    (* per-iteration bracket telemetry of the Brent refinement; gated
-       globally, zero overhead when off *)
-    let conv =
-      if Urs_obs.Convergence.recording () then
-        Some
-          (Urs_obs.Convergence.create ~solver:"brent"
-             ~label:
-               (Printf.sprintf "geometric N=%d s=%d"
-                  (Environment.servers env) (Qbd.s q))
-             ())
-      else None
-    in
-    let observe =
-      Option.map
-        (fun c ~iteration ~width ~best ->
-          Urs_obs.Convergence.observe c ~iteration ~residual:width ~shift:best
-            ())
-        conv
-    in
-    let finish_conv converged =
-      Option.iter
-        (fun c ->
-          ignore
-            (Urs_obs.Convergence.finish ~converged c
-              : Urs_obs.Convergence.trace))
-        conv
-    in
+    (* per-iteration bracket telemetry of the Brent refinement; a scan
+       that finds no root finishes its trace as not converged *)
     match
-      Urs_linalg.Rootfind.largest_root_in ~scan_points ?observe f 1e-9
-        (1.0 -. 1e-9)
+      Urs_obs.Convergence.track ~solver:"brent"
+        ~label:(fun () ->
+          Printf.sprintf "geometric N=%d s=%d" (Environment.servers env)
+            (Qbd.s q))
+        ~callback:(fun obs ~iteration ~width ~best ->
+          obs ~iteration ~residual:width ~shift:best ())
+        ~converged:Option.is_some
+        (fun observe ->
+          Urs_linalg.Rootfind.largest_root_in ~scan_points ?observe f 1e-9
+            (1.0 -. 1e-9))
     with
     | exception Urs_linalg.Rootfind.Exhausted { iterations; width; best; _ } ->
-        finish_conv false;
         Error (Root_exhausted { iterations; width; best })
     | None -> Error Root_not_found
     | Some z ->
-        finish_conv true;
         Qbd.char_poly_real q z work;
         let u = Urs_linalg.Lu.left_null_vector work in
         let weights = V.scale (1.0 /. V.sum u) u in
         Ok { qbd = q; z; weights }
   end
 
-let solve ?(scan_points = 400) q =
+let solve q =
   let t0 = Span.now () in
-  let result = solve_inner ~scan_points q in
+  let result = solve_inner q in
   let wall = Span.now () -. t0 in
-  let params =
-    [
-      ("servers", Json.Int (Environment.servers (Qbd.env q)));
-      ("modes", Json.Int (Qbd.s q));
-      ("lambda", Json.Float (Qbd.lambda q));
-      ("mu", Json.Float (Qbd.mu q));
-    ]
+  let outcome, summary =
+    match result with
+    | Ok sol ->
+        Metrics.set m_dominant sol.z;
+        ("ok", [ ("dominant_z", Json.Float sol.z) ])
+    | Error e ->
+        ("error", [ ("error", Json.String (Format.asprintf "%a" pp_error e)) ])
   in
-  (match result with
-  | Ok sol ->
-      Metrics.set m_dominant sol.z;
-      Ledger.record ~kind:"geometric.solve" ~strategy:"approx" ~params
-        ~wall_seconds:wall
-        ~summary:[ ("dominant_z", Json.Float sol.z) ]
-        ()
-  | Error e ->
-      Ledger.record ~kind:"geometric.solve" ~strategy:"approx" ~params
-        ~wall_seconds:wall ~outcome:"error"
-        ~summary:[ ("error", Json.String (Format.asprintf "%a" pp_error e)) ]
-        ());
+  Ledger.record ~kind:"geometric.solve" ~strategy:"approx"
+    ~params:(Qbd.ledger_params q) ~wall_seconds:wall ~outcome ~summary ();
   result
 
 let qbd t = t.qbd

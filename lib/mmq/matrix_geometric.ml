@@ -48,50 +48,40 @@ let compute_r ~tol ~max_iter q =
     | Error `Singular -> raise (Solve_error (Numerical "singular Q1 block"))
   in
   (* per-iteration telemetry of the fixed point (entrywise delta per
-     sweep); gated globally, zero overhead when off *)
-  let conv =
-    if Urs_obs.Convergence.recording () then
-      Some
-        (Urs_obs.Convergence.create ~max_iter ~solver:"mg_r"
-           ~label:
-             (Printf.sprintf "mg N=%d s=%d"
-                (Environment.servers (Qbd.env q))
-                s)
-           ())
-    else None
+     sweep); the loop state lives inside the tracked function, so no
+     closure boxes it *)
+  let r, iterations, delta =
+    Urs_obs.Convergence.track ~max_iter ~solver:"mg_r"
+      ~label:(fun () ->
+        Printf.sprintf "mg N=%d s=%d" (Environment.servers (Qbd.env q)) s)
+      ~callback:Fun.id
+      ~converged:(fun (_, _, delta) -> not (delta > tol))
+      (fun observe ->
+        (* R ← −(Q0 + R²Q2) Q1⁻¹, i.e. solve X Q1 = −(Q0 + R²Q2):
+           transpose to Q1ᵀ Xᵀ = −(...)ᵀ *)
+        let r = ref (M.create s s) in
+        let delta = ref infinity in
+        let iters = ref 0 in
+        while !delta > tol && !iters < max_iter do
+          incr iters;
+          let rhs = M.scale (-1.0) (M.add q0 (M.mul (M.mul !r !r) q2)) in
+          (* row i of the update X solves xᵢ Q1 = rhsᵢ, i.e.
+             Q1ᵀ xᵢᵀ = rhsᵢᵀ *)
+          let x = M.create s s in
+          for i = 0 to s - 1 do
+            M.set_row x i (Lu.solve_transposed q1_f (M.row rhs i))
+          done;
+          delta := M.max_abs (M.sub x !r);
+          (match observe with
+          | None -> ()
+          | Some obs -> obs ~iteration:!iters ~residual:!delta ());
+          r := x
+        done;
+        (!r, !iters, !delta))
   in
-  let finish_conv converged =
-    Option.iter
-      (fun c ->
-        ignore (Urs_obs.Convergence.finish ~converged c : Urs_obs.Convergence.trace))
-      conv
-  in
-  (* R ← −(Q0 + R²Q2) Q1⁻¹, i.e. solve X Q1 = −(Q0 + R²Q2):
-     transpose to Q1ᵀ Xᵀ = −(...)ᵀ *)
-  let r = ref (M.create s s) in
-  let delta = ref infinity in
-  let iters = ref 0 in
-  while !delta > tol && !iters < max_iter do
-    incr iters;
-    let rhs = M.scale (-1.0) (M.add q0 (M.mul (M.mul !r !r) q2)) in
-    (* row i of the update X solves xᵢ Q1 = rhsᵢ, i.e. Q1ᵀ xᵢᵀ = rhsᵢᵀ *)
-    let x = M.create s s in
-    for i = 0 to s - 1 do
-      M.set_row x i (Lu.solve_transposed q1_f (M.row rhs i))
-    done;
-    delta := M.max_abs (M.sub x !r);
-    (match conv with
-    | None -> ()
-    | Some c ->
-        Urs_obs.Convergence.observe c ~iteration:!iters ~residual:!delta ());
-    r := x
-  done;
-  if !delta > tol then begin
-    finish_conv false;
-    raise (Solve_error (No_convergence { iterations = !iters; delta = !delta }))
-  end;
-  finish_conv true;
-  (!r, !iters)
+  if delta > tol then
+    raise (Solve_error (No_convergence { iterations; delta }));
+  (r, iterations)
 
 let neg_cm m = CM.scale (Urs_linalg.Cx.of_float (-1.0)) m
 
@@ -212,30 +202,21 @@ let solve ?(tol = 1e-13) ?(max_iter = 200_000) q =
     Span.with_ ~name:"urs_mg_solve" (fun () -> solve_inner ~tol ~max_iter q)
   in
   let wall = Span.now () -. t0 in
-  let params =
-    [
-      ("servers", Json.Int (Environment.servers (Qbd.env q)));
-      ("modes", Json.Int (Qbd.s q));
-      ("lambda", Json.Float (Qbd.lambda q));
-      ("mu", Json.Float (Qbd.mu q));
-    ]
-  in
-  (match result with
-  | Ok sol ->
-      let rho = spectral_radius_estimate sol in
-      Metrics.set m_dominant rho;
-      Ledger.record ~kind:"mg.solve" ~strategy:"mg" ~params ~wall_seconds:wall
-        ~summary:
+  let outcome, summary =
+    match result with
+    | Ok sol ->
+        let rho = spectral_radius_estimate sol in
+        Metrics.set m_dominant rho;
+        ( "ok",
           [
             ("spectral_radius", Json.Float rho);
             ("r_iterations", Json.Int sol.iterations);
-          ]
-        ()
-  | Error e ->
-      Ledger.record ~kind:"mg.solve" ~strategy:"mg" ~params ~wall_seconds:wall
-        ~outcome:"error"
-        ~summary:[ ("error", Json.String (Format.asprintf "%a" pp_error e)) ]
-        ());
+          ] )
+    | Error e ->
+        ("error", [ ("error", Json.String (Format.asprintf "%a" pp_error e)) ])
+  in
+  Ledger.record ~kind:"mg.solve" ~strategy:"mg" ~params:(Qbd.ledger_params q)
+    ~wall_seconds:wall ~outcome ~summary ();
   result
 
 let vector_at t j =

@@ -79,6 +79,7 @@ type t = {
   boundary : V.t array; (* v_0 .. v_{N-1} *)
   boundary_condition : float;
       (* worst pivot-ratio estimate over the boundary LU factorizations *)
+  residual : float; (* filled by [solve] once its span has closed *)
 }
 
 let qbd t = t.qbd
@@ -108,7 +109,11 @@ exception Solve_error of error
    effective cap even when the caller does not override it *)
 let default_qr_max_iter = 100
 
-let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
+(* the unit-circle exclusion band used to classify the companion's
+   eigenvalues as inside the unit disk *)
+let eig_tol = 1e-9
+
+let solve_stages ?max_iter q =
   let env = Qbd.env q in
   let n_servers = Environment.servers env in
   let s = Qbd.s q in
@@ -125,33 +130,6 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
           ~labels:[ ("stage", "eigenvalues") ]
           (fun () ->
             let sweeps_before = Urs_linalg.Qr_eig.total_sweeps () in
-            (* per-sweep telemetry: gated globally, so ordinary solves
-               pay only this branch; the callback reads values the
-               sweep already computed, keeping results bit-identical *)
-            let conv =
-              if Urs_obs.Convergence.recording () then
-                Some
-                  (Urs_obs.Convergence.create ~max_iter:qr_max_iter
-                     ~solver:"qr"
-                     ~label:(Printf.sprintf "spectral N=%d s=%d" n_servers s)
-                     ())
-              else None
-            in
-            let observe =
-              Option.map
-                (fun c (p : Urs_linalg.Qr_eig.progress) ->
-                  Urs_obs.Convergence.observe c ~iteration:p.total
-                    ~residual:p.residual ~shift:p.shift ~active:p.remaining
-                    ~deflation:(p.event = Urs_linalg.Qr_eig.Deflate)
-                    ())
-                conv
-            in
-            let finish_conv converged =
-              Option.iter
-                (fun c ->
-                  ignore (Urs_obs.Convergence.finish ~converged c : Urs_obs.Convergence.trace))
-                conv
-            in
             Fun.protect
               ~finally:(fun () ->
                 Metrics.inc
@@ -161,17 +139,24 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
                   m_qr_sweeps)
               (fun () ->
                 try
-                  let zs =
-                    Urs_linalg.Companion.eigenvalues_inside_unit_disk
-                      ~tol:eig_tol ~max_iter:qr_max_iter ?observe ~q0 ~q1 ~q2
-                      ()
-                  in
-                  finish_conv true;
-                  zs
+                  (* the per-sweep callback reads values the sweep
+                     already computed, keeping results bit-identical *)
+                  Urs_obs.Convergence.track ~max_iter:qr_max_iter ~solver:"qr"
+                    ~label:(fun () ->
+                      Printf.sprintf "spectral N=%d s=%d" n_servers s)
+                    ~callback:(fun obs (p : Urs_linalg.Qr_eig.progress) ->
+                      obs ~iteration:p.total ~residual:p.residual
+                        ~shift:p.shift ~active:p.remaining
+                        ~deflation:(p.event = Urs_linalg.Qr_eig.Deflate)
+                        ())
+                    ~converged:(fun _ -> true)
+                    (fun observe ->
+                      Urs_linalg.Companion.eigenvalues_inside_unit_disk
+                        ~tol:eig_tol ~max_iter:qr_max_iter ?observe ~q0 ~q1
+                        ~q2 ())
                 with
                 | Urs_linalg.Qr_eig.No_convergence { dim; block; iterations }
                   ->
-                    finish_conv false;
                     raise
                       (Solve_error
                          (Numerical
@@ -418,6 +403,7 @@ let solve_stages ?(eig_tol = 1e-9) ?max_iter q =
               gammas;
               boundary;
               boundary_condition = !worst_cond;
+              residual = nan;
             })
     with
     | Solve_error e -> Error e
@@ -567,7 +553,7 @@ let mass_defect t =
   let total = !head +. tail_from t n ~weight:(fun k -> t.u_sums.(k)) in
   abs_float (total -. 1.0)
 
-let residual t =
+let balance_residual t =
   let n = num_servers t in
   (* vs.(j + 1) = v_j for j = −1 .. N+3, each level computed once *)
   let vs =
@@ -589,47 +575,38 @@ let max_eigen_residual t =
 
 let boundary_condition t = t.boundary_condition
 
-(* public entry point: the staged solve wrapped in a span, with summary
-   gauges and a ledger record written after the fact (the residual
-   doubles as an accuracy certificate and is cheap next to the
-   companion eigensolve) *)
-let solve ?eig_tol ?max_iter q =
+let residual t = t.residual
+
+(* public entry point: the staged solve wrapped in a span, then the
+   residual (an accuracy certificate, cheap next to the companion
+   eigensolve), the summary gauges and one ledger record *)
+let solve ?max_iter q =
   Metrics.inc m_solves;
   let t0 = Span.now () in
-  let result =
-    Span.with_ ~name:"urs_spectral_solve" (fun () ->
-        solve_stages ?eig_tol ?max_iter q)
+  let staged =
+    Span.with_ ~name:"urs_spectral_solve" (fun () -> solve_stages ?max_iter q)
   in
   let wall = Span.now () -. t0 in
-  let params =
-    [
-      ("servers", Json.Int (Environment.servers (Qbd.env q)));
-      ("modes", Json.Int (Qbd.s q));
-      ("lambda", Json.Float (Qbd.lambda q));
-      ("mu", Json.Float (Qbd.mu q));
-    ]
+  let result =
+    Result.map (fun sol -> { sol with residual = balance_residual sol }) staged
   in
-  (match result with
-  | Ok sol ->
-      let resid = residual sol in
-      Metrics.set m_eigenvalues (float_of_int (Array.length sol.zs));
-      Metrics.set m_dominant (dominant_eigenvalue sol);
-      Metrics.set m_residual resid;
-      Ledger.record ~kind:"spectral.solve" ~strategy:"exact" ~params
-        ~wall_seconds:wall
-        ~summary:
+  let outcome, summary =
+    match result with
+    | Ok sol ->
+        Metrics.set m_dominant (dominant_eigenvalue sol);
+        Metrics.set m_residual sol.residual;
+        ( "ok",
           [
             ("eigenvalues", Json.Int (Array.length sol.zs));
             ("dominant_z", Json.Float (dominant_eigenvalue sol));
-            ("residual", Json.Float resid);
+            ("residual", Json.Float sol.residual);
             ("boundary_condition", Json.Float sol.boundary_condition);
-          ]
-        ()
-  | Error e ->
-      Metrics.inc m_failures;
-      Ledger.record ~kind:"spectral.solve" ~strategy:"exact" ~params
-        ~wall_seconds:wall ~outcome:"error"
-        ~summary:[ ("error", Json.String (Format.asprintf "%a" pp_error e)) ]
-        ();
-      Log.info (fun m -> m "spectral solve failed: %a" pp_error e));
+          ] )
+    | Error e ->
+        Metrics.inc m_failures;
+        Log.info (fun m -> m "spectral solve failed: %a" pp_error e);
+        ("error", [ ("error", Json.String (Format.asprintf "%a" pp_error e)) ])
+  in
+  Ledger.record ~kind:"spectral.solve" ~strategy:"exact"
+    ~params:(Qbd.ledger_params q) ~wall_seconds:wall ~outcome ~summary ();
   result

@@ -26,22 +26,23 @@ val pp_error : Format.formatter -> error -> unit
 type t
 (** A solved model. *)
 
-val solve : ?eig_tol:float -> ?max_iter:int -> Qbd.t -> (t, error) result
-(** Solve the model. [eig_tol] is the unit-circle exclusion band used
-    when classifying eigenvalues (default [1e-9]); [max_iter] bounds the
-    QR sweeps per eigenvalue of the companion eigensolve (default
-    [100] — lower it to force a controlled stall in tests and doctor
-    probes).
+val solve : ?max_iter:int -> Qbd.t -> (t, error) result
+(** Solve the model. [max_iter] bounds the QR sweeps per eigenvalue of
+    the companion eigensolve (default [100] — lower it to force a
+    controlled stall in tests, doctor probes and [urs serve
+    --solve-max-iter]). Eigenvalues within [1e-9] of the unit circle
+    count as outside the unit disk.
 
-    Each call updates the last-solve gauges
-    ([urs_spectral_eigenvalues] / [urs_spectral_dominant_z] /
-    [urs_spectral_residual], labelled [strategy="exact"]) and appends a
-    ["spectral.solve"] record (parameters, wall time, residual,
-    boundary condition) to the {!Urs_obs.Ledger} when one is active.
-    When {!Urs_obs.Convergence.recording} is on, the companion
-    eigensolve additionally records a per-sweep ["qr"] convergence
-    trace (sub-diagonal residual, shift, deflations) finished into the
-    global trace ring and the ledger. *)
+    A successful solve computes its {!residual} once, after the
+    [urs_spectral_solve] span closes. Each call updates the last-solve
+    gauges ([urs_spectral_eigenvalues] / [urs_spectral_dominant_z] /
+    [urs_spectral_residual], labelled [strategy="exact"]) and appends
+    one ["spectral.solve"] record (parameters, wall time, residual,
+    boundary condition, or the error) to the {!Urs_obs.Ledger} when
+    one is active. The companion eigensolve runs through
+    {!Urs_obs.Convergence.track}: with recording on it leaves a
+    per-sweep ["qr"] convergence trace (sub-diagonal residual, shift,
+    deflations), not converged when the eigensolve raises. *)
 
 val qbd : t -> Qbd.t
 
@@ -92,7 +93,7 @@ val mean_busy_servers : t -> float
 val residual : t -> float
 (** Largest infinity-norm residual of the level-[0..N+2] balance
     equations and the normalization — an a-posteriori accuracy
-    certificate. *)
+    certificate, computed once by {!solve}. *)
 
 (** {1 Numerical-health probes} — consumed by {!Diagnostics}. *)
 

@@ -17,7 +17,11 @@ type t = {
 
 type state = { mode : int; jobs : int }
 
-let create ?(levels = 200) ?(state_limit = 20_000) q =
+(* the state budget: the transient iteration is sparse and cheaper than
+   Truncated's dense solve, so it is larger than Truncated's *)
+let state_limit = 20_000
+
+let create ?(levels = 200) q =
   let env = Qbd.env q in
   let s = Qbd.s q in
   let n_states = s * (levels + 1) in
@@ -123,49 +127,43 @@ let distribution_at t ~initial ~time =
   if time = 0.0 then pi0
   else begin
     let lam = t.q_rate *. time in
-    let acc = Array.make t.n_states 0.0 in
-    let v = ref pi0 in
-    let log_term = ref (-.lam) in
-    let n = ref 0 in
-    let continue_loop = ref true in
     (* truncation-depth telemetry: one sample per Poisson term, with
-       the term weight as the residual figure; gated globally *)
-    let conv =
-      if Urs_obs.Convergence.recording () then
-        Some
-          (Urs_obs.Convergence.create ~solver:"uniformization"
-             ~label:
-               (Printf.sprintf "transient t=%g states=%d" time t.n_states)
-             ())
-      else None
+       the term weight as the residual figure; the loop state lives
+       inside the tracked function, so no closure boxes it *)
+    let acc, _ =
+      Urs_obs.Convergence.track ~solver:"uniformization"
+        ~label:(fun () ->
+          Printf.sprintf "transient t=%g states=%d" time t.n_states)
+        ~callback:Fun.id
+        ~converged:(fun (_, n) -> n <= 2_000_000)
+        (fun observe ->
+          let acc = Array.make t.n_states 0.0 in
+          let v = ref pi0 in
+          let log_term = ref (-.lam) in
+          let n = ref 0 in
+          let continue_loop = ref true in
+          while !continue_loop do
+            let w = exp !log_term in
+            if w > 0.0 then
+              for st = 0 to t.n_states - 1 do
+                acc.(st) <- acc.(st) +. (w *. !v.(st))
+              done;
+            (match observe with
+            | None -> ()
+            | Some obs -> obs ~iteration:(!n + 1) ~residual:w ());
+            (* the Poisson weights peak at n ≈ lam and then decay
+               super-geometrically; once past the peak and below 1e-16
+               the remaining tail is negligible (the weights sum to 1) *)
+            if (float_of_int !n > lam && w < 1e-16) || !n > 2_000_000 then
+              continue_loop := false
+            else begin
+              incr n;
+              log_term := !log_term +. log (lam /. float_of_int !n);
+              v := step t !v
+            end
+          done;
+          (acc, !n))
     in
-    while !continue_loop do
-      let w = exp !log_term in
-      if w > 0.0 then
-        for st = 0 to t.n_states - 1 do
-          acc.(st) <- acc.(st) +. (w *. !v.(st))
-        done;
-      (match conv with
-      | None -> ()
-      | Some c ->
-          Urs_obs.Convergence.observe c ~iteration:(!n + 1) ~residual:w ());
-      (* the Poisson weights peak at n ≈ lam and then decay
-         super-geometrically; once past the peak and below 1e-16 the
-         remaining tail is negligible (the weights sum to 1) *)
-      if (float_of_int !n > lam && w < 1e-16) || !n > 2_000_000 then
-        continue_loop := false
-      else begin
-        incr n;
-        log_term := !log_term +. log (lam /. float_of_int !n);
-        v := step t !v
-      end
-    done;
-    Option.iter
-      (fun c ->
-        ignore
-          (Urs_obs.Convergence.finish ~converged:(!n <= 2_000_000) c
-            : Urs_obs.Convergence.trace))
-      conv;
     acc
   end
 

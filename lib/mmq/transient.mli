@@ -14,10 +14,11 @@ val pp_error : Format.formatter -> error -> unit
 
 type t
 
-val create : ?levels:int -> ?state_limit:int -> Qbd.t -> (t, error) result
-(** Precompute the uniformized chain. Defaults: [levels = 200],
-    [state_limit = 20_000] (the transient iteration is sparse and
-    cheaper than {!Truncated}'s dense solve, so the budget is larger).
+val create : ?levels:int -> Qbd.t -> (t, error) result
+(** Precompute the uniformized chain ([levels] defaults to [200]). A
+    chain of more than 20,000 states is refused with [Too_large] (the
+    transient iteration is sparse and cheaper than {!Truncated}'s dense
+    solve, so its budget is larger).
     Stability is {e not} required — transient behaviour of an unstable
     queue is well-defined (and interesting). *)
 
@@ -33,9 +34,10 @@ val empty_all_operative : t -> state
 
 val distribution_at : t -> initial:state -> time:float -> float array
 (** Full state distribution at time [t] (indexed [jobs * s + mode]).
-    When {!Urs_obs.Convergence.recording} is on, the Poisson-series
-    truncation is recorded as a ["uniformization"] convergence trace
-    (one sample per term, the term weight as the residual). *)
+    The Poisson series runs through {!Urs_obs.Convergence.track}: with
+    recording on, its truncation is recorded as a ["uniformization"]
+    convergence trace (one sample per term, the term weight as the
+    residual). *)
 
 val mean_jobs_at : t -> initial:state -> time:float -> float
 val mean_operative_at : t -> initial:state -> time:float -> float

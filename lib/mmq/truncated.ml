@@ -18,7 +18,10 @@ type t = {
   pi : float array; (* stationary probabilities, state = j*s + i *)
 }
 
-let solve ?(levels = 200) ?(state_limit = 4000) q =
+(* the dense solve's state budget *)
+let state_limit = 4000
+
+let solve ?(levels = 200) q =
   let env = Qbd.env q in
   let s = Qbd.s q in
   let verdict =

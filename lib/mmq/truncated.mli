@@ -19,9 +19,9 @@ val pp_error : Format.formatter -> error -> unit
 
 type t
 
-val solve : ?levels:int -> ?state_limit:int -> Qbd.t -> (t, error) result
+val solve : ?levels:int -> Qbd.t -> (t, error) result
 (** [solve q] truncates at [levels] (default 200) queue levels. The
-    dense solve is refused beyond [state_limit] states (default 4000). *)
+    dense solve is refused with [Too_large] beyond 4000 states. *)
 
 val levels : t -> int
 

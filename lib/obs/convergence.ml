@@ -220,6 +220,29 @@ let finish ?(converged = true) r =
         ();
       t
 
+type observer =
+  iteration:int ->
+  ?residual:float ->
+  ?shift:float ->
+  ?active:int ->
+  ?deflation:bool ->
+  unit ->
+  unit
+
+let track ?max_iter ~solver ~label ~callback ~converged kernel =
+  if not (recording ()) then kernel None
+  else begin
+    let r = create ?max_iter ~solver ~label:(label ()) () in
+    match kernel (Some (callback (observe r))) with
+    | v ->
+        ignore (finish ~converged:(converged v) r : trace);
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (finish ~converged:false r : trace);
+        Printexc.raise_with_backtrace e bt
+  end
+
 let with_recording f =
   let prev = Atomic.exchange enabled true in
   let mark = last_seq () in

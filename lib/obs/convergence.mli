@@ -3,8 +3,9 @@
     The iterative kernels (QR eigensolve, Brent/bisection root finding,
     the matrix-geometric R fixed point, uniformization) sit below this
     library and expose optional per-iteration callbacks instead of
-    recording anything themselves. The solver layer wires those
-    callbacks to a {!recorder}: a bounded ring of per-iteration samples
+    recording anything themselves. Each solver runs its kernel through
+    {!track}, which wires those callbacks to a {!recorder}: a bounded
+    ring of per-iteration samples
     (residual, shift, active size, wall-clock time) plus a Welford
     summary of the residual series. Finished recorders become immutable
     {!trace}s kept in a process-global ring, appended to the
@@ -54,11 +55,8 @@ type trace = {
 
 (** {1 Recording} *)
 
-type recorder
-
 val recording : unit -> bool
-(** The global gate consulted by the solver layer before creating
-    recorders. Off by default. *)
+(** The global gate consulted by {!track}. Off by default. *)
 
 val set_recording : bool -> unit
 
@@ -66,6 +64,42 @@ val with_recording : (unit -> 'a) -> 'a * trace list
 (** [with_recording f] forces recording on around [f] (restoring the
     previous state) and returns [f ()] together with the traces
     finished during the call, oldest first. *)
+
+type observer =
+  iteration:int ->
+  ?residual:float ->
+  ?shift:float ->
+  ?active:int ->
+  ?deflation:bool ->
+  unit ->
+  unit
+(** Appends one sample to a live recorder (see {!observe}). *)
+
+val track :
+  ?max_iter:int ->
+  solver:string ->
+  label:(unit -> string) ->
+  callback:(observer -> 'cb) ->
+  converged:('a -> bool) ->
+  ('cb option -> 'a) ->
+  'a
+(** [track ~solver ~label ~callback ~converged kernel] is how a solver
+    records an iterative kernel, and the only place the solvers create
+    and finish recorders. With {!recording} off it is [kernel None]: no
+    recorder, no trace, and [label] is never called. With it on, a
+    recorder labelled [label ()] is created, the kernel gets
+    [Some (callback obs)] — [callback] adapts the sample observer to
+    the kernel's own callback type ([Fun.id] for a loop that calls it
+    directly) — and the recorder is finished with [converged v] when
+    the kernel returns [v], or as not converged when it raises, in
+    which case the exception is re-raised with its backtrace. A kernel
+    whose loop state is a float ref should declare it inside [kernel]:
+    a ref captured by a closure is boxed. *)
+
+(** {1 Manual recorders} — what {!track} drives; tests use them
+    directly. *)
+
+type recorder
 
 val create :
   ?capacity:int ->

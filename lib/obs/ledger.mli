@@ -1,7 +1,7 @@
 (** Append-only run ledger: one JSONL line per solver call, sweep point,
     simulation replication or bench section, carrying the model
-    parameters, wall time, result summary and a snapshot of the relevant
-    gauges.
+    parameters, wall time, result summary and, for solver calls, the
+    solve's own gauge values.
 
     The ledger complements the metrics registry: gauges keep only the
     last written value (see {!Metrics}), while the ledger keeps the full
@@ -38,7 +38,13 @@ type record = {
   outcome : string;  (** ["ok"] or an error classification. *)
   summary : (string * Json.t) list;  (** Result fields. *)
   gauges : (string * float) list;
-      (** Snapshot of relevant registry gauges at append time. *)
+      (** Gauge values of the record's own computation, named after the
+          registry gauges they correspond to — for ["solver.evaluate"],
+          the solve's [urs_spectral_dominant_z] (and, for the exact
+          strategy, [urs_spectral_residual] and
+          [urs_spectral_eigenvalues]). Passed in by the writer, never
+          read back from the registry, whose gauges other domains may
+          have overwritten since. *)
   trace_id : string option;
       (** 32-hex-digit id of the trace that produced this record
           (absent on v1 journals and untraced appends). *)

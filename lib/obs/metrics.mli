@@ -59,7 +59,9 @@ val counter_value : counter -> float
     therefore describe the {e last} solve only; under a sweep every
     earlier point is overwritten. That is the intended reading for a
     scrape endpoint ("what did the process just do"); the full per-solve
-    history goes to the {!Ledger}, one record per solve. *)
+    history goes to the {!Ledger}, one record per solve, whose values
+    come from the solve itself: under a multi-domain sweep a gauge read
+    back after a solve may already hold another domain's write. *)
 
 type gauge
 

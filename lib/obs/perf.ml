@@ -389,36 +389,12 @@ let header_cells =
   ]
 
 let render_table r =
-  let rows = header_cells :: List.map trend_cells r.trends in
-  let ncols = List.length header_cells in
-  let widths = Array.make ncols 0 in
-  List.iter
-    (List.iteri (fun i c ->
-         if i < ncols then widths.(i) <- max widths.(i) (String.length c)))
-    rows;
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "perf report: %d entries, gate ratio %.2fx\n" r.entries
        r.max_ratio);
-  List.iteri
-    (fun ri cells ->
-      List.iteri
-        (fun i c ->
-          Buffer.add_string buf c;
-          if i < ncols - 1 then
-            Buffer.add_string buf
-              (String.make (widths.(i) - String.length c + 2) ' '))
-        cells;
-      Buffer.add_char buf '\n';
-      if ri = 0 then begin
-        Array.iteri
-          (fun i w ->
-            Buffer.add_string buf (String.make w '-');
-            if i < ncols - 1 then Buffer.add_string buf "  ")
-          widths;
-        Buffer.add_char buf '\n'
-      end)
-    rows;
+  Buffer.add_string buf
+    (Query.text_table (header_cells :: List.map trend_cells r.trends));
   if r.section_runs <> [] then begin
     Buffer.add_string buf "\nsections (wall seconds per run):\n";
     List.iter

@@ -393,16 +393,9 @@ let scan_line r =
     "scanned %d record(s) (%d seeked, %d malformed) in %d segment(s), %.3fs"
     (r.parsed + r.seeked) r.seeked r.malformed r.segments r.elapsed_s
 
-let render_table r =
-  let header = r.group_columns @ r.columns in
-  let body =
-    List.map
-      (fun row -> row.group @ List.map2 cell_str r.columns row.cells)
-      r.rows
-  in
-  let rows = header :: body in
-  let ncols = List.length header in
-  let widths = Array.make (max 1 ncols) 0 in
+let text_table rows =
+  let ncols = match rows with [] -> 0 | header :: _ -> List.length header in
+  let widths = Array.make ncols 0 in
   List.iter
     (List.iteri (fun i c ->
          if i < ncols then widths.(i) <- max widths.(i) (String.length c)))
@@ -427,9 +420,16 @@ let render_table r =
         Buffer.add_char buf '\n'
       end)
     rows;
-  Buffer.add_string buf (scan_line r);
-  Buffer.add_char buf '\n';
   Buffer.contents buf
+
+let render_table r =
+  let header = r.group_columns @ r.columns in
+  let body =
+    List.map
+      (fun row -> row.group @ List.map2 cell_str r.columns row.cells)
+      r.rows
+  in
+  text_table (header :: body) ^ scan_line r ^ "\n"
 
 let result_json r =
   Json.Obj

@@ -96,6 +96,11 @@ val run_records :
 val render_table : t -> string
 (** Fixed-width table plus a trailing scan-stats line. *)
 
+val text_table : string list list -> string
+(** Column-aligned text: the first row is the header, underlined with
+    dashes; columns are two spaces apart and the last is not padded.
+    Shared by {!render_table} and [Perf.render_table]. *)
+
 val result_json : t -> Json.t
 
 val render_json : t -> string

@@ -217,32 +217,6 @@ let test_max_abs_nan () =
   let c = Cmatrix.init 1 2 (fun _ j -> Cx.make 3.0 (float_of_int (4 * j))) in
   check_float ~tol:0.0 "largest modulus" 5.0 (Cmatrix.max_abs c)
 
-(* ---- Qr ---- *)
-
-let test_qr_square_solve () =
-  let a = random_matrix 9 in
-  let b = Vec.init 9 (fun i -> sin (float_of_int i)) in
-  let x = Qr.solve a b in
-  if Qr.residual_norm a x b > 1e-8 then Alcotest.fail "qr residual too large"
-
-let test_qr_least_squares () =
-  (* overdetermined: fit y = 2x + 1 exactly *)
-  let a = Matrix.of_arrays [| [| 1.0; 1.0 |]; [| 2.0; 1.0 |]; [| 3.0; 1.0 |] |] in
-  let b = Vec.of_list [ 3.0; 5.0; 7.0 ] in
-  let x = Qr.solve a b in
-  check_float ~tol:1e-10 "slope" 2.0 x.(0);
-  check_float ~tol:1e-10 "intercept" 1.0 x.(1)
-
-let test_qr_r_triangular () =
-  let a = random_matrix 6 in
-  let f = Qr.factor a in
-  let r = Qr.r f in
-  for i = 1 to 5 do
-    for j = 0 to i - 1 do
-      check_float "below-diagonal zero" 0.0 (Matrix.get r i j)
-    done
-  done
-
 (* ---- eigenvalues ---- *)
 
 let sorted_eigs m =
@@ -442,13 +416,6 @@ let test_cx_helpers () =
   Alcotest.(check bool) "z/z = 1" true (Cx.approx_equal w Cx.one);
   Alcotest.(check int) "compare by modulus" (-1)
     (Cx.compare_by_modulus Cx.one z)
-
-let test_qr_apply_qt_preserves_norm () =
-  (* Q is orthogonal, so ‖Qᵀb‖ = ‖b‖ *)
-  let a = random_matrix 7 in
-  let f = Qr.factor a in
-  let b = Vec.init 7 (fun i -> cos (float_of_int i)) in
-  check_float ~tol:1e-10 "norm preserved" (Vec.norm2 b) (Vec.norm2 (Qr.apply_qt f b))
 
 let test_eigen_symmetric_real_spectrum () =
   (* symmetric matrices have real eigenvalues *)
@@ -1095,12 +1062,6 @@ let () =
             test_lu_workspace_reset_checks;
           Alcotest.test_case "max_abs propagates NaN" `Quick test_max_abs_nan;
         ] );
-      ( "qr",
-        [
-          Alcotest.test_case "square solve" `Quick test_qr_square_solve;
-          Alcotest.test_case "least squares line fit" `Quick test_qr_least_squares;
-          Alcotest.test_case "R upper triangular" `Quick test_qr_r_triangular;
-        ] );
       ( "eigen",
         [
           Alcotest.test_case "diagonal" `Quick test_eigen_diagonal;
@@ -1141,8 +1102,6 @@ let () =
         ] );
       ( "eigen extras",
         [
-          Alcotest.test_case "Qᵀ preserves norm" `Quick
-            test_qr_apply_qt_preserves_norm;
           Alcotest.test_case "symmetric spectrum real" `Quick
             test_eigen_symmetric_real_spectrum;
           Alcotest.test_case "stochastic matrix has eigenvalue 1" `Quick

@@ -2281,6 +2281,120 @@ let test_conv_pp_not_converged () =
   check_contains "names the solver" s "bisect";
   Conv.reset ()
 
+(* ---- Convergence.track: the one recorder path of the solvers ---- *)
+
+let test_track_off () =
+  Conv.reset ();
+  let labelled = ref false in
+  let v =
+    Conv.track ~solver:"t"
+      ~label:(fun () ->
+        labelled := true;
+        "off")
+      ~callback:Fun.id ~converged:(fun _ -> true)
+      (fun observe ->
+        Alcotest.(check bool) "kernel gets no callback" true (observe = None);
+        7)
+  in
+  Alcotest.(check int) "kernel's value" 7 v;
+  Alcotest.(check bool) "label never built" false !labelled;
+  Alcotest.(check int) "no trace" 0 (List.length (Conv.recent ()))
+
+let test_track_on () =
+  Conv.reset ();
+  let run ~flag =
+    Conv.with_recording (fun () ->
+        Conv.track ~max_iter:9 ~solver:"t" ~label:(fun () -> "on")
+          ~callback:(fun obs k -> obs ~iteration:k ~residual:(1.0 /. float k) ())
+          ~converged:(fun v -> v = flag)
+          (fun observe ->
+            let obs = Option.get observe in
+            obs 1;
+            obs 2;
+            true))
+  in
+  List.iter
+    (fun flag ->
+      match run ~flag with
+      | true, [ tr ] ->
+          Alcotest.(check bool) "caller's flag" flag tr.Conv.converged;
+          Alcotest.(check string) "label" "on" tr.Conv.label;
+          Alcotest.(check (option int)) "cap" (Some 9) tr.Conv.max_iter;
+          Alcotest.(check int) "samples" 2 (Array.length tr.Conv.samples);
+          check_float "last residual" 0.5 tr.Conv.residual_last
+      | _, trs -> Alcotest.failf "expected one trace, got %d" (List.length trs))
+    [ true; false ];
+  Conv.reset ()
+
+let test_track_raising_kernel () =
+  Conv.reset ();
+  Conv.set_recording true;
+  Alcotest.check_raises "the kernel's exception propagates" Exit (fun () ->
+      Conv.track ~solver:"t" ~label:(fun () -> "raises") ~callback:Fun.id
+        ~converged:(fun () -> true)
+        (fun observe ->
+          (Option.get observe) ~iteration:1 ~residual:0.5 ();
+          raise Exit));
+  (match Conv.recent () with
+  | [ tr ] ->
+      Alcotest.(check bool) "not converged" false tr.Conv.converged;
+      Alcotest.(check int) "sample kept" 1 tr.Conv.iterations
+  | trs -> Alcotest.failf "expected one trace, got %d" (List.length trs));
+  Conv.reset ()
+
+let paper_qbd ~servers ~lambda =
+  let m =
+    Urs.Model.create ~servers ~arrival_rate:lambda ~service_rate:1.0
+      ~operative:Urs.Model.paper_operative
+      ~inoperative:Urs.Model.paper_inoperative_exp ()
+  in
+  Option.get (Urs.Model.qbd m)
+
+(* the traces each solver leaves, pinned at the code they replaced:
+   solver, label, cap, converged, iterations, samples, deflations *)
+let test_solver_traces () =
+  Conv.reset ();
+  let q = paper_qbd ~servers:5 ~lambda:3.0 in
+  let digest ((), traces) =
+    List.map
+      (fun (t : Conv.trace) ->
+        Printf.sprintf "%s|%s|%s|%b|%d|%d|%d" t.Conv.solver t.Conv.label
+          (match t.Conv.max_iter with
+          | Some m -> string_of_int m
+          | None -> "-")
+          t.Conv.converged t.Conv.iterations (Array.length t.Conv.samples)
+          t.Conv.deflations)
+      traces
+  in
+  Alcotest.(check (list string))
+    "converging kernels"
+    [
+      "qr|spectral N=5 s=21|100|true|63|92|29";
+      "brent|geometric N=5 s=21|-|true|35|35|0";
+      "mg_r|mg N=5 s=21|200000|true|93|93|0";
+      "uniformization|transient t=1 states=651|-|true|232|232|0";
+    ]
+    (digest
+       (Conv.with_recording (fun () ->
+            ignore (Urs_mmq.Spectral.solve q);
+            ignore (Urs_mmq.Geometric.solve q);
+            ignore (Urs_mmq.Matrix_geometric.solve q);
+            match Urs_mmq.Transient.create ~levels:30 q with
+            | Ok t ->
+                ignore
+                  (Urs_mmq.Transient.distribution_at t
+                     ~initial:(Urs_mmq.Transient.empty_all_operative t)
+                     ~time:1.0)
+            | Error _ -> Alcotest.fail "transient chain refused")));
+  Alcotest.(check (list string))
+    "stalled kernels"
+    [ "qr|spectral N=5 s=21|2|false|2|2|0"; "mg_r|mg N=5 s=21|5|false|5|5|0" ]
+    (digest
+       (Conv.with_recording (fun () ->
+            ignore (Urs_mmq.Spectral.solve ~max_iter:2 q);
+            ignore (Urs_mmq.Matrix_geometric.solve ~max_iter:5 q))));
+  Conv.reset ()
+
 (* ---- regression: metrics recorded by a spectral solve ---- *)
 
 let test_spectral_solve_metrics () =
@@ -2318,6 +2432,103 @@ let test_spectral_solve_metrics () =
   match Metrics.value "urs_spectral_lu_factorizations_total" with
   | Some lu when lu > 0.0 -> ()
   | _ -> Alcotest.fail "urs_spectral_lu_factorizations_total should be positive"
+
+(* What the benchmark's plan check reads after each Solver.evaluate:
+   the exact residual gauge (that solve's own residual) and the QR-sweep
+   and LU counters. *)
+let test_evaluate_perfbench_reads () =
+  with_clean_ledger @@ fun () ->
+  Ledger.set_memory true;
+  let counter name = Option.value ~default:0.0 (Metrics.value name) in
+  let sweeps0 = counter "urs_qr_sweeps_total"
+  and lu0 = counter "urs_spectral_lu_factorizations_total" in
+  let m =
+    Urs.Model.create ~servers:6 ~arrival_rate:4.2 ~service_rate:1.0
+      ~operative:Urs.Model.paper_operative
+      ~inoperative:Urs.Model.paper_inoperative_exp ()
+  in
+  (match Urs.Solver.evaluate m with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "evaluate: %a" Urs.Solver.pp_error e);
+  let gauge =
+    Metrics.value ~labels:[ ("strategy", "exact") ] "urs_spectral_residual"
+  in
+  let recorded =
+    List.find_map
+      (fun (r : Ledger.record) ->
+        if r.Ledger.kind = "solver.evaluate" then
+          List.assoc_opt "urs_spectral_residual" r.Ledger.gauges
+        else None)
+      (Ledger.recent ())
+  in
+  Alcotest.(check bool) "QR sweeps counted" true
+    (counter "urs_qr_sweeps_total" > sweeps0);
+  Alcotest.(check bool) "LU factorizations counted" true
+    (counter "urs_spectral_lu_factorizations_total" > lu0);
+  let resolved =
+    match Urs_mmq.Spectral.solve (Option.get (Urs.Model.qbd m)) with
+    | Ok sol -> Urs_mmq.Spectral.residual sol
+    | Error e -> Alcotest.failf "solve: %a" Urs_mmq.Spectral.pp_error e
+  in
+  Alcotest.(check (option (float 0.0))) "gauge is the solve's residual"
+    (Some resolved) gauge;
+  Alcotest.(check (option (float 0.0))) "ledger gauge too" (Some resolved)
+    recorded
+
+(* Every solver.evaluate record of a sweep on four domains carries its
+   own solve's gauges, not whatever another domain's solve wrote last
+   into the process-wide gauges. *)
+let test_sweep_gauges_own_solve () =
+  with_clean_ledger @@ fun () ->
+  let path = Filename.temp_file "urs_gauges" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let m =
+        Urs.Model.create ~servers:5 ~arrival_rate:4.0 ~service_rate:1.0
+          ~operative:Urs.Model.paper_operative
+          ~inoperative:Urs.Model.paper_inoperative_exp ()
+      in
+      let n = 300 in
+      Ledger.open_file ~truncate:true path;
+      let points =
+        Urs_exec.Pool.with_pool ~name:"gauges-test" ~domains:4 (fun pool ->
+            Urs.Sweep.over_loads ~pool m
+              ~values:(Urs.Sweep.linspace 0.05 0.9 n))
+      in
+      Ledger.close ();
+      Alcotest.(check int) "every point solved" n (List.length points);
+      let records =
+        match
+          Ledger.fold_path path ~init:[] ~f:(fun acc r ->
+              if r.Ledger.kind = "solver.evaluate" then r :: acc else acc)
+        with
+        | Ok (rs, _) -> rs
+        | Error e -> Alcotest.failf "fold_path: %s" e
+      in
+      Alcotest.(check int) "one record per point" n (List.length records);
+      let float_of = function
+        | Some (Json.Float f) -> f
+        | Some (Json.Int i) -> float_of_int i
+        | _ -> nan
+      in
+      let foreign (r : Ledger.record) =
+        let lambda = float_of (List.assoc_opt "lambda" r.Ledger.params) in
+        let q = Option.get (Urs.Model.qbd (Urs.Model.with_arrival_rate m lambda)) in
+        let sol = Result.get_ok (Urs_mmq.Spectral.solve q) in
+        let own =
+          [
+            ( "urs_spectral_dominant_z",
+              float_of (List.assoc_opt "dominant_z" r.Ledger.summary) );
+            ("urs_spectral_residual", Urs_mmq.Spectral.residual sol);
+            ( "urs_spectral_eigenvalues",
+              float_of_int (Array.length (Urs_mmq.Spectral.eigenvalues sol)) );
+          ]
+        in
+        r.Ledger.gauges <> own
+      in
+      Alcotest.(check int) "records carrying another solve's gauges" 0
+        (List.length (List.filter foreign records)))
 
 (* ---- histogram quantile interpolation ---- *)
 
@@ -2925,6 +3136,14 @@ let qrec ~seq ~time ~kind ?route ~wall () =
   | Ok r -> r
   | Error e -> Alcotest.failf "qrec: %s" e
 
+(* the column-aligned printer behind urs query and urs report *)
+let test_text_table () =
+  Alcotest.(check string)
+    "aligned, last column unpadded" "a    bb\n---  --\nccc  d\n"
+    (Query.text_table [ [ "a"; "bb" ]; [ "ccc"; "d" ] ]);
+  Alcotest.(check string) "no columns" "\n\n" (Query.text_table [ [] ]);
+  Alcotest.(check string) "no rows" "" (Query.text_table [])
+
 let test_query_agg_goldens () =
   let walls = [ 3.0; 1.0; 4.0; 1.0; 5.0; 9.0; 2.0; 6.0 ] in
   let records =
@@ -3294,6 +3513,12 @@ let () =
             test_conv_metrics_and_ledger;
           Alcotest.test_case "pp flags stalls" `Quick
             test_conv_pp_not_converged;
+          Alcotest.test_case "track with recording off" `Quick test_track_off;
+          Alcotest.test_case "track finishes with the caller's flag" `Quick
+            test_track_on;
+          Alcotest.test_case "track on a raising kernel" `Quick
+            test_track_raising_kernel;
+          Alcotest.test_case "solver traces pinned" `Quick test_solver_traces;
         ] );
       ( "ledger-rotation",
         [
@@ -3309,6 +3534,7 @@ let () =
         [
           Alcotest.test_case "aggregation goldens" `Quick
             test_query_agg_goldens;
+          Alcotest.test_case "text table" `Quick test_text_table;
           Alcotest.test_case "filter and group" `Quick test_query_filter_group;
           Alcotest.test_case "grammar" `Quick test_query_parse_grammar;
           Alcotest.test_case "spans rotated segments" `Quick
@@ -3335,5 +3561,9 @@ let () =
         [
           Alcotest.test_case "spectral solve metrics" `Quick
             test_spectral_solve_metrics;
+          Alcotest.test_case "evaluate sets what the plan check reads" `Quick
+            test_evaluate_perfbench_reads;
+          Alcotest.test_case "sweep gauges are each solve's own (4 domains)"
+            `Quick test_sweep_gauges_own_solve;
         ] );
     ]

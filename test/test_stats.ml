@@ -1,6 +1,6 @@
 (* Tests for the statistics substrate: histograms (the paper's empirical
    density machinery), descriptive statistics, Welford accumulation,
-   Student-t quantiles and batch means. *)
+   Student-t quantiles and Welch warm-up detection. *)
 
 open Urs_stats
 
@@ -136,21 +136,6 @@ let test_student_t_cdf_symmetry () =
 let test_student_t_quantile_roundtrip () =
   let q = Student_t.quantile ~df:5 0.9 in
   check_float ~tol:1e-8 "roundtrip" 0.9 (Student_t.cdf ~df:5 q)
-
-(* ---- Batch means ---- *)
-
-let test_batch_means_iid () =
-  let g = Urs_prob.Rng.create 7 in
-  let series = Array.init 10_000 (fun _ -> 3.0 +. Urs_prob.Rng.normal g) in
-  let iv = Batch_means.analyze series in
-  Alcotest.(check bool) "covers true mean" true
-    (abs_float (iv.Batch_means.estimate -. 3.0) <= 2.0 *. iv.Batch_means.half_width);
-  Alcotest.(check int) "batches" 20 iv.Batch_means.batches
-
-let test_batch_means_too_short () =
-  Alcotest.check_raises "short series"
-    (Invalid_argument "Batch_means.analyze: series too short for the batch count")
-    (fun () -> ignore (Batch_means.analyze (Array.make 10 1.0)))
 
 (* ---- Welch warm-up detection ---- *)
 
@@ -360,11 +345,6 @@ let () =
           Alcotest.test_case "cdf symmetry" `Quick test_student_t_cdf_symmetry;
           Alcotest.test_case "quantile roundtrip" `Quick
             test_student_t_quantile_roundtrip;
-        ] );
-      ( "batch_means",
-        [
-          Alcotest.test_case "iid coverage" `Quick test_batch_means_iid;
-          Alcotest.test_case "too-short series" `Quick test_batch_means_too_short;
         ] );
       ( "welch",
         [
