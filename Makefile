@@ -1,7 +1,7 @@
 # Convenience targets; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test bench bench-gate bench-scale sim-bench fmt smoke \
-	doctor-smoke serve-smoke trace-smoke report-smoke soak-smoke \
+.PHONY: all build test test-release bench bench-gate bench-scale sim-bench \
+	fmt smoke doctor-smoke serve-smoke trace-smoke report-smoke soak-smoke \
 	benchstats-test ci clean
 
 all: build
@@ -11,6 +11,14 @@ build:
 
 test:
 	dune runtest
+
+# The same tests in the release profile, which the benchmark builds: only
+# there is the linear-algebra row-update kernel inlined across modules
+# (the dev profile compiles with -opaque), so the pinned answers are
+# checked in the build that runs them. Mirrored by the bench-regression
+# CI job.
+test-release:
+	dune runtest --profile release
 
 bench:
 	dune exec bench/main.exe

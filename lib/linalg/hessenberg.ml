@@ -53,10 +53,13 @@ let balance a0 =
    transformations (EISPACK elmhes). *)
 let reduce a0 =
   if not (Matrix.is_square a0) then invalid_arg "Hessenberg.reduce: not square";
+  let n = a0.Matrix.rows in
+  Row_update.check_storage "Hessenberg.reduce" a0.Matrix.data ~rows:n ~cols:n;
   let a = Matrix.copy a0 in
-  let n = a.Matrix.rows in
   let d = a.Matrix.data in
-  (* flat-array indexing in the O(n³) loops: see the note in Lu *)
+  (* flat-array indexing in the O(n³) loops: see the note in Lu. The
+     row pass is Row_update.sub and the column pass is unrolled by hand;
+     both are unchecked, which the storage check above makes safe. *)
   for m = 1 to n - 2 do
     (* pivot: largest |a.(j).(m-1)| for j >= m *)
     let piv = ref m in
@@ -90,12 +93,30 @@ let reduce a0 =
         if y <> 0.0 then begin
           let y = y /. !x in
           d.(ri + m - 1) <- y;
-          for j = m to n - 1 do
-            d.(ri + j) <- d.(ri + j) -. (y *. d.(rm + j))
+          Row_update.sub d (ri + m) y d (rm + m) (n - m);
+          (* column m += y · column i, four rows a step: entry (j, m)
+             at p = j·n + m, entry (j, i) at p + di *)
+          let di = i - m and p = ref m and stop = (n * n) + m in
+          while !p + (3 * n) < stop do
+            let p0 = !p in
+            let p1 = p0 + n in
+            let p2 = p1 + n in
+            let p3 = p2 + n in
+            Array.unsafe_set d p0
+              (Array.unsafe_get d p0 +. (y *. Array.unsafe_get d (p0 + di)));
+            Array.unsafe_set d p1
+              (Array.unsafe_get d p1 +. (y *. Array.unsafe_get d (p1 + di)));
+            Array.unsafe_set d p2
+              (Array.unsafe_get d p2 +. (y *. Array.unsafe_get d (p2 + di)));
+            Array.unsafe_set d p3
+              (Array.unsafe_get d p3 +. (y *. Array.unsafe_get d (p3 + di)));
+            p := p3 + n
           done;
-          for j = 0 to n - 1 do
-            let rj = j * n in
-            d.(rj + m) <- d.(rj + m) +. (y *. d.(rj + i))
+          while !p < stop do
+            let p0 = !p in
+            Array.unsafe_set d p0
+              (Array.unsafe_get d p0 +. (y *. Array.unsafe_get d (p0 + di)));
+            p := p0 + n
           done
         end
       done

@@ -18,7 +18,17 @@ val reduce : Matrix.t -> Matrix.t
 (** [reduce a] returns an upper Hessenberg matrix similar to the square
     matrix [a], computed by stabilized elementary transformations
     (Gaussian elimination with pivoting). Entries below the first
-    subdiagonal of the result are exactly zero. *)
+    subdiagonal of the result are exactly zero.
+
+    Each elimination step updates a row (row [i] −= [y]·row [m]) and a
+    column (column [m] += [y]·column [i]). The row pass runs through the
+    library's unchecked row-update kernel (see {!Lu}), and the strided
+    column pass is unrolled four rows a step, also without bounds
+    checks; every entry sees the same operations in the same order as
+    in the plain loops, so the result is theirs bit for bit, signed
+    zeros included. Raises [Invalid_argument] if [a] is not square or
+    its [data] does not hold [rows · cols] entries, before any loop
+    runs. *)
 
 val is_hessenberg : ?tol:float -> Matrix.t -> bool
 (** Whether [a] is square and all entries below the first subdiagonal

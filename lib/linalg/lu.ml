@@ -41,7 +41,8 @@ let reset w ~lo ~hi =
    workspace (the factors alias it). The inner loops index the flat
    data array directly: without flambda, going through Matrix.get/set
    costs a (non-inlined) call per element, which dominates at the sizes
-   the solvers use.
+   the solvers use. The row updates go through [Row_update.sub], whose
+   loops are unchecked: a workspace's storage is n×n by construction.
 
    Three bounds skip exact zeros, so the factors are those of plain
    dense elimination:
@@ -61,7 +62,7 @@ let reset w ~lo ~hi =
 
    [patch]: when [Some eps], zero pivots are replaced by [eps] so the
    factorization always completes (inverse-iteration use). *)
-let factor_in_place ?patch w =
+let eliminate ?patch w =
   let n = w.m.Matrix.rows in
   let d = w.m.Matrix.data and lo = w.lo and hi = w.hi in
   let perm = Array.init n (fun i -> i) in
@@ -140,9 +141,7 @@ let factor_in_place ?patch w =
            let factor = a /. pivot in
            d.(ri + k) <- factor;
            if factor <> 0.0 then begin
-             for j = k + 1 to last_k do
-               d.(ri + j) <- d.(ri + j) -. (factor *. d.(rk + j))
-             done;
+             Row_update.sub d (ri + k + 1) factor d (rk + k + 1) (last_k - k);
              if last_k > last.(i) then last.(i) <- last_k;
              if last_k > hi.(i) then hi.(i) <- last_k
            end
@@ -153,13 +152,16 @@ let factor_in_place ?patch w =
   if !singular then Error `Singular
   else Ok ({ ws = w; perm; sign = !sign }, !patched)
 
+let factor_in_place w = Result.map fst (eliminate w)
+
 (* a bare matrix goes in whole, as a copy: every window spans its row *)
 let full_workspace a =
   if not (Matrix.is_square a) then invalid_arg "Lu.factor: not square";
   let n = a.Matrix.rows in
+  Row_update.check_storage "Lu.factor" a.Matrix.data ~rows:n ~cols:n;
   { m = Matrix.copy a; lo = Array.make n 0; hi = Array.make n (n - 1) }
 
-let factor a = Result.map fst (factor_in_place (full_workspace a))
+let factor a = factor_in_place (full_workspace a)
 
 let factor_exn a =
   match factor a with Ok f -> f | Error `Singular -> raise Singular
@@ -176,7 +178,7 @@ let regularized_in_place w =
       if v > !best || Float.is_nan v then best := v
     done
   done;
-  match factor_in_place ~patch:(1e-300 +. (epsilon_float *. !best)) w with
+  match eliminate ~patch:(1e-300 +. (epsilon_float *. !best)) w with
   | Ok (f, patched) -> (f, patched)
   | Error `Singular -> assert false
 
@@ -225,16 +227,11 @@ let solve_transposed f b =
     if dii = 0.0 then raise Singular;
     let yi = y.(i) /. dii in
     y.(i) <- yi;
-    for j = i + 1 to hi.(i) do
-      y.(j) <- y.(j) -. (d.(ri + j) *. yi)
-    done
+    Row_update.sub y (i + 1) yi d (ri + i + 1) (hi.(i) - i)
   done;
   for i = n - 1 downto 1 do
-    let ri = i * n in
-    let yi = y.(i) in
-    for j = lo.(i) to i - 1 do
-      y.(j) <- y.(j) -. (d.(ri + j) *. yi)
-    done
+    let l = lo.(i) in
+    Row_update.sub y l y.(i) d ((i * n) + l) (i - l)
   done;
   let x = Array.make n 0.0 in
   for i = 0 to n - 1 do
@@ -249,7 +246,8 @@ let solve_transposed f b =
    A zero l_ij or u_ij would subtract exact zeros, so its row update is
    skipped: against the factors of λI a solve costs O(n·(n + cols)).
    [lower]: x is lower triangular in the forward sweep, so the update
-   by row j stops at column j. *)
+   by row j stops at column j. The callers allocate [x] as n × cols, so
+   the unchecked row updates stay inside it. *)
 let substitute ~lower f x =
   let n = dim f in
   let d = f.ws.m.Matrix.data in
@@ -258,24 +256,15 @@ let substitute ~lower f x =
     let ri = i * n and xi = i * cols in
     for j = 0 to i - 1 do
       let l = d.(ri + j) in
-      if l <> 0.0 then begin
-        let xj = j * cols in
-        for c = 0 to (if lower then j else cols - 1) do
-          xd.(xi + c) <- xd.(xi + c) -. (l *. xd.(xj + c))
-        done
-      end
+      if l <> 0.0 then
+        Row_update.sub xd xi l xd (j * cols) (if lower then j + 1 else cols)
     done
   done;
   for i = n - 1 downto 0 do
     let ri = i * n and xi = i * cols in
     for j = i + 1 to n - 1 do
       let u = d.(ri + j) in
-      if u <> 0.0 then begin
-        let xj = j * cols in
-        for c = 0 to cols - 1 do
-          xd.(xi + c) <- xd.(xi + c) -. (u *. xd.(xj + c))
-        done
-      end
+      if u <> 0.0 then Row_update.sub xd xi u xd (j * cols) cols
     done;
     let dii = d.(ri + i) in
     if dii = 0.0 then raise Singular;
@@ -288,6 +277,7 @@ let solve_matrix f b =
   let n = dim f in
   if b.Matrix.rows <> n then invalid_arg "Lu.solve_matrix: dimension mismatch";
   let cols = b.Matrix.cols in
+  Row_update.check_storage "Lu.solve_matrix" b.Matrix.data ~rows:n ~cols;
   let x = Matrix.create n cols in
   for i = 0 to n - 1 do
     Array.blit b.Matrix.data (f.perm.(i) * cols) x.Matrix.data (i * cols) cols
@@ -296,21 +286,24 @@ let solve_matrix f b =
   x
 
 (* P·diag(c) with its columns also put in pivot order is diag(c_perm(i)),
-   so the forward sweep keeps the work array lower triangular; the
-   columns go back to their places at the end. *)
+   so the forward sweep keeps the result lower triangular; the columns
+   go back to their places at the end, a row at a time through one
+   row of scratch. *)
 let solve_diagonal f c =
   let n = dim f in
   if Vec.dim c <> n then invalid_arg "Lu.solve_diagonal: dimension mismatch";
-  let w = Matrix.create n n in
-  for i = 0 to n - 1 do
-    w.Matrix.data.((i * n) + i) <- c.(f.perm.(i))
-  done;
-  substitute ~lower:true f w;
   let x = Matrix.create n n in
+  let xd = x.Matrix.data in
+  for i = 0 to n - 1 do
+    xd.((i * n) + i) <- c.(f.perm.(i))
+  done;
+  substitute ~lower:true f x;
+  let row = Array.make n 0.0 in
   for i = 0 to n - 1 do
     let ri = i * n in
+    Array.blit xd ri row 0 n;
     for q = 0 to n - 1 do
-      x.Matrix.data.(ri + f.perm.(q)) <- w.Matrix.data.(ri + q)
+      xd.(ri + f.perm.(q)) <- row.(q)
     done
   done;
   x
@@ -337,7 +330,7 @@ let det a =
   match factor a with Ok f -> det_of_factor f | Error `Singular -> 0.0
 
 let log_abs_det w =
-  match Result.map fst (factor_in_place w) with
+  match factor_in_place w with
   | Error `Singular -> (neg_infinity, 0)
   | Ok f ->
       let n = dim f in

@@ -30,8 +30,8 @@
     - {!reset} zeroes only the windows the last use wrote and installs
       the new matrix's windows; the caller then writes each row inside
       its window ([Qbd.char_poly_real] writes [Q(z)]'s band);
-    - {!log_abs_det} and {!left_null_vector} factor it {e in place}:
-      afterwards it holds the packed factors. The kl and last-column
+    - {!factor_in_place}, {!log_abs_det} and {!left_null_vector}
+      factor it {e in place}: afterwards it holds the packed factors. The kl and last-column
       scans, the maximum modulus behind a patched pivot, row swaps and
       both sweeps of every transposed solve stay inside the windows,
       and the factorization widens a row's window wherever it writes
@@ -41,7 +41,24 @@
     those of the whole matrix bit for bit, up to the sign of an exact
     zero (a skipped [x − 0·y] leaves [x = −0] as it is). A workspace
     belongs to one call at a time, never to a value that pool domains
-    share. *)
+    share.
+
+    {2:kernel The row-update kernel}
+
+    Every row AXPY [x_c ← x_c − a·y_c] of the factorization (the
+    elimination of a pivot row from the rows below it), of
+    {!solve_matrix} and {!solve_diagonal} (a solved row from the rows
+    it feeds) and of both sweeps of {!solve_transposed} runs through
+    one private kernel: four lanes a step and a remainder loop, without
+    bounds checks, each lane the plain loop's subtraction in its order
+    (no reassociation, no fused multiply-add), so every result is the
+    plain loop's bit for bit. The checks move to the entries: {!factor}
+    and {!factor_regularized} reject a matrix whose [data] does not
+    hold [rows · cols] entries ([Matrix.t] is a public record), and so
+    does {!solve_matrix} for its right-hand sides; a workspace's storage
+    is [n×n] by construction. In a release build the kernel is inlined
+    into its callers; the dev profile compiles with [-opaque] and calls
+    it once per row. *)
 
 type t
 (** An LU factorization. *)
@@ -51,8 +68,9 @@ exception Singular
     (the matrix is singular to working precision). *)
 
 val factor : Matrix.t -> (t, [ `Singular ]) result
-(** [factor a] computes the factorization, or reports singularity. Raises
-    [Invalid_argument] if [a] is not square. [a] is not modified. *)
+(** [factor a] computes the factorization of a copy of [a], or reports
+    singularity. Raises [Invalid_argument] if [a] is not square or its
+    [data] does not hold [rows · cols] entries. [a] is not modified. *)
 
 val factor_exn : Matrix.t -> t
 (** Like {!factor} but raises {!Singular}. *)
@@ -79,11 +97,20 @@ val reset : workspace -> lo:int array -> hi:int array -> float array
     window of row [i] ([lo.(i) > hi.(i)] for an empty row) and returns
     the row-major storage itself, entry [(i, j)] at [i·n + j]. The
     caller writes each row only inside its new window. After
-    {!log_abs_det} or {!left_null_vector} the same array holds the
-    packed factors: [L]'s multipliers below the diagonal, [U] on and
-    above it, rows in pivot order. The arrays [lo] and [hi] are copied,
-    not kept. Raises [Invalid_argument] if their lengths are not [n] or
-    a window leaves [0 .. n−1]. *)
+    {!factor_in_place}, {!log_abs_det} or {!left_null_vector} the same
+    array holds the packed factors: [L]'s multipliers below the
+    diagonal, [U] on and above it, rows in pivot order. The arrays [lo]
+    and [hi] are copied, not kept. Raises [Invalid_argument] if their
+    lengths are not [n] or a window leaves [0 .. n−1]. *)
+
+val factor_in_place : workspace -> (t, [ `Singular ]) result
+(** [factor_in_place w] factors the matrix in the workspace {e in
+    place}, as {!factor} factors its copy: the same operations in the
+    same order, so the factors of a workspace whose windows span every
+    row are those of {!factor} bit for bit. No [n×n] copy is made; the
+    factorization aliases [w] and is valid until the next {!reset} of
+    [w]. The spectral solver's boundary elimination factors each level's
+    dense [M_j] this way, in one workspace per solve. *)
 
 val pivot_condition : t -> float
 (** Ratio of the largest to the smallest pivot modulus [max|u_ii| /
@@ -106,16 +133,21 @@ val solve_matrix : t -> Matrix.t -> Matrix.t
     multiplier or zero [U] entry, whose update would subtract exact
     zeros, is skipped. So the result is [solve] column by column (up to
     the sign of an exact zero), and against the factors of a diagonal
-    matrix such as [λI] the solve costs [O(n·(n + cols))]. *)
+    matrix such as [λI] the solve costs [O(n·(n + cols))]. Raises
+    [Invalid_argument] if [b] does not have [dim lu] rows or its [data]
+    does not hold [rows · cols] entries. *)
 
 val solve_diagonal : t -> Vec.t -> Matrix.t
 (** [solve_diagonal lu c] is [a⁻¹·diag(c)], equal to
     [solve_matrix lu (Matrix.diagonal c)] (up to the sign of an exact
     zero), without forming [diag(c)]. With its columns in pivot order
-    the work array stays lower triangular through the forward sweep,
-    whose row updates stop at the diagonal: about a third less
-    arithmetic than {!solve_matrix}, and no per-column extraction. Zeros
-    in [c] are allowed. *)
+    the result stays lower triangular through the forward sweep, whose
+    row updates stop at the diagonal: about a third less arithmetic than
+    {!solve_matrix}, and no per-column extraction. The sweeps run in the
+    matrix it returns, whose columns go back from pivot order one row
+    at a time, so a call allocates one [n×n] array and one row. Zeros
+    in [c] are allowed; raises [Invalid_argument] if [c] does not have
+    [dim lu] entries. *)
 
 val det : Matrix.t -> float
 (** Determinant via LU; [0.] for singular matrices. *)

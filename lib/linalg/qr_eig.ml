@@ -33,8 +33,9 @@ let sign_of a b = if b >= 0.0 then abs_float a else -.abs_float a
 
 let eigenvalues_hessenberg ?(max_iter = 100) ?observe h =
   if not (Matrix.is_square h) then invalid_arg "Qr_eig: not square";
-  if not (Hessenberg.is_hessenberg h) then invalid_arg "Qr_eig: not Hessenberg";
   let n = h.Matrix.rows in
+  Row_update.check_storage "Qr_eig" h.Matrix.data ~rows:n ~cols:n;
+  if not (Hessenberg.is_hessenberg h) then invalid_arg "Qr_eig: not Hessenberg";
   (* a flat row-major copy, entry (i, j) at i·n + j *)
   let a = Array.copy h.Matrix.data in
   let wr = Array.make n 0.0 and wi = Array.make n 0.0 in
@@ -232,43 +233,63 @@ let eigenvalues_hessenberg ?(max_iter = 100) ?observe h =
                 r := !r /. !p;
                 let x = !x and y = !y and q = !q and r = !r in
                 let mmin = min nn_v (k + 3) in
+                (* unchecked: the row modification spans rows k .. k + 2
+                   and columns k .. nn, the column modification rows
+                   l .. mmin and columns k .. k + 2, all at most
+                   nn ≤ n − 1, of the n×n copy *)
                 if three then begin
                   let rk2 = rk1 + n in
                   for j = k to nn_v do
                     (* row modification *)
                     let pj =
-                      a.(rk + j) +. (q *. a.(rk1 + j)) +. (r *. a.(rk2 + j))
+                      Array.unsafe_get a (rk + j)
+                      +. (q *. Array.unsafe_get a (rk1 + j))
+                      +. (r *. Array.unsafe_get a (rk2 + j))
                     in
-                    a.(rk2 + j) <- a.(rk2 + j) -. (pj *. z);
-                    a.(rk1 + j) <- a.(rk1 + j) -. (pj *. y);
-                    a.(rk + j) <- a.(rk + j) -. (pj *. x)
+                    Array.unsafe_set a (rk2 + j)
+                      (Array.unsafe_get a (rk2 + j) -. (pj *. z));
+                    Array.unsafe_set a (rk1 + j)
+                      (Array.unsafe_get a (rk1 + j) -. (pj *. y));
+                    Array.unsafe_set a (rk + j)
+                      (Array.unsafe_get a (rk + j) -. (pj *. x))
                   done;
                   for i = l to mmin do
                     (* column modification *)
-                    let ri = i * n in
+                    let c = (i * n) + k in
                     let pi =
-                      (x *. a.(ri + k))
-                      +. (y *. a.(ri + k + 1))
-                      +. (z *. a.(ri + k + 2))
+                      (x *. Array.unsafe_get a c)
+                      +. (y *. Array.unsafe_get a (c + 1))
+                      +. (z *. Array.unsafe_get a (c + 2))
                     in
-                    a.(ri + k + 2) <- a.(ri + k + 2) -. (pi *. r);
-                    a.(ri + k + 1) <- a.(ri + k + 1) -. (pi *. q);
-                    a.(ri + k) <- a.(ri + k) -. pi
+                    Array.unsafe_set a (c + 2)
+                      (Array.unsafe_get a (c + 2) -. (pi *. r));
+                    Array.unsafe_set a (c + 1)
+                      (Array.unsafe_get a (c + 1) -. (pi *. q));
+                    Array.unsafe_set a c (Array.unsafe_get a c -. pi)
                   done
                 end
                 else begin
                   for j = k to nn_v do
-                    let pj = a.(rk + j) +. (q *. a.(rk1 + j)) +. 0.0 in
-                    a.(rk1 + j) <- a.(rk1 + j) -. (pj *. y);
-                    a.(rk + j) <- a.(rk + j) -. (pj *. x)
+                    let pj =
+                      Array.unsafe_get a (rk + j)
+                      +. (q *. Array.unsafe_get a (rk1 + j))
+                      +. 0.0
+                    in
+                    Array.unsafe_set a (rk1 + j)
+                      (Array.unsafe_get a (rk1 + j) -. (pj *. y));
+                    Array.unsafe_set a (rk + j)
+                      (Array.unsafe_get a (rk + j) -. (pj *. x))
                   done;
                   for i = l to mmin do
-                    let ri = i * n in
+                    let c = (i * n) + k in
                     let pi =
-                      (x *. a.(ri + k)) +. (y *. a.(ri + k + 1)) +. 0.0
+                      (x *. Array.unsafe_get a c)
+                      +. (y *. Array.unsafe_get a (c + 1))
+                      +. 0.0
                     in
-                    a.(ri + k + 1) <- a.(ri + k + 1) -. (pi *. q);
-                    a.(ri + k) <- a.(ri + k) -. pi
+                    Array.unsafe_set a (c + 1)
+                      (Array.unsafe_get a (c + 1) -. (pi *. q));
+                    Array.unsafe_set a c (Array.unsafe_get a c -. pi)
                   done
                 end
               end

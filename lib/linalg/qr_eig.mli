@@ -48,7 +48,8 @@ val eigenvalues_hessenberg :
     Hessenberg matrix [h] (which is copied, not modified).
     [max_iter] bounds the QR sweeps per eigenvalue (default [100]).
     [observe] is invoked once before every sweep and once per deflation.
-    Raises [Invalid_argument] if [h] is not square or not Hessenberg.
+    Raises [Invalid_argument] if [h] is not square, if its [data] does
+    not hold [rows · cols] entries, or if it is not Hessenberg.
 
     The iteration runs on a flat row-major copy of [h]'s data, with the
     row offsets of each step hoisted out of its loops (an array of rows
@@ -57,4 +58,7 @@ val eigenvalues_hessenberg :
     still add [0.0] where the third term would be: that addition turns a
     [−0] sum into [+0], so every eigenvalue and every observed value,
     signed zeros included, is the one the array-of-rows formulation
-    gives. *)
+    gives. The row and column modifications of each sweep step, the
+    iteration's O(n²)-per-sweep work, read and write without bounds
+    checks: their indices stay inside the active block of the [n×n]
+    copy, whose length the entry checks once. *)

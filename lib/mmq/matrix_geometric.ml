@@ -35,6 +35,7 @@ type t = {
   iterations : int;
   boundary : V.t array; (* v_0 .. v_{N-1} *)
   v_n : V.t; (* v_N; higher levels via powers of R *)
+  rho : float; (* sp(R), filled by [solve] once its span has closed *)
 }
 
 exception Solve_error of error
@@ -167,7 +168,7 @@ let solve_inner ~tol ~max_iter q =
       in
       let boundary = Array.map realize xs in
       let v_n = realize g in
-      Ok { qbd = q; r; iterations; boundary; v_n }
+      Ok { qbd = q; r; iterations; boundary; v_n; rho = nan }
     with
     | Solve_error e -> Error e
     | Clu.Singular | Lu.Singular ->
@@ -180,12 +181,12 @@ let r_matrix t = M.copy t.r
 
 let r_iterations t = t.iterations
 
-let spectral_radius_estimate t =
-  let s = Qbd.s t.qbd in
-  let x = ref (Array.make s 1.0) in
+(* sp(R) by 200 steps of power iteration *)
+let power_radius r =
+  let x = ref (Array.make r.M.rows 1.0) in
   let lam = ref 0.0 in
   for _ = 1 to 200 do
-    let y = M.mul_vec t.r !x in
+    let y = M.mul_vec r !x in
     let norm = V.norm_inf y in
     if norm > 0.0 then begin
       lam := norm;
@@ -193,6 +194,8 @@ let spectral_radius_estimate t =
     end
   done;
   !lam
+
+let spectral_radius_estimate t = t.rho
 
 let num_servers t = Environment.servers (Qbd.env t.qbd)
 
@@ -202,14 +205,16 @@ let solve ?(tol = 1e-13) ?(max_iter = 200_000) q =
     Span.with_ ~name:"urs_mg_solve" (fun () -> solve_inner ~tol ~max_iter q)
   in
   let wall = Span.now () -. t0 in
+  let result =
+    Result.map (fun sol -> { sol with rho = power_radius sol.r }) result
+  in
   let outcome, summary =
     match result with
     | Ok sol ->
-        let rho = spectral_radius_estimate sol in
-        Metrics.set m_dominant rho;
+        Metrics.set m_dominant sol.rho;
         ( "ok",
           [
-            ("spectral_radius", Json.Float rho);
+            ("spectral_radius", Json.Float sol.rho);
             ("r_iterations", Json.Int sol.iterations);
           ] )
     | Error e ->

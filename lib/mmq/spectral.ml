@@ -256,16 +256,19 @@ let solve_stages ?max_iter q =
             let phi0_re, phi0_im = phi 0 in
             let phi1_re, phi1_im = phi 1 in
             let module Lu = Urs_linalg.Lu in
-            (* M_j = λS_{j−1} + T_jᵀ, filled in one pass into one buffer
-               (Lu.factor copies it): T_jᵀ equals Q1ᵀ off the diagonal,
-               and its diagonal comes from [Qbd.transition_diag]. Each
-               entry is (λ·s) + t, the value of forming λS_{j−1} and
-               T_jᵀ as matrices and adding them. *)
+            (* M_j = λS_{j−1} + T_jᵀ, filled in one pass into one
+               workspace and factored there in place: T_jᵀ equals Q1ᵀ
+               off the diagonal, and its diagonal comes from
+               [Qbd.transition_diag]. Each entry is (λ·s) + t, the value
+               of forming λS_{j−1} and T_jᵀ as matrices and adding them.
+               Every window spans its row, as in [Lu.factor]. *)
             let q1t = M.transpose q1 in
-            let mj = M.create s s in
+            let work = Lu.workspace s in
+            let full_lo = Array.make s 0 and full_hi = Array.make s (s - 1) in
             let level_factor j s_prev =
               let tj = Qbd.transition_diag q j in
-              let d = mj.M.data and t = q1t.M.data in
+              let d = Lu.reset work ~lo:full_lo ~hi:full_hi
+              and t = q1t.M.data in
               for i = 0 to s - 1 do
                 let ri = i * s in
                 for k = 0 to s - 1 do
@@ -277,7 +280,7 @@ let solve_stages ?max_iter q =
                 done
               done;
               Metrics.inc m_lu;
-              match Lu.factor mj with
+              match Lu.factor_in_place work with
               | Ok f -> note_cond f
               | Error `Singular ->
                   raise (Solve_error (Numerical "singular boundary block"))

@@ -2,6 +2,10 @@
    QR, the Hessenberg/QR eigensolver, companion linearization and root
    finding. *)
 
+(* the library's private row-update kernel, compiled into the tests
+   from its source (test/dune); named before [open Urs_linalg], which
+   brings in the library's own, inaccessible alias of it *)
+module Kernel = Row_update
 open Urs_linalg
 
 let approx ?(tol = 1e-9) a b = abs_float (a -. b) <= tol
@@ -1011,6 +1015,215 @@ let prop_workspace_refill =
       && null_vector_matches_dense w first
       && workspace_matches_dense w second)
 
+(* ---- the row-update kernel and the unchecked loops ----
+
+   Row_update is private to urs_linalg; test/dune compiles its source
+   into the tests too (as Kernel here). Its four-lane kernel must equal
+   the plain loop bit for bit at every length 0..13, which covers every
+   remainder of the unrolling, on two arrays and within one array, with
+   signed zeros, infinities and NaNs among the entries and the
+   multiplier. *)
+
+let gen_special =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, float_range (-4.0) 4.0);
+        (1, return 0.0);
+        (1, return (-0.0));
+        (1, return infinity);
+        (1, return neg_infinity);
+        (1, return nan);
+      ])
+
+let plain_sub x xo a y yo len =
+  for c = 0 to len - 1 do
+    x.(xo + c) <- x.(xo + c) -. (a *. y.(yo + c))
+  done
+
+let all_bits x y = Array.for_all2 same_bits x y
+
+let prop_row_update_two_arrays =
+  QCheck2.Test.make ~name:"row-update kernel = plain loop (two arrays), bits"
+    ~count:1000
+    QCheck2.Gen.(
+      int_range 0 13 >>= fun len ->
+      quad (int_range 0 3) (int_range 0 3) gen_special
+        (pair
+           (array_size (return (len + 5)) gen_special)
+           (array_size (return (len + 5)) gen_special))
+      >|= fun q -> (len, q))
+    (fun (len, (xo, yo, a, (x, y))) ->
+      let x' = Array.copy x in
+      Kernel.sub x xo a y yo len;
+      plain_sub x' xo a y yo len;
+      all_bits x x')
+
+(* two ranges of one array, the destination before or after the
+   source, apart or overlapping *)
+let prop_row_update_one_array =
+  QCheck2.Test.make ~name:"row-update kernel = plain loop (one array), bits"
+    ~count:1000
+    QCheck2.Gen.(
+      int_range 0 13 >>= fun len ->
+      triple bool (int_range 0 (len + 3)) gen_special >>= fun (after, gap, a) ->
+      let size = (2 * len) + gap + 2 in
+      array_size (return size) gen_special >|= fun z ->
+      let xo, yo = if after then (len + gap, 1) else (1, len + gap) in
+      (len, xo, yo, a, z))
+    (fun (len, xo, yo, a, z) ->
+      let z' = Array.copy z in
+      Kernel.sub z xo a z yo len;
+      plain_sub z' xo a z' yo len;
+      all_bits z z')
+
+(* Hessenberg.reduce before its row pass went through Row_update and
+   its column pass was unrolled: the same operations, checked and one
+   at a time *)
+let reference_reduce a0 =
+  let a = Matrix.copy a0 in
+  let n = a.Matrix.rows in
+  let d = a.Matrix.data in
+  for m = 1 to n - 2 do
+    let piv = ref m in
+    let x = ref d.((m * n) + m - 1) in
+    for j = m + 1 to n - 1 do
+      if abs_float d.((j * n) + m - 1) > abs_float !x then begin
+        x := d.((j * n) + m - 1);
+        piv := j
+      end
+    done;
+    if !piv <> m then begin
+      let rp = !piv * n and rm = m * n in
+      for j = m - 1 to n - 1 do
+        let tmp = d.(rp + j) in
+        d.(rp + j) <- d.(rm + j);
+        d.(rm + j) <- tmp
+      done;
+      for j = 0 to n - 1 do
+        let rj = j * n in
+        let tmp = d.(rj + !piv) in
+        d.(rj + !piv) <- d.(rj + m);
+        d.(rj + m) <- tmp
+      done
+    end;
+    if !x <> 0.0 then begin
+      let rm = m * n in
+      for i = m + 1 to n - 1 do
+        let ri = i * n in
+        let y = d.(ri + m - 1) in
+        if y <> 0.0 then begin
+          let y = y /. !x in
+          d.(ri + m - 1) <- y;
+          for j = m to n - 1 do
+            d.(ri + j) <- d.(ri + j) -. (y *. d.(rm + j))
+          done;
+          for j = 0 to n - 1 do
+            let rj = j * n in
+            d.(rj + m) <- d.(rj + m) +. (y *. d.(rj + i))
+          done
+        end
+      done
+    end
+  done;
+  for i = 2 to n - 1 do
+    for j = 0 to i - 2 do
+      d.((i * n) + j) <- 0.0
+    done
+  done;
+  a
+
+let prop_hessenberg_reduce_reference =
+  QCheck2.Test.make ~name:"Hessenberg.reduce = the checked loops, bits"
+    ~count:300
+    QCheck2.Gen.(
+      int_range 1 13 >>= fun n ->
+      array_size
+        (return (n * n))
+        (frequency
+           [
+             (5, float_range (-1.0) 1.0); (1, return 0.0); (1, return (-0.0));
+           ])
+      >|= fun d -> Matrix.init n n (fun i j -> d.((i * n) + j)))
+    (fun a ->
+      all_bits (Hessenberg.reduce a).Matrix.data
+        (reference_reduce a).Matrix.data)
+
+(* Lu.factor_in_place on a workspace whose windows span every row is
+   Lu.factor on a copy, bit for bit in everything a factorization
+   answers, also for a workspace that held and factored another matrix
+   first *)
+let same_factorization n f g =
+  let c = Vec.init n (fun i -> float_of_int (i + 1)) in
+  same_bits (Lu.det_of_factor f) (Lu.det_of_factor g)
+  && same_bits (Lu.pivot_condition f) (Lu.pivot_condition g)
+  && all_bits (Lu.solve_transposed f c) (Lu.solve_transposed g c)
+  && all_bits (Lu.solve_diagonal f c).Matrix.data
+       (Lu.solve_diagonal g c).Matrix.data
+
+let in_place_matches_copy w a =
+  let n = a.Matrix.rows in
+  let d = Lu.reset w ~lo:(Array.make n 0) ~hi:(Array.make n (n - 1)) in
+  Array.blit a.Matrix.data 0 d 0 (n * n);
+  match (Lu.factor_in_place w, Lu.factor a) with
+  | Error `Singular, Error `Singular -> true
+  | Ok f, Ok g -> same_factorization n f g
+  | _ -> false
+
+let prop_factor_in_place =
+  QCheck2.Test.make ~name:"factor_in_place = factor on a copy, refilled, bits"
+    ~count:300
+    QCheck2.Gen.(
+      gen_square >>= fun a ->
+      let n = a.Matrix.rows in
+      oneof
+        [
+          array_size (return (n * n)) (float_range (-1.0) 1.0)
+          >|= (fun d -> Matrix.init n n (fun i j -> d.((i * n) + j)));
+          shuffle_a (Array.init n Fun.id) >|= fun perm ->
+          Matrix.init n n (fun i j ->
+              if j = perm.(i) then float_of_int (n + 1) else 0.5);
+        ]
+      >|= fun first -> (first, a))
+    (fun (first, second) ->
+      let w = Lu.workspace first.Matrix.rows in
+      in_place_matches_copy w first && in_place_matches_copy w second)
+
+(* Matrix.t is a public record, so its data can disagree with its
+   dimensions; every entry that reaches an unchecked loop refuses such a
+   matrix before the loop runs *)
+let test_unchecked_loops_guarded () =
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let id3 = Lu.factor_exn (Matrix.identity 3) in
+  List.iter
+    (fun (label, len) ->
+      let bad = { Matrix.rows = 3; cols = 3; data = Array.make len 1.0 } in
+      let bad_h = { bad with data = Array.init len float_of_int } in
+      raises ("Lu.factor, " ^ label) "Lu.factor: data length is not rows * cols"
+        (fun () -> Lu.factor bad);
+      raises
+        ("Lu.factor_regularized, " ^ label)
+        "Lu.factor: data length is not rows * cols"
+        (fun () -> Lu.factor_regularized bad);
+      raises
+        ("Lu.solve_matrix, " ^ label)
+        "Lu.solve_matrix: data length is not rows * cols"
+        (fun () -> Lu.solve_matrix id3 bad);
+      raises
+        ("Hessenberg.reduce, " ^ label)
+        "Hessenberg.reduce: data length is not rows * cols"
+        (fun () -> Hessenberg.reduce bad);
+      raises
+        ("Qr_eig.eigenvalues_hessenberg, " ^ label)
+        "Qr_eig: data length is not rows * cols"
+        (fun () -> Qr_eig.eigenvalues_hessenberg bad_h))
+    [ ("short data", 8); ("long data", 10) ];
+  (* solve_diagonal takes its right-hand side as a vector *)
+  raises "Lu.solve_diagonal" "Lu.solve_diagonal: dimension mismatch" (fun () ->
+      Lu.solve_diagonal id3 [| 1.0; 2.0 |])
+
 let prop_eigen_count =
   QCheck2.Test.make ~name:"eigenvalue count = dimension" ~count:40 gen_matrix
     (fun a -> Array.length (Eigen.eigenvalues a) = a.Matrix.rows)
@@ -1127,6 +1340,8 @@ let () =
             test_eigen_observed_bit_identical;
           Alcotest.test_case "qr exhaustion payload" `Quick
             test_qr_exhaustion_payload;
+          Alcotest.test_case "unchecked loops refuse malformed matrices"
+            `Quick test_unchecked_loops_guarded;
           Alcotest.test_case "qr signed zeros pinned" `Quick
             test_qr_signed_zeros_pinned;
         ] );
@@ -1143,6 +1358,10 @@ let () =
             prop_lu_in_place_dense;
             prop_lu_in_place_patched;
             prop_workspace_refill;
+            prop_row_update_two_arrays;
+            prop_row_update_one_array;
+            prop_hessenberg_reduce_reference;
+            prop_factor_in_place;
             prop_eigen_count;
             prop_transpose_mul;
           ] );

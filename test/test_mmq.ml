@@ -513,6 +513,73 @@ let test_pinned_eigenvalue_stage () =
            (List.concat_map (fun z -> [ Cx.re z; Cx.im z ]) (Array.to_list ev))))
     (pinned_companions ())
 
+(* The exact and approximate answers pinned on a broad model set: the
+   paper model at N = 2..10 and four loads (0.99 of the stability limit
+   among them), Erlang-3 operative periods (complex eigenvalues) and the
+   paper's H2 repairs at N = 2..6 and three loads each, 66 models. The
+   digest is the MD5 of the %h renderings of each model's spectral L,
+   residual, boundary condition, dominant z and max eigen residual, and
+   geometric z and L, in that order. *)
+let broad_models () =
+  let at label env load =
+    ( Printf.sprintf "%s load=%g" label load,
+      Qbd.create ~env
+        ~lambda:(load *. Stability.max_arrival_rate ~env ~mu:1.0)
+        ~mu:1.0 )
+  in
+  let erlang3 servers =
+    Environment.create_ph ~servers
+      ~operative:
+        (Urs_prob.Phase_type.of_erlang (Urs_prob.Erlang.create ~k:3 ~rate:0.3))
+      ~inoperative:(Urs_prob.Phase_type.of_hyperexponential (exp_dist 2.0))
+      ()
+  in
+  let h2 servers =
+    Environment.create ~servers ~operative:paper_operative
+      ~inoperative:(H.of_pairs [ (0.9303, 25.0043); (0.0697, 1.6346) ])
+  in
+  let grid name env ns loads =
+    List.concat_map
+      (fun n ->
+        List.map
+          (fun load -> at (Printf.sprintf "%s N=%d" name n) (env n) load)
+          loads)
+      ns
+  in
+  grid "paper"
+    (fun servers -> paper_env ~servers)
+    [ 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
+    [ 0.05; 0.6; 0.9; 0.99 ]
+  @ grid "erlang-3" erlang3 [ 2; 3; 4; 5; 6 ] [ 0.3; 0.6; 0.9 ]
+  @ grid "H2 repairs" h2 [ 2; 3; 4; 5; 6 ] [ 0.3; 0.6; 0.9 ]
+
+let test_pinned_broad () =
+  let models = broad_models () in
+  Alcotest.(check int) "model count" 66 (List.length models);
+  let values =
+    List.concat_map
+      (fun (label, q) ->
+        let sol = solve_exn q in
+        let g =
+          match Geometric.solve q with
+          | Ok g -> g
+          | Error e -> Alcotest.failf "%s: %a" label Geometric.pp_error e
+        in
+        [
+          Spectral.mean_queue_length sol;
+          Spectral.residual sol;
+          Spectral.boundary_condition sol;
+          Spectral.dominant_eigenvalue sol;
+          Spectral.max_eigen_residual sol;
+          Geometric.dominant_eigenvalue g;
+          Geometric.mean_queue_length g;
+        ])
+      models
+  in
+  Alcotest.(check string)
+    "answers on 66 models" "f0ef7d02b6945459a34c8c687ca25bf2"
+    (digest_floats values)
+
 (* ---- phase-type extension (beyond the paper) ---- *)
 
 let test_ph_env_consistent_with_h2_env () =
@@ -1030,6 +1097,8 @@ let () =
             test_pinned_answers;
           Alcotest.test_case "balancing and QR eigenvalues pinned bit for bit"
             `Quick test_pinned_eigenvalue_stage;
+          Alcotest.test_case "answers pinned on 66 models" `Quick
+            test_pinned_broad;
         ] );
       ( "phase-type extension",
         [

@@ -2475,6 +2475,60 @@ let test_evaluate_perfbench_reads () =
   Alcotest.(check (option (float 0.0))) "ledger gauge too" (Some resolved)
     recorded
 
+(* A matrix-geometric evaluate reports one sp(R), computed once by
+   Matrix_geometric.solve: the answer's dominant eigenvalue, the mg
+   gauge, the mg.solve record's spectral_radius and the solver.evaluate
+   record's gauge have the same bits. *)
+let test_evaluate_mg_radius_once () =
+  with_clean_ledger @@ fun () ->
+  Ledger.set_memory true;
+  let m =
+    Urs.Model.create ~servers:4 ~arrival_rate:3.0 ~service_rate:1.0
+      ~operative:Urs.Model.paper_operative
+      ~inoperative:Urs.Model.paper_inoperative_exp ()
+  in
+  let answer =
+    match Urs.Solver.evaluate ~strategy:Urs.Solver.Matrix_geometric m with
+    | Ok p -> p.Urs.Solver.dominant_eigenvalue
+    | Error e -> Alcotest.failf "evaluate: %a" Urs.Solver.pp_error e
+  in
+  let rho =
+    match answer with
+    | Some z -> z
+    | None -> Alcotest.fail "no dominant eigenvalue in the answer"
+  in
+  let bits = function
+    | Some x -> Some (Int64.bits_of_float x)
+    | None -> None
+  in
+  let recent = Ledger.recent () in
+  let summary =
+    List.find_map
+      (fun (r : Ledger.record) ->
+        if r.Ledger.kind = "mg.solve" then
+          match List.assoc_opt "spectral_radius" r.Ledger.summary with
+          | Some (Json.Float x) -> Some x
+          | _ -> None
+        else None)
+      recent
+  and gauge =
+    List.find_map
+      (fun (r : Ledger.record) ->
+        if r.Ledger.kind = "solver.evaluate" then
+          List.assoc_opt "urs_spectral_dominant_z" r.Ledger.gauges
+        else None)
+      recent
+  in
+  let expected = Some (Int64.bits_of_float rho) in
+  Alcotest.(check bool) "0 < sp(R) < 1" true (rho > 0.0 && rho < 1.0);
+  let mg_gauge =
+    Metrics.value ~labels:[ ("strategy", "mg") ] "urs_spectral_dominant_z"
+  in
+  Alcotest.(check (option int64)) "mg gauge" expected (bits mg_gauge);
+  Alcotest.(check (option int64)) "mg.solve spectral_radius" expected
+    (bits summary);
+  Alcotest.(check (option int64)) "solver.evaluate gauge" expected (bits gauge)
+
 (* Every solver.evaluate record of a sweep on four domains carries its
    own solve's gauges, not whatever another domain's solve wrote last
    into the process-wide gauges. *)
@@ -3563,6 +3617,8 @@ let () =
             test_spectral_solve_metrics;
           Alcotest.test_case "evaluate sets what the plan check reads" `Quick
             test_evaluate_perfbench_reads;
+          Alcotest.test_case "matrix-geometric sp(R) computed once" `Quick
+            test_evaluate_mg_radius_once;
           Alcotest.test_case "sweep gauges are each solve's own (4 domains)"
             `Quick test_sweep_gauges_own_solve;
         ] );
