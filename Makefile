@@ -42,7 +42,7 @@ bench-gate:
 
 # Spectral stages against N, mirrored by the bench-regression CI job:
 # the bench `scale` section (release profile) solves the paper model at
-# N = 5..24 into a scratch history and prints each stage's seconds and
+# N = 5..30 into a scratch history and prints each stage's seconds and
 # log-log exponent; the table is kept in bench-scale.txt. It runs in a
 # scratch directory, so the BENCH_solvers.json and BENCH_ledger.jsonl
 # of an earlier bench-gate stay as they are. The timings are ungated;

@@ -609,23 +609,28 @@ let section_sim () =
 
 (* ---- scale: the spectral solver's stages against N ---- *)
 
-(* The paper model at 80% load over N = 5..24 (s = 21..325): seconds
-   per solve and per stage, words per solve and the residual, then a
-   least-squares log-log exponent per stage over s. Each N goes into the
-   perf history under an ungated key (spectral_n10, ...); a failed solve
-   is printed and recorded with null figures. A size that does not solve,
-   or whose residual exceeds [scale_max_residual], is also collected in
-   [scale_failures], and the bench exits 1 once every section has run. *)
+(* The paper model at 80% load over N = 5..30 (s = 21..496): seconds
+   per solve and per stage, words per solve, the residual and the
+   eigenvalue path, then a least-squares log-log exponent per stage
+   over s. N = 5..24 are timed over three to five solves after a
+   warm-up solve, and each figure is the median, the solve seconds with
+   their min–max spread; N = 30 is solved once and timed by that solve.
+   Each N goes into the perf history under an ungated key (spectral_n10,
+   ...); a failed solve is printed and recorded with null figures. A
+   size that does not solve, or whose residual exceeds
+   [scale_max_residual], is also collected in [scale_failures], and the
+   bench exits 1 once every section has run. *)
 let scale_max_residual = 1e-10
 
 let scale_failures : string list ref = ref []
 
 let section_scale () =
-  header "Spectral expansion — stage seconds against N (s = 21..325)";
+  header "Spectral expansion — stage seconds against N (s = 21..496)";
   Format.printf
-    "(fitted operative H2, η=25, µ=1, λ = 0.8·N·availability; each N \
-     solved once@.to warm up and check, then timed over as many solves \
-     as fit in ~1 s, at most 5)@.@.";
+    "(fitted operative H2, η=25, µ=1, λ = 0.8·N·availability; N <= 24 \
+     solved once@.to warm up and check, then timed over 3..5 solves (as \
+     many as fit in ~1 s, at least 3)@.and reported as medians; N = 30 \
+     timed by its one solve)@.@.";
   let stages = [ "eigenvalues"; "eigenvectors"; "boundary"; "normalization" ] in
   (* the span histogram sums of urs_spectral_stage, per stage *)
   let stage_sums () =
@@ -642,9 +647,23 @@ let section_scale () =
           0.0 (Metrics.snapshot ()))
       stages
   in
-  Format.printf "  %3s %4s %10s %10s %10s %10s %10s %12s %10s@." "N" "s"
-    "solve s" "eigval s" "eigvec s" "boundary s" "norm s" "kw/solve"
-    "residual";
+  (* one timed solve: its result, seconds and stage seconds *)
+  let timed q =
+    let sums0 = stage_sums () in
+    let t0 = Span.now () in
+    let r = Urs_mmq.Spectral.solve q in
+    let seconds = Span.now () -. t0 in
+    (r, seconds, List.map2 (fun a b -> b -. a) sums0 (stage_sums ()))
+  in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort Float.compare a;
+    let n = Array.length a in
+    if n land 1 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
+  in
+  Format.printf "  %3s %4s %10s %17s %10s %10s %10s %10s %12s %10s %s@." "N" "s"
+    "solve s" "min-max" "eigval s" "eigvec s" "boundary s" "norm s" "kw/solve"
+    "residual" "path";
   let rows =
     List.filter_map
       (fun servers ->
@@ -655,9 +674,9 @@ let section_scale () =
         in
         let q = Option.get (Urs.Model.qbd (model ~servers ~lambda)) in
         let s = Urs_mmq.Qbd.s q in
-        let t0 = Span.now () in
-        match Urs_mmq.Spectral.solve q with
-        | Error e ->
+        let m0, p0, j0 = Span.gc_counters () in
+        match timed q with
+        | Error e, _, _ ->
             Format.printf "  %3d %4d FAILED: %a@." servers s
               Urs_mmq.Spectral.pp_error e;
             scale_failures :=
@@ -674,21 +693,26 @@ let section_scale () =
               :: !gate_stats;
             flush ();
             None
-        | Ok sol ->
-            let first = Span.now () -. t0 in
-            let reps = max 1 (min 5 (int_of_float (1.0 /. first))) in
-            let sums0 = stage_sums () in
-            let m0, p0, j0 = Span.gc_counters () in
-            let t0 = Span.now () in
-            for _ = 1 to reps do
-              ignore (Urs_mmq.Spectral.solve q)
-            done;
-            let per x = x /. float_of_int reps in
-            let seconds = per (Span.now () -. t0) in
-            let m1, p1, j1 = Span.gc_counters () in
-            let stage_s =
-              List.map2 (fun a b -> per (b -. a)) sums0 (stage_sums ())
+        | Ok sol, first, first_stages ->
+            let runs =
+              if servers > 24 then [ (first, first_stages) ]
+              else
+                let reps = max 3 (min 5 (int_of_float (1.0 /. first))) in
+                List.init reps (fun _ ->
+                    let _, seconds, st = timed q in
+                    (seconds, st))
             in
+            let secs = List.map fst runs in
+            let seconds = median secs in
+            let stage_s =
+              List.mapi
+                (fun i _ -> median (List.map (fun (_, st) -> List.nth st i) runs))
+                stages
+            in
+            (* words over every solve of this N, the warm-up included *)
+            let m1, p1, j1 = Span.gc_counters () in
+            let solves = if servers > 24 then 1 else 1 + List.length runs in
+            let per x = x /. float_of_int solves in
             let stat =
               {
                 Urs_obs.Perf.seconds;
@@ -703,12 +727,23 @@ let section_scale () =
               scale_failures :=
                 Printf.sprintf "N=%d: residual %.2e" servers residual
                 :: !scale_failures;
-            Format.printf "  %3d %4d %10.4f" servers s seconds;
+            let spread =
+              match runs with
+              | [ _ ] -> "(one solve)"
+              | _ ->
+                  Printf.sprintf "%.4f-%.4f"
+                    (List.fold_left Float.min infinity secs)
+                    (List.fold_left Float.max neg_infinity secs)
+            in
+            Format.printf "  %3d %4d %10.4f %17s" servers s seconds spread;
             List.iter (fun x -> Format.printf " %10.4f" x) stage_s;
-            Format.printf " %12.0f %10.2e@." (stat.minor_words /. 1e3) residual;
+            Format.printf " %12.0f %10.2e %s@." (stat.minor_words /. 1e3) residual
+              (match Urs_mmq.Spectral.eig_path sol with
+              | Urs_mmq.Spectral.Definite -> "definite"
+              | Urs_mmq.Spectral.Companion _ -> "companion");
             flush ();
             Some (float_of_int s, seconds, stage_s))
-      [ 5; 10; 15; 20; 24 ]
+      [ 5; 10; 15; 20; 24; 30 ]
   in
   (* least-squares slope of log seconds against log s *)
   let slope pts =
@@ -734,7 +769,7 @@ let section_scale () =
         (slope (List.map (fun (s, _, ts) -> (s, List.nth ts i)) rows)))
     stages;
   Format.printf
-    "@.(the history gets one ungated key per N, spectral_n5 .. spectral_n24)@.";
+    "@.(the history gets one ungated key per N, spectral_n5 .. spectral_n30)@.";
   (match List.rev !scale_failures with
   | [] ->
       Format.printf "gate: every N solved with residual <= %.0e@."
@@ -1043,7 +1078,7 @@ let sections : (string * string * (unit -> unit)) list =
     ( "sim",
       "Simulation events/sec, bare engine and default probes (sim-perf gate)",
       section_sim );
-    ("scale", "Spectral stage seconds against N = 5..24", section_scale);
+    ("scale", "Spectral stage seconds against N = 5..30", section_scale);
     ("serve", "HTTP serve throughput and p99 (healthz, cached solve)", section_serve);
     ("query", "Ledger query engine: cold vs indexed scan", section_query);
     ("conv", "Convergence: iterations to tolerance per solver", section_conv);

@@ -939,9 +939,9 @@ let inspect_cmd =
       & opt (some int) None
       & info [ "max-iter" ] ~docv:"N"
           ~doc:
-            "Lower the QR sweep budget of the live spectral solve \
-             (default 100) — e.g. $(b,--max-iter 2) to watch a forced \
-             stall.")
+            "Lower the QR/QL sweep budget (per eigenvalue) of the live \
+             spectral solve (default 100) — e.g. $(b,--max-iter 2) to \
+             watch a forced stall.")
   in
   let ledger_path =
     Arg.(

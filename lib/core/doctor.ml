@@ -427,11 +427,11 @@ let check_memory_stage ?thresholds model =
 
    The N=5 λ=4 paper model is re-solved by every iterative method under
    {!Urs_obs.Convergence.with_recording}; each finished iteration trace
-   (QR sweeps, matrix-geometric R fixed point, Brent root refinement)
+   (QL or QR sweeps, matrix-geometric R fixed point, Brent root refinement)
    is graded by [Diagnostics.check_convergence] — iteration-cap
    proximity, non-monotone deflation, residual stagnation, slow linear
    contraction. [qr_max_iter] exists so tests (and the curious) can
-   lower the QR sweep budget and watch the stage go suspect. *)
+   lower the QR/QL sweep budget and watch the stage go suspect. *)
 
 let check_convergence_stage ?thresholds ?qr_max_iter model =
   let name =

@@ -33,3 +33,13 @@ val reduce : Matrix.t -> Matrix.t
 val is_hessenberg : ?tol:float -> Matrix.t -> bool
 (** Whether [a] is square and all entries below the first subdiagonal
     are [<= tol] (default [0.]) in absolute value. *)
+
+val tridiagonalize : Matrix.t -> Vec.t * Vec.t
+(** [tridiagonalize a] reduces the symmetric matrix [a] to a similar
+    tridiagonal matrix by Householder reflections and returns its
+    diagonal ([n] entries) and off-diagonal ([n − 1]). Only the upper
+    triangle of [a] is read, and [a] is overwritten: it is the work
+    array. [2n³/3] multiply-adds, against [5n³/3] for {!reduce} of a
+    nonsymmetric matrix of the same order. Raises [Invalid_argument] if
+    [a] is not square or its [data] does not hold [rows · cols]
+    entries. *)

@@ -374,12 +374,20 @@ let unit_vector y =
       Vec.normalize (Vec.scale (1.0 /. big) y)
     else Vec.normalize y
 
-let left_null_vector w =
-  let f, _ = regularized_in_place w in
-  (* uᵀ with aᵀ uᵀ = 0: inverse iteration using the transposed solve *)
-  let x = ref (unit_vector (start_vector (dim f))) in
+(* four sweeps of inverse iteration, as [Clu]'s *)
+let inverse_iteration solve_fn n =
+  let x = ref (unit_vector (start_vector n)) in
   for _ = 1 to 4 do
-    x := unit_vector (solve_transposed f !x)
+    x := unit_vector (solve_fn !x)
   done;
   (* the sign [Cvec.normalize] would pick: largest component positive *)
   if !x.(Vec.max_abs_index !x) < 0.0 then Vec.scale (-1.0) !x else !x
+
+let left_null_vector w =
+  let f, _ = regularized_in_place w in
+  (* uᵀ with aᵀ uᵀ = 0: inverse iteration using the transposed solve *)
+  inverse_iteration (solve_transposed f) (dim f)
+
+let null_vector a =
+  let f, _ = factor_regularized a in
+  inverse_iteration (solve f) (dim f)

@@ -176,3 +176,12 @@ val left_null_vector : workspace -> Vec.t
     patched pivot near [1e-300], as in a zero matrix) is first scaled
     by its largest modulus; every other sweep is normalized as by
     {!Vec.normalize}. Factors the workspace {e in place}. *)
+
+val null_vector : Matrix.t -> Vec.t
+(** Right null vector of a (near-)singular square matrix: [x] with
+    [a x ≈ 0], unit 2-norm, its largest-modulus component positive.
+    {!left_null_vector}'s inverse iteration on a copy of [a] factored
+    as it is (rows pivoted, as {!Clu.null_vector} pivots them), with
+    {!solve} in place of the transposed solve; for a real matrix it
+    agrees with {!Clu.null_vector} after {!Cvec.normalize}. Raises
+    [Invalid_argument] as {!factor} does. *)

@@ -300,3 +300,91 @@ let eigenvalues_hessenberg ?(max_iter = 100) ?observe h =
     done;
     Array.init n (fun i -> Cx.make wr.(i) wi.(i))
   end
+
+(* Implicit QL with Wilkinson's shift on a symmetric tridiagonal matrix
+   (tqli of Numerical Recipes, eigenvalues only), 0-based: e.(i)
+   couples rows i and i + 1, and e.(n − 1) = 0 closes the split search.
+   Eigenvalue l converges when e.(l) is negligible next to its two
+   diagonal neighbours; until then each sweep chases a plane rotation
+   from the first negligible e.(m) up to row l. The sweeps share the
+   Francis iteration's counter, cap and progress events. *)
+let eigenvalues_tridiagonal ?(max_iter = 100) ?observe d0 e0 =
+  let n = Array.length d0 in
+  if Array.length e0 <> max 0 (n - 1) then
+    invalid_arg "Qr_eig.eigenvalues_tridiagonal: off-diagonal length";
+  let d = Array.copy d0 and e = Array.make (n + 1) 0.0 in
+  Array.blit e0 0 e 0 (Array.length e0);
+  let local_sweeps = ref 0 in
+  let notify ev ~sweeps ~remaining ~block ~residual ~shift =
+    match observe with
+    | None -> ()
+    | Some f ->
+        f
+          {
+            event = ev;
+            sweeps;
+            total = !local_sweeps;
+            remaining;
+            block;
+            residual;
+            shift;
+            exceptional = false;
+          }
+  in
+  let rec split m =
+    if m >= n - 1 then m
+    else
+      let dd = abs_float d.(m) +. abs_float d.(m + 1) in
+      if abs_float e.(m) +. dd = dd then m else split (m + 1)
+  in
+  for l = 0 to n - 1 do
+    let its = ref 0 in
+    let m = ref (split l) in
+    while !m <> l do
+      let m_v = !m in
+      if !its >= max_iter then
+        raise (No_convergence { dim = n; block = l; iterations = !its });
+      incr its;
+      Atomic.incr sweep_count;
+      incr local_sweeps;
+      let g = (d.(l + 1) -. d.(l)) /. (2.0 *. e.(l)) in
+      let r = Float.hypot g 1.0 in
+      let shift = d.(l) -. (e.(l) /. (g +. sign_of r g)) in
+      notify Sweep ~sweeps:!its ~remaining:(n - l) ~block:(m_v - l + 1)
+        ~residual:(abs_float e.(l)) ~shift;
+      let g = ref (d.(m_v) -. shift) in
+      let s = ref 1.0 and c = ref 1.0 and p = ref 0.0 in
+      let i = ref (m_v - 1) and underflow = ref false in
+      while !i >= l && not !underflow do
+        let ii = !i in
+        let f = !s *. e.(ii) and b = !c *. e.(ii) in
+        let r = Float.hypot f !g in
+        e.(ii + 1) <- r;
+        if r = 0.0 then begin
+          (* the rotation underflowed: split here and start over *)
+          d.(ii + 1) <- d.(ii + 1) -. !p;
+          e.(m_v) <- 0.0;
+          underflow := true
+        end
+        else begin
+          s := f /. r;
+          c := !g /. r;
+          let g1 = d.(ii + 1) -. !p in
+          let r = ((d.(ii) -. g1) *. !s) +. (2.0 *. !c *. b) in
+          p := !s *. r;
+          d.(ii + 1) <- g1 +. !p;
+          g := (!c *. r) -. b;
+          decr i
+        end
+      done;
+      if not !underflow then begin
+        d.(l) <- d.(l) -. !p;
+        e.(l) <- !g;
+        e.(m_v) <- 0.0
+      end;
+      m := split l
+    done;
+    notify Deflate ~sweeps:!its ~remaining:(n - l - 1) ~block:1 ~residual:0.0
+      ~shift:d.(l)
+  done;
+  d

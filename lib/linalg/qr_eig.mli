@@ -62,3 +62,23 @@ val eigenvalues_hessenberg :
     iteration's O(n²)-per-sweep work, read and write without bounds
     checks: their indices stay inside the active block of the [n×n]
     copy, whose length the entry checks once. *)
+
+val eigenvalues_tridiagonal :
+  ?max_iter:int ->
+  ?observe:(progress -> unit) ->
+  Vec.t ->
+  Vec.t ->
+  Vec.t
+(** [eigenvalues_tridiagonal d e] computes the eigenvalues of the
+    symmetric tridiagonal matrix with diagonal [d] and off-diagonal [e]
+    (length [n − 1]) by the implicit QL iteration with Wilkinson's
+    shift, in [O(n²)] operations; they come back in no particular
+    order. [max_iter] bounds the sweeps per eigenvalue (default [100]),
+    as for {!eigenvalues_hessenberg}, and {!No_convergence} reports a
+    cap reached ([block] is the index of the eigenvalue that did not
+    converge). The sweeps count in {!total_sweeps}, and [observe] sees
+    a [Sweep] before each and a [Deflate] as each eigenvalue converges
+    ([remaining] counts the eigenvalues still to find, [residual] is
+    the off-diagonal entry that must vanish). Neither input is
+    modified. Raises [Invalid_argument] if [e] does not have
+    [max 0 (n − 1)] entries. *)

@@ -11,7 +11,41 @@ type t = {
   q1 : M.t; (* T_N = A − D^A − B − C, the coefficient Q1 of Q(z) *)
   band_lo : int array; (* per row, the first and last column where B, *)
   band_hi : int array; (* Q1 or C is nonzero: Q(z)'s windows *)
+  reversible : bool; (* detailed balance on Q1's off-diagonal *)
 }
+
+(* Detailed balance π_i·a_ij = π_j·a_ji on the nonzeros of [a] (all
+   inside Q1's band), in logarithms: log π spreads from mode 0 along
+   the first edge that reaches each mode, and every other edge is held
+   to it once, from its lower end. A one-way edge, an unreached mode or
+   a defect above 1e-9 means not reversible. *)
+let detailed_balance a band_lo band_hi =
+  let s = a.M.rows and d = a.M.data in
+  let log_pi = Array.make s nan in
+  let queue = Array.make s 0 and tail = ref 1 in
+  log_pi.(0) <- 0.0;
+  let ok = ref (s > 0) and head = ref 0 in
+  while !ok && !head < !tail do
+    let i = queue.(!head) in
+    incr head;
+    for j = band_lo.(i) to band_hi.(i) do
+      let aij = d.((i * s) + j) in
+      if j <> i && aij <> 0.0 then begin
+        let aji = d.((j * s) + i) in
+        if not (aij > 0.0 && aji > 0.0) then ok := false
+        else if Float.is_nan log_pi.(j) then begin
+          log_pi.(j) <- log_pi.(i) +. log (aij /. aji);
+          queue.(!tail) <- j;
+          incr tail
+        end
+        else if
+          j > i
+          && abs_float (log_pi.(i) +. log (aij /. aji) -. log_pi.(j)) > 1e-9
+        then ok := false
+      end
+    done
+  done;
+  !ok && !tail = s
 
 let create ~env ~lambda ~mu =
   if lambda <= 0.0 || mu <= 0.0 then
@@ -49,7 +83,8 @@ let create ~env ~lambda ~mu =
     done;
     band_hi.(i) <- !j - ri
   done;
-  { env; lambda; mu; a; b; d_a; c_full; q1; band_lo; band_hi }
+  let reversible = detailed_balance a band_lo band_hi in
+  { env; lambda; mu; a; b; d_a; c_full; q1; band_lo; band_hi; reversible }
 
 let env t = t.env
 
@@ -121,6 +156,75 @@ let char_poly_real t z w =
       d.(k) <- (b.(k) +. (z *. q1.(k))) +. (z2 *. c.(k))
     done
   done
+
+let reversible t = t.reversible
+
+(* off the diagonal, K = D^½·Q1·D^−½ has k_ij = √(a_ij·a_ji): with
+   π_i·a_ij = π_j·a_ji, √(π_i/π_j)·a_ij is that root *)
+let k_offdiag t i j =
+  let sm = s t in
+  sqrt (t.q1.M.data.((i * sm) + j) *. t.q1.M.data.((j * sm) + i))
+
+let require_reversible name t =
+  if not t.reversible then invalid_arg (name ^ ": environment not reversible")
+
+(* K's half bandwidth: the band of Q1 is symmetric once [a] is *)
+let k_bandwidth t =
+  let kb = ref 0 in
+  Array.iteri (fun i lo -> kb := max !kb (i - lo)) t.band_lo;
+  !kb
+
+let neg_qw t w =
+  require_reversible "Qbd.neg_qw" t;
+  let sm = s t in
+  let kb = k_bandwidth t in
+  let g = Urs_linalg.Cholesky.band ~n:sm ~p:kb in
+  let q1 = t.q1.M.data and c = t.c_full.M.data in
+  for i = 0 to sm - 1 do
+    let ri = i * sm in
+    for j = t.band_lo.(i) to i - 1 do
+      if q1.(ri + j) <> 0.0 then
+        Urs_linalg.Cholesky.set g i j (-.(w *. k_offdiag t i j))
+    done;
+    Urs_linalg.Cholesky.set g i i
+      (-.((t.lambda *. w *. w) +. (w *. q1.(ri + i)) +. c.(ri + i)))
+  done;
+  g
+
+let neg_linearization t mu =
+  require_reversible "Qbd.neg_linearization" t;
+  let sm = s t in
+  let q1 = t.q1.M.data and c = t.c_full.M.data in
+  (* x_i at pos.(i), then y_i right after it when c_i > 0 *)
+  let pos = Array.make sm 0 and n = ref 0 in
+  for i = 0 to sm - 1 do
+    pos.(i) <- !n;
+    n := !n + if c.((i * sm) + i) > 0.0 then 2 else 1
+  done;
+  let n = !n in
+  let p = ref (if n > sm then 1 else 0) in
+  for i = 0 to sm - 1 do
+    for j = t.band_lo.(i) to i - 1 do
+      if q1.((i * sm) + j) <> 0.0 then p := max !p (pos.(i) - pos.(j))
+    done
+  done;
+  let g = Urs_linalg.Cholesky.band ~n ~p:!p in
+  let coeff = Array.make n (-1.0) in
+  for i = 0 to sm - 1 do
+    let ri = i * sm and x = pos.(i) in
+    coeff.(x) <- t.lambda;
+    for j = t.band_lo.(i) to i - 1 do
+      if q1.(ri + j) <> 0.0 then
+        Urs_linalg.Cholesky.set g x pos.(j) (-.k_offdiag t i j)
+    done;
+    Urs_linalg.Cholesky.set g x x (-.((mu *. t.lambda) +. q1.(ri + i)));
+    let ci = c.(ri + i) in
+    if ci > 0.0 then begin
+      Urs_linalg.Cholesky.set g (x + 1) x (-.sqrt ci);
+      Urs_linalg.Cholesky.set g (x + 1) (x + 1) mu
+    end
+  done;
+  (g, coeff)
 
 let det_q_scaled t w z =
   char_poly_real t z w;

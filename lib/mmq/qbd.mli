@@ -87,6 +87,43 @@ val char_poly_real : t -> float -> Urs_linalg.Lu.workspace -> unit
     and the dominant root of {!Geometric} take their left null vectors
     from it; {!det_q_scaled} takes its determinant. *)
 
+(** {1 The symmetric view of a reversible environment}
+
+    When the environment satisfies detailed balance,
+    [π_i·a_ij = π_j·a_ji], [D = diag(π)] makes [K = D^½·Q1·D^−½]
+    symmetric (off the diagonal [k_ij = √(a_ij·a_ji)], on it [Q1]'s), so
+    in [w = 1/z] the characteristic polynomial is similar to the
+    symmetric [Q_w(w) = λw²·I + K·w + C]. For a stable queue it is
+    hyperbolic: its [2s] eigenvalues are real, and [−Q_w] is positive
+    definite on the gap [(1, 1/z_s)] between the [s] eigenvalues inside
+    the unit disk and the others. The paper's hyperexponential periods,
+    with or without limited repair crews, are reversible; Erlang and
+    Coxian periods, whose phases advance one way, are not. *)
+
+val reversible : t -> bool
+(** Whether detailed balance holds on [Q1]'s off-diagonal, checked by
+    {!create} in [O(nnz)]: [log π] spreads from mode [0] along the
+    edges of [A] and every edge is held to it within [1e-9]. A one-way
+    transition, like an Erlang phase advance, fails at once. *)
+
+val neg_qw : t -> float -> Urs_linalg.Cholesky.t
+(** [neg_qw t w] is [−Q_w(w) = −(λw²·I + K·w + C)] as a band of [K]'s
+    half bandwidth, ready for {!Urs_linalg.Cholesky.factor}: it has a
+    factor exactly when [w] lies in the gap (for [w > 0]). Raises
+    [Invalid_argument] unless {!reversible}. *)
+
+val neg_linearization : t -> float -> Urs_linalg.Cholesky.t * Urs_linalg.Vec.t
+(** [neg_linearization t mu] is [−L(μ)] for the definite linearization
+    [L(w) = w·diag(λI, −I_r) + [[K, Fᵀ], [F, 0]]] of [Q_w], where
+    [F = C^½] keeps the [r] modes with [c_i > 0]: [L(w)·(x, y) = 0]
+    with [y = F·x/w] gives [Q_w(w)·x = 0], so [L] has the eigenvalues of
+    [Q_w] except the [s − r] at [w = 0] ([z = ∞]). The unknowns are
+    interleaved, [x_i] then [y_i], so [L] stays banded (half bandwidth
+    at most twice [K]'s). Returns the band and the diagonal of [L]'s
+    coefficient of [w] in the same order ([λ] at each [x_i], [−1] at
+    each [y_i]). [−L(μ)] is positive definite exactly when [−Q_w(μ)] is
+    and [μ > 0]. Raises [Invalid_argument] unless {!reversible}. *)
+
 val det_q_scaled : t -> Urs_linalg.Lu.workspace -> float -> float
 (** [det_q_scaled t w z] is [det Q(z)] for real [z], rescaled as
     [sign·exp(log|det|/s)] to avoid overflow — same sign and same roots

@@ -55,8 +55,7 @@ let m_conj =
     "urs_spectral_conjugate_shortcuts_total"
 
 let m_qr_sweeps =
-  Metrics.counter ~help:"Francis QR double-shift sweeps"
-    "urs_qr_sweeps_total"
+  Metrics.counter ~help:"eigenvalue-stage QR/QL sweeps" "urs_qr_sweeps_total"
 
 type error =
   | Unstable of Stability.verdict
@@ -70,8 +69,20 @@ let pp_error ppf = function
         "expected %d eigenvalues inside the unit disk, found %d" expected found
   | Numerical msg -> Format.fprintf ppf "numerical failure: %s" msg
 
+type fallback = Not_reversible | No_gap_shift | Cholesky | Count | Ql_cap
+
+type eig_path = Definite | Companion of fallback
+
+let fallback_name = function
+  | Not_reversible -> "not_reversible"
+  | No_gap_shift -> "no_gap_shift"
+  | Cholesky -> "cholesky"
+  | Count -> "count"
+  | Ql_cap -> "ql_cap"
+
 type t = {
   qbd : Qbd.t;
+  eig_path : eig_path;
   zs : Cx.t array; (* eigenvalues inside the unit disk, ascending modulus *)
   us : CV.t array; (* matching left eigenvectors of Q(z) *)
   u_sums : Cx.t array; (* u_k · 1 *)
@@ -83,6 +94,8 @@ type t = {
 }
 
 let qbd t = t.qbd
+
+let eig_path t = t.eig_path
 
 let eigenvalues t = Array.copy t.zs
 
@@ -113,7 +126,76 @@ let default_qr_max_iter = 100
    eigenvalues as inside the unit disk *)
 let eig_tol = 1e-9
 
-let solve_stages ?max_iter q =
+(* The QR-family iterations of the eigenvalue stage, recorded as "qr"
+   traces: the per-sweep callback reads values the sweep already
+   computed, keeping results bit-identical. *)
+let track_qr ~max_iter ~label kernel =
+  Urs_obs.Convergence.track ~max_iter ~solver:"qr" ~label
+    ~callback:(fun obs (p : Urs_linalg.Qr_eig.progress) ->
+      obs ~iteration:p.total ~residual:p.residual ~shift:p.shift
+        ~active:p.remaining
+        ~deflation:(p.event = Urs_linalg.Qr_eig.Deflate)
+        ())
+    ~converged:(fun _ -> true)
+    kernel
+
+(* Eigenvalues of a reversible model from the definite linearization
+   (Qbd's symmetric view): a shift μ in the gap (1, 1/z_s), found by
+   Cholesky of −Q_w(1 + t) (t halved from 1 until it factors, the upper
+   edge bisected six times, μ the gap's midpoint), then −L(μ) = G·Gᵀ,
+   H = G⁻¹·diag(λI, −I)·G⁻ᵀ, Householder to tridiagonal form and
+   implicit QL. L(w)v = 0 is (L(μ) + (w − μ)·diag(λI, −I))v = 0, so each
+   eigenvalue θ of H is 1/(w − μ): the s with θ > 0 are the w beyond μ,
+   and z = 1/w = θ/(μθ + 1). [Error] names why the companion path must
+   run instead. *)
+let definite_eigenvalues ~max_iter ~label q =
+  let module Chol = Urs_linalg.Cholesky in
+  let factors w = Chol.factor (Qbd.neg_qw q w) in
+  let rec lower t halvings =
+    if factors (1.0 +. t) then Some t
+    else if halvings = 0 then None
+    else lower (t /. 2.0) (halvings - 1)
+  in
+  if not (Qbd.reversible q) then Error Not_reversible
+  else
+    match lower 1.0 40 with
+    | None -> Error No_gap_shift
+    | Some t ->
+        let lo = ref t and hi = ref (2.0 *. t) in
+        for _ = 1 to 6 do
+          let mid = 0.5 *. (!lo +. !hi) in
+          if factors (1.0 +. mid) then lo := mid else hi := mid
+        done;
+        (* below 1 + t_lo, which factored, since t_hi <= 2·t_lo *)
+        let mu = 1.0 +. (0.25 *. (!lo +. !hi)) in
+        let g, coeff = Qbd.neg_linearization q mu in
+        if not (Chol.factor g) then Error Cholesky
+        else
+          let d, e =
+            Urs_linalg.Hessenberg.tridiagonalize (Chol.standard_form g coeff)
+          in
+          match
+            track_qr ~max_iter ~label (fun observe ->
+                Urs_linalg.Qr_eig.eigenvalues_tridiagonal ~max_iter ?observe d
+                  e)
+          with
+          | exception Urs_linalg.Qr_eig.No_convergence _ -> Error Ql_cap
+          | thetas ->
+              let zs =
+                Array.of_list
+                  (List.filter_map
+                     (fun th ->
+                       if th > 0.0 then Some (th /. ((mu *. th) +. 1.0))
+                       else None)
+                     (Array.to_list thetas))
+              in
+              if Array.length zs <> Qbd.s q then Error Count
+              else begin
+                Array.sort Float.compare zs;
+                Ok (Array.map Cx.of_float zs)
+              end
+
+let solve_stages ~path ?max_iter q =
   let env = Qbd.env q in
   let n_servers = Environment.servers env in
   let s = Qbd.s q in
@@ -123,8 +205,9 @@ let solve_stages ?max_iter q =
   if not verdict.Stability.stable then Error (Unstable verdict)
   else begin
     try
-      let q0 = Qbd.q0 q and q1 = Qbd.q1 q and q2 = Qbd.q2 q in
+      let q1 = Qbd.q1 q in
       let qr_max_iter = Option.value max_iter ~default:default_qr_max_iter in
+      let label () = Printf.sprintf "spectral N=%d s=%d" n_servers s in
       let zs =
         Span.with_ ~name:"urs_spectral_stage"
           ~labels:[ ("stage", "eigenvalues") ]
@@ -138,35 +221,31 @@ let solve_stages ?max_iter q =
                        (Urs_linalg.Qr_eig.total_sweeps () - sweeps_before))
                   m_qr_sweeps)
               (fun () ->
-                try
-                  (* the per-sweep callback reads values the sweep
-                     already computed, keeping results bit-identical *)
-                  Urs_obs.Convergence.track ~max_iter:qr_max_iter ~solver:"qr"
-                    ~label:(fun () ->
-                      Printf.sprintf "spectral N=%d s=%d" n_servers s)
-                    ~callback:(fun obs (p : Urs_linalg.Qr_eig.progress) ->
-                      obs ~iteration:p.total ~residual:p.residual
-                        ~shift:p.shift ~active:p.remaining
-                        ~deflation:(p.event = Urs_linalg.Qr_eig.Deflate)
-                        ())
-                    ~converged:(fun _ -> true)
-                    (fun observe ->
-                      Urs_linalg.Companion.eigenvalues_inside_unit_disk
-                        ~tol:eig_tol ~max_iter:qr_max_iter ?observe ~q0 ~q1
-                        ~q2 ())
-                with
-                | Urs_linalg.Qr_eig.No_convergence { dim; block; iterations }
-                  ->
-                    raise
-                      (Solve_error
-                         (Numerical
-                            (Printf.sprintf
-                               "QR iteration did not converge (%dx%d \
-                                companion matrix, trailing block %d stuck \
-                                after %d sweeps)"
-                               dim dim block iterations)))
-                | Urs_linalg.Lu.Singular ->
-                    raise (Solve_error (Numerical "singular arrival block"))))
+                match definite_eigenvalues ~max_iter:qr_max_iter ~label q with
+                | Ok zs ->
+                    path := Some Definite;
+                    zs
+                | Error why -> (
+                    path := Some (Companion why);
+                    try
+                      track_qr ~max_iter:qr_max_iter ~label (fun observe ->
+                          Urs_linalg.Companion.eigenvalues_inside_unit_disk
+                            ~tol:eig_tol ~max_iter:qr_max_iter ?observe
+                            ~q0:(Qbd.q0 q) ~q1 ~q2:(Qbd.q2 q) ())
+                    with
+                    | Urs_linalg.Qr_eig.No_convergence
+                        { dim; block; iterations } ->
+                        raise
+                          (Solve_error
+                             (Numerical
+                                (Printf.sprintf
+                                   "QR iteration did not converge (%dx%d \
+                                    companion matrix, trailing block %d \
+                                    stuck after %d sweeps)"
+                                   dim dim block iterations)))
+                    | Urs_linalg.Lu.Singular ->
+                        raise
+                          (Solve_error (Numerical "singular arrival block")))))
       in
       Metrics.set m_eigenvalues (float_of_int (Array.length zs));
       if Array.length zs <> s then begin
@@ -227,11 +306,14 @@ let solve_stages ?max_iter q =
             us)
       in
       (* Φ_r has column k equal to z_k^{N+r} u_kᵀ, so v_{N+r}ᵀ = Φ_r γᵀ.
-         Represent complex matrices as (re, im) pairs of real matrices:
-         every block in the boundary elimination except Φ is real
+         Every block in the boundary elimination except Φ is real
          (Bᵀ = λI and C_j is diagonal), so the expensive factorizations
-         stay in real arithmetic. *)
+         stay in real arithmetic. When every z_k is real (every
+         reversible model), so are Φ, the level-N system and γ; a
+         complex spectrum carries Φ as (re, im) pairs of real matrices
+         and takes γ from a complex null vector. *)
       let lambda = Qbd.lambda q in
+      let real_spectrum = Array.for_all (fun z -> Cx.im z = 0.0) zs in
       let worst_cond = ref 1.0 in
       let note_cond f =
         worst_cond := Float.max !worst_cond (Urs_linalg.Lu.pivot_condition f);
@@ -241,20 +323,6 @@ let solve_stages ?max_iter q =
         Span.with_ ~name:"urs_spectral_stage"
           ~labels:[ ("stage", "boundary") ]
           (fun () ->
-            let phi r =
-              let re = M.create s s and im = M.create s s in
-              for k = 0 to s - 1 do
-                let zp = cx_pow zs.(k) (n_servers + r) in
-                for i = 0 to s - 1 do
-                  let v = Cx.mul zp us.(k).(i) in
-                  M.set re i k (Cx.re v);
-                  M.set im i k (Cx.im v)
-                done
-              done;
-              (re, im)
-            in
-            let phi0_re, phi0_im = phi 0 in
-            let phi1_re, phi1_im = phi 1 in
             let module Lu = Urs_linalg.Lu in
             (* M_j = λS_{j−1} + T_jᵀ, filled in one pass into one
                workspace and factored there in place: T_jᵀ equals Q1ᵀ
@@ -299,49 +367,83 @@ let solve_stages ?max_iter q =
               prev := Some s_j
             done;
             (* level N-1 equation: x_{N-1} = W γᵀ with
-               W = −M_last⁻¹ (C Φ0) (C diagonal) *)
+               W = −M_last⁻¹ (C Φ0) (C diagonal); level N equation:
+               [λW + T_Nᵀ Φ0 + C Φ1] γᵀ = 0, with T_N = Q1 *)
             let f_last = level_factor (n_servers - 1) !prev in
             let c_full_diag = Qbd.c_diag q n_servers in
             let scale_rows_neg d m =
               M.init s s (fun i j -> -.d.(i) *. M.get m i j)
             in
-            let w_re =
-              Lu.solve_matrix f_last (scale_rows_neg c_full_diag phi0_re)
+            let level w tp phi1 i j =
+              (lambda *. M.get w i j)
+              +. (M.get tp i j +. (c_full_diag.(i) *. M.get phi1 i j))
             in
-            let w_im =
-              Lu.solve_matrix f_last (scale_rows_neg c_full_diag phi0_im)
-            in
-            (* level N equation: [λW + T_Nᵀ Φ0 + C Φ1] γᵀ = 0, with
-               T_N = Q1 *)
-            let tp_re = M.mul q1t phi0_re and tp_im = M.mul q1t phi0_im in
-            let m_gamma =
-              CM.init s s (fun i j ->
-                  let level w tp phi1 =
-                    (lambda *. M.get w i j)
-                    +. (M.get tp i j +. (c_full_diag.(i) *. M.get phi1 i j))
-                  in
-                  Cx.make (level w_re tp_re phi1_re) (level w_im tp_im phi1_im))
-            in
-            let g = Clu.null_vector m_gamma in
             (* back substitution: x_{N-1} = W g, then x_j = S_j x_{j+1} *)
-            let g_re = CV.real_part g and g_im = CV.imag_part g in
-            let complex_apply re im vr vi =
+            let back_substitute last apply =
+              let xs = Array.make n_servers last in
+              for j = n_servers - 2 downto 0 do
+                xs.(j) <- apply ss.(j) xs.(j + 1)
+              done;
+              xs
+            in
+            if real_spectrum then begin
+              let phi r =
+                let zp =
+                  Array.map (fun z -> Cx.re z ** float_of_int (n_servers + r)) zs
+                in
+                M.init s s (fun i k -> zp.(k) *. Cx.re us.(k).(i))
+              in
+              let phi0 = phi 0 and phi1 = phi 1 in
+              let w = Lu.solve_matrix f_last (scale_rows_neg c_full_diag phi0) in
+              let tp = M.mul q1t phi0 in
+              let g = Lu.null_vector (M.init s s (level w tp phi1)) in
+              let xs = back_substitute (M.mul_vec w g) M.mul_vec in
+              (Array.map Cx.of_float g, Array.map CV.of_real xs)
+            end
+            else begin
+              let phi r =
+                let re = M.create s s and im = M.create s s in
+                for k = 0 to s - 1 do
+                  let zp = cx_pow zs.(k) (n_servers + r) in
+                  for i = 0 to s - 1 do
+                    let v = Cx.mul zp us.(k).(i) in
+                    M.set re i k (Cx.re v);
+                    M.set im i k (Cx.im v)
+                  done
+                done;
+                (re, im)
+              in
+              let phi0_re, phi0_im = phi 0 in
+              let phi1_re, phi1_im = phi 1 in
+              let w_re =
+                Lu.solve_matrix f_last (scale_rows_neg c_full_diag phi0_re)
+              in
+              let w_im =
+                Lu.solve_matrix f_last (scale_rows_neg c_full_diag phi0_im)
+              in
+              let tp_re = M.mul q1t phi0_re and tp_im = M.mul q1t phi0_im in
+              let m_gamma =
+                CM.init s s (fun i j ->
+                    Cx.make
+                      (level w_re tp_re phi1_re i j)
+                      (level w_im tp_im phi1_im i j))
+              in
+              let g = Clu.null_vector m_gamma in
+              let g_re = CV.real_part g and g_im = CV.imag_part g in
               (* (re + i·im)(vr + i·vi) *)
-              let a = M.mul_vec re vr and b = M.mul_vec im vi in
-              let c = M.mul_vec re vi and d = M.mul_vec im vr in
-              Array.init s (fun i -> Cx.make (a.(i) -. b.(i)) (c.(i) +. d.(i)))
-            in
-            let real_apply m v =
-              let vr = M.mul_vec m (CV.real_part v) in
-              let vi = M.mul_vec m (CV.imag_part v) in
-              Array.init s (fun i -> Cx.make vr.(i) vi.(i))
-            in
-            let xs = Array.make n_servers (CV.create s) in
-            xs.(n_servers - 1) <- complex_apply w_re w_im g_re g_im;
-            for j = n_servers - 2 downto 0 do
-              xs.(j) <- real_apply ss.(j) xs.(j + 1)
-            done;
-            (g, xs))
+              let a = M.mul_vec w_re g_re and b = M.mul_vec w_im g_im in
+              let c = M.mul_vec w_re g_im and d = M.mul_vec w_im g_re in
+              let last =
+                Array.init s (fun i ->
+                    Cx.make (a.(i) -. b.(i)) (c.(i) +. d.(i)))
+              in
+              let real_apply m v =
+                let vr = M.mul_vec m (CV.real_part v) in
+                let vi = M.mul_vec m (CV.imag_part v) in
+                Array.init s (fun i -> Cx.make vr.(i) vi.(i))
+              in
+              (g, back_substitute last real_apply)
+            end)
       in
       (* normalization (eq. 20): Σ_{j<N} x_j·1 + Σ_k γ_k (u_k·1) z^N/(1−z) *)
       Span.with_ ~name:"urs_spectral_stage"
@@ -400,6 +502,7 @@ let solve_stages ?max_iter q =
           Ok
             {
               qbd = q;
+              eig_path = Option.get !path;
               zs;
               us;
               u_sums;
@@ -586,8 +689,10 @@ let residual t = t.residual
 let solve ?max_iter q =
   Metrics.inc m_solves;
   let t0 = Span.now () in
+  let path = ref None in
   let staged =
-    Span.with_ ~name:"urs_spectral_solve" (fun () -> solve_stages ?max_iter q)
+    Span.with_ ~name:"urs_spectral_solve" (fun () ->
+        solve_stages ~path ?max_iter q)
   in
   let wall = Span.now () -. t0 in
   let result =
@@ -610,6 +715,18 @@ let solve ?max_iter q =
         Log.info (fun m -> m "spectral solve failed: %a" pp_error e);
         ("error", [ ("error", Json.String (Format.asprintf "%a" pp_error e)) ])
   in
+  (* which eigenvalue path ran, and why the definite one did not *)
+  let path_fields =
+    match !path with
+    | None -> []
+    | Some Definite -> [ ("eig_path", Json.String "definite") ]
+    | Some (Companion why) ->
+        [
+          ("eig_path", Json.String "companion");
+          ("eig_fallback", Json.String (fallback_name why));
+        ]
+  in
   Ledger.record ~kind:"spectral.solve" ~strategy:"exact"
-    ~params:(Qbd.ledger_params q) ~wall_seconds:wall ~outcome ~summary ();
+    ~params:(Qbd.ledger_params q) ~wall_seconds:wall ~outcome
+    ~summary:(summary @ path_fields) ();
   result

@@ -26,12 +26,39 @@ val pp_error : Format.formatter -> error -> unit
 type t
 (** A solved model. *)
 
+(** Why the eigenvalue stage took the companion path. *)
+type fallback =
+  | Not_reversible  (** The environment fails detailed balance. *)
+  | No_gap_shift
+      (** [−Q_w(1 + t)] has no Cholesky factor for any [t = 2^−k],
+          [k <= 40]: no shift was found in the gap. *)
+  | Cholesky  (** [−L(μ)] has no Cholesky factor at the chosen shift. *)
+  | Count  (** Other than [s] eigenvalues of [H] are positive. *)
+  | Ql_cap  (** The QL iteration reached its sweep cap. *)
+
+type eig_path =
+  | Definite
+      (** Eigenvalues of the symmetric standard form of the definite
+          linearization ({!Qbd.neg_linearization}): Householder
+          tridiagonalization and implicit QL. *)
+  | Companion of fallback
+      (** Balancing, Hessenberg reduction and Francis QR on the
+          [2s×2s] companion matrix. *)
+
 val solve : ?max_iter:int -> Qbd.t -> (t, error) result
-(** Solve the model. [max_iter] bounds the QR sweeps per eigenvalue of
-    the companion eigensolve (default [100] — lower it to force a
-    controlled stall in tests, doctor probes and [urs serve
-    --solve-max-iter]). Eigenvalues within [1e-9] of the unit circle
-    count as outside the unit disk.
+(** Solve the model. The eigenvalue stage takes the {!Definite} path
+    for a {!Qbd.reversible} environment and the companion path for
+    every other one, or when the definite path cannot finish (see
+    {!fallback}); no option chooses. [max_iter] bounds the sweeps per
+    eigenvalue of the QL or QR iteration (default [100] — lower it to
+    force a controlled stall in tests, doctor probes and [urs serve
+    --solve-max-iter]): a QL that reaches it falls back to the
+    companion path, and a Francis QR that reaches it fails the solve
+    with a [Numerical "QR iteration did not converge ..."] error.
+    Companion eigenvalues within [1e-9] of the unit circle count as
+    outside the unit disk; the definite path's lie below [1/μ < 1] by
+    construction. When every eigenvalue is real, the level-[N] system
+    and its null vector are solved in real arithmetic.
 
     A successful solve computes its {!residual} once, after the
     [urs_spectral_solve] span closes. Each call updates the last-solve
@@ -39,12 +66,19 @@ val solve : ?max_iter:int -> Qbd.t -> (t, error) result
     [urs_spectral_residual], labelled [strategy="exact"]) and appends
     one ["spectral.solve"] record (parameters, wall time, residual,
     boundary condition, or the error) to the {!Urs_obs.Ledger} when
-    one is active. The companion eigensolve runs through
-    {!Urs_obs.Convergence.track}: with recording on it leaves a
-    per-sweep ["qr"] convergence trace (sub-diagonal residual, shift,
-    deflations), not converged when the eigensolve raises. *)
+    one is active; once the eigenvalue stage has run, the record also
+    carries [eig_path] ([definite] or [companion]) and, after a
+    fallback, [eig_fallback] ([not_reversible], [no_gap_shift],
+    [cholesky], [count] or [ql_cap]). The QL and the Francis QR
+    iterations run through {!Urs_obs.Convergence.track}: with recording
+    on each leaves a per-sweep ["qr"] convergence trace (off-diagonal
+    residual, shift, deflations), not converged when it reaches its
+    cap; both count in [urs_qr_sweeps_total]. *)
 
 val qbd : t -> Qbd.t
+
+val eig_path : t -> eig_path
+(** Which path computed the eigenvalues. *)
 
 val eigenvalues : t -> Urs_linalg.Cx.t array
 (** The [s] eigenvalues inside the unit disk, ascending modulus. *)

@@ -1236,6 +1236,168 @@ let prop_transpose_mul =
         (Matrix.transpose (Matrix.mul a b))
         (Matrix.mul (Matrix.transpose b) (Matrix.transpose a)))
 
+(* ---- the symmetric kernels of the definite path ---- *)
+
+let sorted a =
+  let a = Array.copy a in
+  Array.sort Float.compare a;
+  a
+
+(* tridiag(−1, 2, −1) of order n has eigenvalues 2 − 2cos(kπ/(n+1)) *)
+let test_ql_second_difference () =
+  List.iter
+    (fun n ->
+      let got =
+        sorted
+          (Qr_eig.eigenvalues_tridiagonal (Array.make n 2.0)
+             (Array.make (n - 1) (-1.0)))
+      in
+      Array.iteri
+        (fun k x ->
+          let exact =
+            2.0
+            -. (2.0
+               *. cos (float_of_int (k + 1) *. Float.pi /. float_of_int (n + 1)))
+          in
+          if abs_float (x -. exact) > 1e-13 then
+            Alcotest.failf "n=%d k=%d: %.17g, exact %.17g" n k x exact)
+        got)
+    [ 1; 2; 3; 7; 40; 101 ]
+
+let test_ql_cap () =
+  let sweeps0 = Qr_eig.total_sweeps () in
+  (match
+     Qr_eig.eigenvalues_tridiagonal ~max_iter:1 (Array.make 30 2.0)
+       (Array.make 29 (-1.0))
+   with
+  | exception Qr_eig.No_convergence { dim; iterations; _ } ->
+      Alcotest.(check int) "dim" 30 dim;
+      Alcotest.(check int) "iterations" 1 iterations
+  | _ -> Alcotest.fail "one sweep cannot find 30 eigenvalues");
+  Alcotest.(check bool) "sweeps counted" true
+    (Qr_eig.total_sweeps () > sweeps0)
+
+let gen_symmetric =
+  QCheck2.Gen.(
+    int_range 1 12 >>= fun n ->
+    array_size (return (n * n)) (float_range (-1.0) 1.0) >|= fun data ->
+    Matrix.init n n (fun i j -> data.((min i j * n) + max i j)))
+
+let prop_tridiagonalize =
+  QCheck2.Test.make
+    ~name:"tridiagonalization keeps trace, Frobenius norm and spectrum"
+    ~count:60 gen_symmetric (fun a ->
+      let n = a.Matrix.rows in
+      let d, e = Hessenberg.tridiagonalize (Matrix.copy a) in
+      let fro =
+        Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 d
+        +. (2.0 *. Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 e)
+      in
+      let tol = 1e-12 *. float_of_int n in
+      let spectrum = sorted (Qr_eig.eigenvalues_tridiagonal d e) in
+      let francis =
+        sorted (Array.map Cx.re (Eigen.eigenvalues a))
+      in
+      abs_float (Array.fold_left ( +. ) 0.0 d -. Matrix.trace a) <= tol
+      && abs_float (sqrt fro -. Matrix.norm_frobenius a) <= tol
+      && Array.for_all2 (fun x y -> abs_float (x -. y) <= 1e-10) spectrum
+           francis)
+
+(* a symmetric band of half bandwidth p, positive definite by diagonal
+   dominance unless [indefinite] flips the sign of one diagonal entry *)
+let gen_spd_band =
+  QCheck2.Gen.(
+    int_range 1 12 >>= fun n ->
+    int_range 0 4 >>= fun p ->
+    array_size (return (n * n)) (float_range (-1.0) 1.0) >|= fun data ->
+    let a =
+      Matrix.init n n (fun i j ->
+          if abs (i - j) > p then 0.0
+          else if i = j then 2.0 *. float_of_int (p + 1)
+          else data.((min i j * n) + max i j))
+    in
+    (a, p))
+
+let band_of a p =
+  let n = a.Matrix.rows in
+  let b = Cholesky.band ~n ~p in
+  for i = 0 to n - 1 do
+    for j = max 0 (i - p) to i do
+      Cholesky.set b i j (Matrix.get a i j)
+    done
+  done;
+  b
+
+(* dense Cholesky, the textbook column loop *)
+let dense_cholesky a =
+  let n = a.Matrix.rows in
+  let g = Matrix.create n n in
+  for j = 0 to n - 1 do
+    let s = ref (Matrix.get a j j) in
+    for k = 0 to j - 1 do
+      s := !s -. (Matrix.get g j k ** 2.0)
+    done;
+    let gjj = sqrt !s in
+    Matrix.set g j j gjj;
+    for i = j + 1 to n - 1 do
+      let s = ref (Matrix.get a i j) in
+      for k = 0 to j - 1 do
+        s := !s -. (Matrix.get g i k *. Matrix.get g j k)
+      done;
+      Matrix.set g i j (!s /. gjj)
+    done
+  done;
+  g
+
+let prop_band_cholesky =
+  QCheck2.Test.make ~name:"banded Cholesky = dense; G·H·Gᵀ = diag(d)"
+    ~count:60 gen_spd_band (fun (a, p) ->
+      let n = a.Matrix.rows in
+      let b = band_of a p in
+      Cholesky.factor b
+      && begin
+           let g = Matrix.init n n (fun i j -> if j > i then 0.0 else Cholesky.get b i j) in
+           let dense = dense_cholesky a in
+           let d = Vec.init n (fun i -> if i mod 3 = 0 then -1.0 else 1.5) in
+           let h = Cholesky.standard_form b d in
+           Matrix.approx_equal ~tol:1e-12 g dense
+           && Matrix.approx_equal ~tol:1e-12 h (Matrix.transpose h)
+           && Matrix.approx_equal ~tol:1e-11
+                (Matrix.mul g (Matrix.mul h (Matrix.transpose g)))
+                (Matrix.diagonal d)
+         end
+      && begin
+           (* negate one diagonal entry: no longer positive definite *)
+           let k = n / 2 in
+           let b = band_of a p in
+           Cholesky.set b k k (-.Matrix.get a k k);
+           not (Cholesky.factor b)
+         end)
+
+(* rows 0..n−2 random, the last their sum: singular, with a right null
+   vector that both factorizations find from the same start *)
+let prop_lu_null_vector =
+  QCheck2.Test.make ~name:"Lu.null_vector = Clu.null_vector on real matrices"
+    ~count:60
+    QCheck2.Gen.(
+      int_range 2 9 >>= fun n ->
+      array_size (return (n * n)) (float_range 0.1 1.0) >|= fun data ->
+      Matrix.init n n (fun i j ->
+          if (i + j) mod 2 = 0 then data.((i * n) + j) else -.data.((i * n) + j)))
+    (fun a ->
+      let n = a.Matrix.rows in
+      for j = 0 to n - 1 do
+        let s = ref 0.0 in
+        for i = 0 to n - 2 do
+          s := !s +. Matrix.get a i j
+        done;
+        Matrix.set a (n - 1) j !s
+      done;
+      let x = Lu.null_vector a in
+      let cx = Clu.null_vector (Cmatrix.of_real a) in
+      Vec.norm_inf (Matrix.mul_vec a x) <= 1e-9 *. Float.max 1.0 (Matrix.norm_inf a)
+      && Cvec.approx_equal ~tol:1e-9 (Cvec.normalize (Cvec.of_real x)) cx)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "urs_linalg"
@@ -1289,6 +1451,13 @@ let () =
           Alcotest.test_case "balancing preserves spectrum" `Quick
             test_balance_preserves_eigenvalues;
         ] );
+      ( "symmetric",
+        [
+          Alcotest.test_case "QL on the second difference" `Quick
+            test_ql_second_difference;
+          Alcotest.test_case "QL sweep cap" `Quick test_ql_cap;
+        ]
+        @ qc [ prop_tridiagonalize; prop_band_cholesky; prop_lu_null_vector ] );
       ( "companion",
         [
           Alcotest.test_case "scalar, no roots inside" `Quick

@@ -394,7 +394,10 @@ let test_spectral_real_eigenvectors_match_complex () =
    exact zeros (the LU's bandwidth and row bounds, the row-wise and
    diagonal solves, the one-pass boundary assembly, the in-place Q(z)
    factorizations); every skipped term subtracts a zero, so none of
-   these may move. *)
+   these may move. The three reversible models take their eigenvalues
+   from the definite linearization and solve the level-N system in real
+   arithmetic; the Erlang-3 model keeps the companion path and the
+   complex level-N system. *)
 let test_pinned_answers () =
   let bits name expected actual =
     let b = Int64.bits_of_float in
@@ -417,11 +420,11 @@ let test_pinned_answers () =
     Qbd.create ~env:(paper_env ~servers)
       ~lambda:(0.8 *. float_of_int servers) ~mu:1.0
   in
-  pin "paper N=5" (paper 5) ~l:0x1.8f438c15114ep+2 ~residual:0x1.ep-51
-    ~cond:0x1.ff98911bf1317p+4 ~z:0x1.9a157f3806fe4p-1
+  pin "paper N=5" (paper 5) ~l:0x1.8f438c15114bdp+2 ~residual:0x1.4p-51
+    ~cond:0x1.ff98911bf1317p+4 ~z:0x1.9a157f3806fd8p-1
     ~geo_z:0x1.9a157f3806f41p-1 ~geo_l:0x1.0185043e000d6p+2;
-  pin "paper N=12" (paper 12) ~l:0x1.630765a01d238p+3 ~residual:0x1.57p-52
-    ~cond:0x1.ff593becefccep+4 ~z:0x1.9a157f3806feap-1
+  pin "paper N=12" (paper 12) ~l:0x1.630765a01d224p+3 ~residual:0x1.4fp-51
+    ~cond:0x1.ff593becefccep+4 ~z:0x1.9a157f3806fd6p-1
     ~geo_z:0x1.9a157f38070c6p-1 ~geo_l:0x1.0185043e005a1p+2;
   let erlang3 =
     Environment.create_ph ~servers:3
@@ -442,8 +445,8 @@ let test_pinned_answers () =
   in
   pin "H2 repairs N=6"
     (Qbd.create ~env:h2_repairs ~lambda:4.5 ~mu:1.0)
-    ~l:0x1.729fd96c9a6f8p+2 ~residual:0x1.7450cd8p-50
-    ~cond:0x1.1028a5692af5bp+5 ~z:0x1.81035c61a8924p-1
+    ~l:0x1.729fd96c9a706p+2 ~residual:0x1.bd5591p-51
+    ~cond:0x1.1028a5692af5bp+5 ~z:0x1.81035c61a892dp-1
     ~geo_z:0x1.81035c61a8965p-1 ~geo_l:0x1.8415b86c885a4p+1
 
 (* The eigenvalue stage pinned bit for bit: Osborne balancing and the
@@ -516,10 +519,14 @@ let test_pinned_eigenvalue_stage () =
 (* The exact and approximate answers pinned on a broad model set: the
    paper model at N = 2..10 and four loads (0.99 of the stability limit
    among them), Erlang-3 operative periods (complex eigenvalues) and the
-   paper's H2 repairs at N = 2..6 and three loads each, 66 models. The
-   digest is the MD5 of the %h renderings of each model's spectral L,
+   paper's H2 repairs at N = 2..6 and three loads each, 66 models. Each
+   digest is the MD5 of the %h renderings of its models' spectral L,
    residual, boundary condition, dominant z and max eigen residual, and
-   geometric z and L, in that order. *)
+   geometric z and L, in that order. The 15 Erlang-3 models take the
+   companion path, and their digest is the one the companion path gave
+   before the definite path existed. The 51 reversible models take the
+   definite path; besides their digest, each L is held to the companion
+   path's L, within 1e-10 relative. *)
 let broad_models () =
   let at label env load =
     ( Printf.sprintf "%s load=%g" label load,
@@ -553,32 +560,77 @@ let broad_models () =
   @ grid "erlang-3" erlang3 [ 2; 3; 4; 5; 6 ] [ 0.3; 0.6; 0.9 ]
   @ grid "H2 repairs" h2 [ 2; 3; 4; 5; 6 ] [ 0.3; 0.6; 0.9 ]
 
+(* the companion path's L on the 51 reversible models, in order *)
+let companion_l =
+  [|
+    0x1.9a333966b533bp-4; 0x1.dfe1bad852014p+0; 0x1.2f2a84ff5db49p+3;
+    0x1.8e0970cc2e7bap+6; 0x1.32e7743ae6d23p-3; 0x1.2a5e0a665164ep+1;
+    0x1.41b284a366f05p+3; 0x1.90775c2ce3eb4p+6; 0x1.992251a688b0ap-3;
+    0x1.6a141b89402a4p+1; 0x1.5607d0cd71557p+3; 0x1.9321715a1ae2cp+6;
+    0x1.ff68f168aba5ep-3; 0x1.ad03ae0234405p+1; 0x1.6b87408c05ec1p+3;
+    0x1.95f2795a8bd93p+6; 0x1.32d87487a8f5p-2; 0x1.f21e99eabbea2p+1;
+    0x1.81dbbd39e369ap+3; 0x1.98df648d3bbe4p+6; 0x1.65fc84a3daf39p-2;
+    0x1.1c630fe01fefbp+2; 0x1.98d233cd54b16p+3; 0x1.9be18f0b8e82dp+6;
+    0x1.99209731596cfp-2; 0x1.404a46cd431c9p+2; 0x1.b049209ea4471p+3;
+    0x1.9ef49d086698dp+6; 0x1.cc44aa0b370edp-2; 0x1.64a25f9837401p+2;
+    0x1.c8291dcaccd32p+3; 0x1.a215832e8bbc6p+6; 0x1.ff68bcee818edp-2;
+    0x1.8952cda032bb8p+2; 0x1.e061118abb0e8p+3; 0x1.a542079e3dc76p+6;
+    0x1.514233c570f81p-1; 0x1.dffb58d118a0ap+0; 0x1.2f64ec665f366p+3;
+    0x1.db5d2d12ad168p-1; 0x1.2a4fc74eaa4c2p+1; 0x1.41e3e56c7e6b5p+3;
+    0x1.36a48bed21b14p+0; 0x1.69eae1d7d7563p+1; 0x1.56304c1c332ccp+3;
+    0x1.8161826528048p+0; 0x1.acbfb92197658p+1; 0x1.6ba6e8b974017p+3;
+    0x1.ccff75ec7e9b9p+0; 0x1.f1c030e12e614p+1; 0x1.81f29d6fdecbep+3;
+  |]
+
 let test_pinned_broad () =
   let models = broad_models () in
   Alcotest.(check int) "model count" 66 (List.length models);
-  let values =
+  let answers (label, q) =
+    let sol = solve_exn q in
+    let g =
+      match Geometric.solve q with
+      | Ok g -> g
+      | Error e -> Alcotest.failf "%s: %a" label Geometric.pp_error e
+    in
+    ( sol,
+      [
+        Spectral.mean_queue_length sol;
+        Spectral.residual sol;
+        Spectral.boundary_condition sol;
+        Spectral.dominant_eigenvalue sol;
+        Spectral.max_eigen_residual sol;
+        Geometric.dominant_eigenvalue g;
+        Geometric.mean_queue_length g;
+      ] )
+  in
+  let erlang, reversible =
+    List.partition (fun (_, q) -> not (Qbd.reversible q)) models
+  in
+  Alcotest.(check int) "Erlang-3 models" 15 (List.length erlang);
+  Alcotest.(check int) "reversible models" 51 (List.length reversible);
+  let values path models =
     List.concat_map
-      (fun (label, q) ->
-        let sol = solve_exn q in
-        let g =
-          match Geometric.solve q with
-          | Ok g -> g
-          | Error e -> Alcotest.failf "%s: %a" label Geometric.pp_error e
-        in
-        [
-          Spectral.mean_queue_length sol;
-          Spectral.residual sol;
-          Spectral.boundary_condition sol;
-          Spectral.dominant_eigenvalue sol;
-          Spectral.max_eigen_residual sol;
-          Geometric.dominant_eigenvalue g;
-          Geometric.mean_queue_length g;
-        ])
+      (fun m ->
+        let sol, v = answers m in
+        if Spectral.eig_path sol <> path then
+          Alcotest.failf "%s: unexpected eigenvalue path" (fst m);
+        v)
       models
   in
   Alcotest.(check string)
-    "answers on 66 models" "f0ef7d02b6945459a34c8c687ca25bf2"
-    (digest_floats values)
+    "answers on 15 Erlang-3 models" "38378d097f64b981b1af92fa68d1ff94"
+    (digest_floats (values (Spectral.Companion Spectral.Not_reversible) erlang));
+  let rev = values Spectral.Definite reversible in
+  Alcotest.(check string)
+    "answers on 51 reversible models" "df6f93fd846e9e1fa3d180af6619436b"
+    (digest_floats rev);
+  List.iteri
+    (fun k l ->
+      let l0 = companion_l.(k) in
+      if abs_float (l -. l0) > 1e-10 *. l0 then
+        Alcotest.failf "%s: L %h against the companion path's %h"
+          (fst (List.nth reversible k)) l l0)
+    (List.filteri (fun i _ -> i mod 7 = 0) rev)
 
 (* ---- phase-type extension (beyond the paper) ---- *)
 
@@ -1038,6 +1090,137 @@ let prop_geometric_upper_bound_heavyish =
             z > 0.0 && z < 1.0
       end)
 
+(* ---- the definite path of reversible models ---- *)
+
+(* Random models over the structure the definite path relies on: H2 or
+   H3 operative periods, exponential or H2 inoperative periods, with or
+   without a limit on repair crews, N <= 6, loads in (0.05, 0.98) of
+   the stability limit; and Erlang-k operative periods, whose one-way
+   phases break detailed balance. *)
+let gen_definite =
+  let open QCheck2.Gen in
+  let hyper phases lo hi =
+    let* ws = list_repeat phases (float_range 0.05 1.0) in
+    let* rs = list_repeat phases (float_range lo hi) in
+    let total = List.fold_left ( +. ) 0.0 ws in
+    return
+      (Urs_prob.Phase_type.of_hyperexponential
+         (H.create
+            ~weights:(Array.of_list (List.map (fun w -> w /. total) ws))
+            ~rates:(Array.of_list rs)))
+  in
+  let* servers = int_range 1 6 in
+  let* kind = oneofl [ `H2; `H3; `Erlang ] in
+  let* operative =
+    match kind with
+    | `H2 -> hyper 2 0.005 1.0
+    | `H3 -> hyper 3 0.005 1.0
+    | `Erlang ->
+        let* k = int_range 2 4 in
+        let* rate = float_range 0.05 1.0 in
+        return
+          (Urs_prob.Phase_type.of_erlang (Urs_prob.Erlang.create ~k ~rate))
+  in
+  let* inop_phases = int_range 1 2 in
+  let* inoperative = hyper inop_phases 1.0 50.0 in
+  let* crews = if servers = 1 then return None else opt (int_range 1 (servers - 1)) in
+  let* load = float_range 0.05 0.98 in
+  let env =
+    Environment.create_ph ?repair_crews:crews ~servers ~operative ~inoperative
+      ()
+  in
+  let lambda = load *. Stability.max_arrival_rate ~env ~mu:1.0 in
+  let label =
+    Printf.sprintf "%s op, %d-phase inop, N=%d, crews=%s, load=%.3f"
+      (match kind with `H2 -> "H2" | `H3 -> "H3" | `Erlang -> "Erlang")
+      inop_phases servers
+      (match crews with Some c -> string_of_int c | None -> "-")
+      load
+  in
+  return (label, kind = `Erlang, Qbd.create ~env ~lambda ~mu:1.0)
+
+let prop_definite_structure =
+  QCheck2.Test.make ~name:"reversible models: real, gapped, definite spectra"
+    ~count:30 ~print:(fun (label, _, _) -> label) gen_definite
+    (fun (label, erlang, q) ->
+      let fail fmt = QCheck2.Test.fail_reportf ("%s: " ^^ fmt) label in
+      let sol =
+        match Spectral.solve q with
+        | Ok sol -> sol
+        | Error e -> fail "%a" Spectral.pp_error e
+      in
+      if erlang then begin
+        if Qbd.reversible q then fail "Erlang periods reported reversible";
+        Spectral.eig_path sol = Spectral.Companion Spectral.Not_reversible
+        || fail "Erlang periods left the companion path"
+      end
+      else begin
+        if not (Qbd.reversible q) then fail "detailed balance fails";
+        let s = Qbd.s q in
+        let companion =
+          Urs_linalg.Companion.eigenvalues_inside_unit_disk ~q0:(Qbd.q0 q)
+            ~q1:(Qbd.q1 q) ~q2:(Qbd.q2 q) ()
+        in
+        if Array.length companion <> s then
+          fail "companion found %d eigenvalues, not %d"
+            (Array.length companion) s;
+        if Array.exists (fun z -> Cx.im z <> 0.0) companion then
+          fail "companion QR returned a complex eigenvalue";
+        let zs = Cx.re companion.(s - 1) in
+        let mid = 0.5 *. (1.0 +. (1.0 /. zs)) in
+        if not (Urs_linalg.Cholesky.factor (Qbd.neg_qw q mid)) then
+          fail "-Q_w has no Cholesky factor at the gap midpoint %g" mid;
+        if Spectral.eig_path sol <> Spectral.Definite then
+          fail "reversible model left the definite path";
+        Array.iteri
+          (fun k z ->
+            let zc = Cx.re companion.(k) in
+            if abs_float (Cx.re z -. zc) > 1e-11 *. zc then
+              fail "z_%d = %h against the companion's %h" k (Cx.re z) zc)
+          (Spectral.eigenvalues sol);
+        true
+      end)
+
+(* every spectral.solve ledger record names its eigenvalue path, and
+   after a fallback the reason *)
+let test_ledger_eig_path () =
+  let module Ledger = Urs_obs.Ledger in
+  let module Json = Urs_obs.Json in
+  let path_fields solve =
+    Ledger.reset ();
+    Ledger.set_memory true;
+    Fun.protect ~finally:Ledger.reset (fun () ->
+        ignore (solve ());
+        match
+          List.filter
+            (fun (r : Ledger.record) -> r.Ledger.kind = "spectral.solve")
+            (Ledger.recent ())
+        with
+        | [ r ] ->
+            List.filter_map
+              (fun key ->
+                match List.assoc_opt key r.Ledger.summary with
+                | Some (Json.String v) -> Some (key ^ "=" ^ v)
+                | _ -> None)
+              [ "eig_path"; "eig_fallback" ]
+        | rs -> Alcotest.failf "expected one record, got %d" (List.length rs))
+  in
+  let paper = Qbd.create ~env:(paper_env ~servers:5) ~lambda:4.0 ~mu:1.0 in
+  Alcotest.(check (list string))
+    "paper model" [ "eig_path=definite" ]
+    (path_fields (fun () -> Spectral.solve paper));
+  Alcotest.(check (list string))
+    "Erlang-3 model"
+    [ "eig_path=companion"; "eig_fallback=not_reversible" ]
+    (path_fields (fun () ->
+         Spectral.solve (Qbd.create ~env:(erlang3_env ()) ~lambda:2.0 ~mu:1.0)));
+  (* a QL stopped at its cap falls back; the Francis QR, held to the
+     same cap, then fails the solve *)
+  Alcotest.(check (list string))
+    "QL at its cap"
+    [ "eig_path=companion"; "eig_fallback=ql_cap" ]
+    (path_fields (fun () -> Spectral.solve ~max_iter:1 paper))
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "urs_mmq"
@@ -1099,7 +1282,10 @@ let () =
             `Quick test_pinned_eigenvalue_stage;
           Alcotest.test_case "answers pinned on 66 models" `Quick
             test_pinned_broad;
-        ] );
+          Alcotest.test_case "ledger names the eigenvalue path" `Quick
+            test_ledger_eig_path;
+        ]
+        @ qc [ prop_definite_structure ] );
       ( "phase-type extension",
         [
           Alcotest.test_case "PH path reproduces the paper's A" `Quick

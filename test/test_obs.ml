@@ -2351,10 +2351,29 @@ let paper_qbd ~servers ~lambda =
   Option.get (Urs.Model.qbd m)
 
 (* the traces each solver leaves, pinned at the code they replaced:
-   solver, label, cap, converged, iterations, samples, deflations *)
+   solver, label, cap, converged, iterations, samples, deflations. The
+   paper model's "qr" trace is the QL iteration of the definite path
+   (one deflation per eigenvalue of the 41×41 standard form); the
+   Erlang-3 model's is the Francis QR of the companion path. A QL held
+   to a cap of 2 falls back to the companion path, whose QR then stalls
+   too. *)
 let test_solver_traces () =
   Conv.reset ();
   let q = paper_qbd ~servers:5 ~lambda:3.0 in
+  let erlang3 =
+    Urs_mmq.Qbd.create
+      ~env:
+        (Urs_mmq.Environment.create_ph ~servers:3
+           ~operative:
+             (Urs_prob.Phase_type.of_erlang
+                (Urs_prob.Erlang.create ~k:3 ~rate:0.3))
+           ~inoperative:
+             (Urs_prob.Phase_type.of_hyperexponential
+                (Urs_prob.Hyperexponential.create ~weights:[| 1.0 |]
+                   ~rates:[| 2.0 |]))
+           ())
+      ~lambda:2.0 ~mu:1.0
+  in
   let digest ((), traces) =
     List.map
       (fun (t : Conv.trace) ->
@@ -2369,7 +2388,8 @@ let test_solver_traces () =
   Alcotest.(check (list string))
     "converging kernels"
     [
-      "qr|spectral N=5 s=21|100|true|63|92|29";
+      "qr|spectral N=5 s=21|100|true|81|122|41";
+      "qr|spectral N=3 s=20|100|true|62|87|25";
       "brent|geometric N=5 s=21|-|true|35|35|0";
       "mg_r|mg N=5 s=21|200000|true|93|93|0";
       "uniformization|transient t=1 states=651|-|true|232|232|0";
@@ -2377,6 +2397,7 @@ let test_solver_traces () =
     (digest
        (Conv.with_recording (fun () ->
             ignore (Urs_mmq.Spectral.solve q);
+            ignore (Urs_mmq.Spectral.solve erlang3);
             ignore (Urs_mmq.Geometric.solve q);
             ignore (Urs_mmq.Matrix_geometric.solve q);
             match Urs_mmq.Transient.create ~levels:30 q with
@@ -2388,7 +2409,11 @@ let test_solver_traces () =
             | Error _ -> Alcotest.fail "transient chain refused")));
   Alcotest.(check (list string))
     "stalled kernels"
-    [ "qr|spectral N=5 s=21|2|false|2|2|0"; "mg_r|mg N=5 s=21|5|false|5|5|0" ]
+    [
+      "qr|spectral N=5 s=21|2|false|2|2|0";
+      "qr|spectral N=5 s=21|2|false|2|2|0";
+      "mg_r|mg N=5 s=21|5|false|5|5|0";
+    ]
     (digest
        (Conv.with_recording (fun () ->
             ignore (Urs_mmq.Spectral.solve ~max_iter:2 q);
