@@ -42,11 +42,12 @@ bench-gate:
 
 # Spectral stages against N, mirrored by the bench-regression CI job:
 # the bench `scale` section (release profile) solves the paper model at
-# N = 5..30 into a scratch history and prints each stage's seconds and
-# log-log exponent; the table is kept in bench-scale.txt. It runs in a
+# N = 5..30 and Erlang-3 operative periods (complex eigenvalues) at
+# N = 6, 8, 10 into a scratch history and prints each stage's seconds
+# and log-log exponent; the table is kept in bench-scale.txt. It runs in a
 # scratch directory, so the BENCH_solvers.json and BENCH_ledger.jsonl
 # of an earlier bench-gate stay as they are. The timings are ungated;
-# the answers are not: a size that does not solve, or whose residual
+# the answers are not: a row that does not solve, or whose residual
 # exceeds 1e-10, makes the bench exit 1 and fails the target, after the
 # table is printed.
 bench-scale:

@@ -612,12 +612,15 @@ let section_sim () =
 (* The paper model at 80% load over N = 5..30 (s = 21..496): seconds
    per solve and per stage, words per solve, the residual and the
    eigenvalue path, then a least-squares log-log exponent per stage
-   over s. N = 5..24 are timed over three to five solves after a
-   warm-up solve, and each figure is the median, the solve seconds with
-   their min–max spread; N = 30 is solved once and timed by that solve.
-   Each N goes into the perf history under an ungated key (spectral_n10,
+   over s. Then Erlang-3 operative periods at 60% load, N = 6, 8, 10
+   (s = 84, 165, 286): complex eigenvalues, so the companion path and
+   the interleaved real form of each complex Q(z). N <= 24 are timed
+   over three to five solves after a warm-up solve, and each figure is
+   the median, the solve seconds with their min–max spread; N = 30 is
+   solved once and timed by that solve. Each row goes into the perf
+   history under an ungated key (spectral_n10, spectral_erlang3_n6,
    ...); a failed solve is printed and recorded with null figures. A
-   size that does not solve, or whose residual exceeds
+   row that does not solve, or whose residual exceeds
    [scale_max_residual], is also collected in [scale_failures], and the
    bench exits 1 once every section has run. *)
 let scale_max_residual = 1e-10
@@ -661,88 +664,98 @@ let section_scale () =
     let n = Array.length a in
     if n land 1 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
   in
-  Format.printf "  %3s %4s %10s %17s %10s %10s %10s %10s %12s %10s %s@." "N" "s"
-    "solve s" "min-max" "eigval s" "eigvec s" "boundary s" "norm s" "kw/solve"
-    "residual" "path";
+  let columns () =
+    Format.printf "  %3s %4s %10s %17s %10s %10s %10s %10s %12s %10s %s@." "N"
+      "s" "solve s" "min-max" "eigval s" "eigvec s" "boundary s" "norm s"
+      "kw/solve" "residual" "path"
+  in
+  (* one row: warm-up solve, timed solves, printed line and history key;
+     [Some (s, seconds, stage seconds)] when it solved *)
+  let row ~key ~label ~servers m =
+    remove_gate_stat key;
+    let q = Option.get (Urs.Model.qbd m) in
+    let s = Urs_mmq.Qbd.s q in
+    let m0, p0, j0 = Span.gc_counters () in
+    match timed q with
+    | Error e, _, _ ->
+        Format.printf "  %3d %4d FAILED: %a@." servers s
+          Urs_mmq.Spectral.pp_error e;
+        scale_failures :=
+          Format.asprintf "%s: %a" label Urs_mmq.Spectral.pp_error e
+          :: !scale_failures;
+        gate_stats :=
+          ( key,
+            {
+              Urs_obs.Perf.seconds = nan;
+              minor_words = nan;
+              promoted_words = nan;
+              major_words = nan;
+            } )
+          :: !gate_stats;
+        flush ();
+        None
+    | Ok sol, first, first_stages ->
+        let runs =
+          if servers > 24 then [ (first, first_stages) ]
+          else
+            let reps = max 3 (min 5 (int_of_float (1.0 /. first))) in
+            List.init reps (fun _ ->
+                let _, seconds, st = timed q in
+                (seconds, st))
+        in
+        let secs = List.map fst runs in
+        let seconds = median secs in
+        let stage_s =
+          List.mapi
+            (fun i _ -> median (List.map (fun (_, st) -> List.nth st i) runs))
+            stages
+        in
+        (* words over every solve of this N, the warm-up included *)
+        let m1, p1, j1 = Span.gc_counters () in
+        let solves = if servers > 24 then 1 else 1 + List.length runs in
+        let per x = x /. float_of_int solves in
+        let stat =
+          {
+            Urs_obs.Perf.seconds;
+            minor_words = per (m1 -. m0);
+            promoted_words = per (p1 -. p0);
+            major_words = per (j1 -. j0);
+          }
+        in
+        gate_stats := (key, stat) :: !gate_stats;
+        let residual = Urs_mmq.Spectral.residual sol in
+        if not (residual <= scale_max_residual) then
+          scale_failures :=
+            Printf.sprintf "%s: residual %.2e" label residual
+            :: !scale_failures;
+        let spread =
+          match runs with
+          | [ _ ] -> "(one solve)"
+          | _ ->
+              Printf.sprintf "%.4f-%.4f"
+                (List.fold_left Float.min infinity secs)
+                (List.fold_left Float.max neg_infinity secs)
+        in
+        Format.printf "  %3d %4d %10.4f %17s" servers s seconds spread;
+        List.iter (fun x -> Format.printf " %10.4f" x) stage_s;
+        Format.printf " %12.0f %10.2e %s@." (stat.minor_words /. 1e3) residual
+          (match Urs_mmq.Spectral.eig_path sol with
+          | Urs_mmq.Spectral.Definite -> "definite"
+          | Urs_mmq.Spectral.Companion _ -> "companion");
+        flush ();
+        Some (float_of_int s, seconds, stage_s)
+  in
+  columns ();
   let rows =
     List.filter_map
       (fun servers ->
-        let key = Printf.sprintf "spectral_n%d" servers in
-        remove_gate_stat key;
         let lambda =
           0.8 *. float_of_int servers *. (34.6209 /. (34.6209 +. 0.04))
         in
-        let q = Option.get (Urs.Model.qbd (model ~servers ~lambda)) in
-        let s = Urs_mmq.Qbd.s q in
-        let m0, p0, j0 = Span.gc_counters () in
-        match timed q with
-        | Error e, _, _ ->
-            Format.printf "  %3d %4d FAILED: %a@." servers s
-              Urs_mmq.Spectral.pp_error e;
-            scale_failures :=
-              Format.asprintf "N=%d: %a" servers Urs_mmq.Spectral.pp_error e
-              :: !scale_failures;
-            gate_stats :=
-              ( key,
-                {
-                  Urs_obs.Perf.seconds = nan;
-                  minor_words = nan;
-                  promoted_words = nan;
-                  major_words = nan;
-                } )
-              :: !gate_stats;
-            flush ();
-            None
-        | Ok sol, first, first_stages ->
-            let runs =
-              if servers > 24 then [ (first, first_stages) ]
-              else
-                let reps = max 3 (min 5 (int_of_float (1.0 /. first))) in
-                List.init reps (fun _ ->
-                    let _, seconds, st = timed q in
-                    (seconds, st))
-            in
-            let secs = List.map fst runs in
-            let seconds = median secs in
-            let stage_s =
-              List.mapi
-                (fun i _ -> median (List.map (fun (_, st) -> List.nth st i) runs))
-                stages
-            in
-            (* words over every solve of this N, the warm-up included *)
-            let m1, p1, j1 = Span.gc_counters () in
-            let solves = if servers > 24 then 1 else 1 + List.length runs in
-            let per x = x /. float_of_int solves in
-            let stat =
-              {
-                Urs_obs.Perf.seconds;
-                minor_words = per (m1 -. m0);
-                promoted_words = per (p1 -. p0);
-                major_words = per (j1 -. j0);
-              }
-            in
-            gate_stats := (key, stat) :: !gate_stats;
-            let residual = Urs_mmq.Spectral.residual sol in
-            if not (residual <= scale_max_residual) then
-              scale_failures :=
-                Printf.sprintf "N=%d: residual %.2e" servers residual
-                :: !scale_failures;
-            let spread =
-              match runs with
-              | [ _ ] -> "(one solve)"
-              | _ ->
-                  Printf.sprintf "%.4f-%.4f"
-                    (List.fold_left Float.min infinity secs)
-                    (List.fold_left Float.max neg_infinity secs)
-            in
-            Format.printf "  %3d %4d %10.4f %17s" servers s seconds spread;
-            List.iter (fun x -> Format.printf " %10.4f" x) stage_s;
-            Format.printf " %12.0f %10.2e %s@." (stat.minor_words /. 1e3) residual
-              (match Urs_mmq.Spectral.eig_path sol with
-              | Urs_mmq.Spectral.Definite -> "definite"
-              | Urs_mmq.Spectral.Companion _ -> "companion");
-            flush ();
-            Some (float_of_int s, seconds, stage_s))
+        row
+          ~key:(Printf.sprintf "spectral_n%d" servers)
+          ~label:(Printf.sprintf "N=%d" servers)
+          ~servers (model ~servers ~lambda))
       [ 5; 10; 15; 20; 24; 30 ]
   in
   (* least-squares slope of log seconds against log s *)
@@ -768,11 +781,32 @@ let section_scale () =
       Format.printf "    %-14s %6.2f@." st
         (slope (List.map (fun (s, _, ts) -> (s, List.nth ts i)) rows)))
     stages;
+  let mean_op = D.mean paper_op and mean_inop = D.mean paper_inop_exp in
   Format.printf
-    "@.(the history gets one ungated key per N, spectral_n5 .. spectral_n30)@.";
+    "@.(Erlang-3 operative periods of the fitted H2's mean %.2f, η=25, µ=1,@.\
+     λ = 0.6·N·availability; complex eigenvalues, timed as above)@.@."
+    mean_op;
+  columns ();
+  List.iter
+    (fun servers ->
+      let lambda =
+        0.6 *. float_of_int servers *. (mean_op /. (mean_op +. mean_inop))
+      in
+      ignore
+        (row
+           ~key:(Printf.sprintf "spectral_erlang3_n%d" servers)
+           ~label:(Printf.sprintf "Erlang-3 N=%d" servers)
+           ~servers
+           (Urs.Model.create ~servers ~arrival_rate:lambda ~service_rate:1.0
+              ~operative:(D.erlang ~k:3 ~rate:(3.0 /. mean_op))
+              ~inoperative:paper_inop_exp ())))
+    [ 6; 8; 10 ];
+  Format.printf
+    "@.(the history gets one ungated key per row, spectral_n5 .. spectral_n30@.\
+     and spectral_erlang3_n6 .. spectral_erlang3_n10)@.";
   (match List.rev !scale_failures with
   | [] ->
-      Format.printf "gate: every N solved with residual <= %.0e@."
+      Format.printf "gate: every row solved with residual <= %.0e@."
         scale_max_residual
   | failures ->
       Format.printf "gate FAILED (residual bound %.0e): %s@." scale_max_residual
@@ -1078,7 +1112,8 @@ let sections : (string * string * (unit -> unit)) list =
     ( "sim",
       "Simulation events/sec, bare engine and default probes (sim-perf gate)",
       section_sim );
-    ("scale", "Spectral stage seconds against N = 5..30", section_scale);
+    ("scale", "Spectral stage seconds against N = 5..30, Erlang-3 N = 6..10",
+      section_scale);
     ("serve", "HTTP serve throughput and p99 (healthz, cached solve)", section_serve);
     ("query", "Ledger query engine: cold vs indexed scan", section_query);
     ("conv", "Convergence: iterations to tolerance per solver", section_conv);

@@ -36,13 +36,3 @@ let eigenvalues_inside_unit_disk ?(tol = 1e-9) ?max_iter ?observe ~q0 ~q1 ~q2
   let arr = Array.of_list zs in
   Array.sort Cx.compare_by_modulus arr;
   arr
-
-let evaluate ~q0 ~q1 ~q2 z =
-  let s = check_dims q0 q1 q2 in
-  let z2 = Cx.mul z z in
-  Cmatrix.init s s (fun i j ->
-      Cx.add
-        (Cx.of_float (Matrix.get q0 i j))
-        (Cx.add
-           (Cx.scale (Matrix.get q1 i j) z)
-           (Cx.scale (Matrix.get q2 i j) z2)))

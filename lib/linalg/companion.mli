@@ -8,7 +8,10 @@
     [z = 1/w] of [det Q(z) = 0]; [w = 0] corresponds to an infinite root
     [z] (these arise when [Q2] is singular and are discarded by the
     caller). This is how the spectral-expansion method obtains the
-    eigenvalues inside the unit disk without a QZ algorithm. *)
+    eigenvalues inside the unit disk without a QZ algorithm when the
+    environment is not reversible. [Q(z)] itself is formed at a point
+    by [Qbd.char_poly_real], and at a complex point as its interleaved
+    real form by [Qbd.char_poly_complex]. *)
 
 val reversed : q0:Matrix.t -> q1:Matrix.t -> q2:Matrix.t -> Matrix.t
 (** [reversed ~q0 ~q1 ~q2] is the [2s] x [2s] block companion matrix
@@ -31,6 +34,3 @@ val eigenvalues_inside_unit_disk :
     [w ≈ 0] infinite roots). Sorted by ascending modulus. [max_iter] and
     [observe] are forwarded to the QR eigensolve
     ({!Qr_eig.eigenvalues_hessenberg}). *)
-
-val evaluate : q0:Matrix.t -> q1:Matrix.t -> q2:Matrix.t -> Cx.t -> Cmatrix.t
-(** [evaluate ~q0 ~q1 ~q2 z] is the complex matrix [Q(z)]. *)

@@ -1,47 +1,15 @@
 type t = Cx.t array
 
-let create n = Array.make n Cx.zero
-
 let init = Array.init
-
-let dim = Array.length
-
-let copy = Array.copy
 
 let of_real v = Array.map Cx.of_float v
 
-let real_part v = Array.map Cx.re v
-
-let imag_part v = Array.map Cx.im v
-
-let check_dims u v =
-  if Array.length u <> Array.length v then invalid_arg "Cvec: dimension mismatch"
-
-let add u v =
-  check_dims u v;
-  Array.init (Array.length u) (fun i -> Cx.add u.(i) v.(i))
-
-let sub u v =
-  check_dims u v;
-  Array.init (Array.length u) (fun i -> Cx.sub u.(i) v.(i))
+let of_interleaved y =
+  if Array.length y land 1 = 1 then
+    invalid_arg "Cvec.of_interleaved: odd length";
+  Array.init (Array.length y / 2) (fun i -> Cx.make y.(2 * i) y.((2 * i) + 1))
 
 let scale a v = Array.map (Cx.mul a) v
-
-let dot u v =
-  check_dims u v;
-  let acc = ref Cx.zero in
-  for i = 0 to Array.length u - 1 do
-    acc := Cx.add !acc (Cx.mul u.(i) v.(i))
-  done;
-  !acc
-
-let dot_conj u v =
-  check_dims u v;
-  let acc = ref Cx.zero in
-  for i = 0 to Array.length u - 1 do
-    acc := Cx.add !acc (Cx.mul (Cx.conj u.(i)) v.(i))
-  done;
-  !acc
 
 let sum v = Array.fold_left Cx.add Cx.zero v
 
@@ -77,11 +45,5 @@ let normalize v =
   scale (Cx.scale (1.0 /. n) phase) v
 
 let approx_equal ?(tol = 1e-9) u v =
-  Array.length u = Array.length v && norm_inf (sub u v) <= tol
-
-let pp ppf v =
-  Format.fprintf ppf "[@[%a@]]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-       Cx.pp)
-    (Array.to_list v)
+  Array.length u = Array.length v
+  && norm_inf (Array.map2 Cx.sub u v) <= tol

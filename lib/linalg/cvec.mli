@@ -2,33 +2,18 @@
 
 type t = Cx.t array
 
-val create : int -> t
-(** Zero vector of the given dimension. *)
-
 val init : int -> (int -> Cx.t) -> t
-val dim : t -> int
-val copy : t -> t
 
 val of_real : Vec.t -> t
 (** Embed a real vector. *)
 
-val real_part : t -> Vec.t
-(** Component-wise real parts. *)
-
-val imag_part : t -> Vec.t
-(** Component-wise imaginary parts. *)
-
-val add : t -> t -> t
-val sub : t -> t -> t
+val of_interleaved : Vec.t -> t
+(** [of_interleaved y] is [u] with [u_i = y_{2i} + i·y_{2i+1}]: a vector
+    of the interleaved real form of a complex matrix back in complex
+    form. Raises [Invalid_argument] if [y] has odd length. *)
 
 val scale : Cx.t -> t -> t
 (** Scalar multiple. *)
-
-val dot : t -> t -> Cx.t
-(** Bilinear (unconjugated) product [Σ uᵢ vᵢ]. *)
-
-val dot_conj : t -> t -> Cx.t
-(** Hermitian product [Σ conj(uᵢ) vᵢ]. *)
 
 val sum : t -> Cx.t
 (** Sum of components. *)
@@ -48,4 +33,4 @@ val max_abs_index : t -> int
 (** Index of the component with largest modulus. *)
 
 val approx_equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit
+(** Same length and [‖u − v‖∞ <= tol] (default [1e-9]). *)

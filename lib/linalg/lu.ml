@@ -356,8 +356,8 @@ let solve_system a b =
   | Error `Singular -> Error `Singular
   | Ok f -> ( try Ok (solve f b) with Singular -> Error `Singular)
 
-(* Deterministic start vector: the real part of [Clu]'s, so a real
-   matrix gets the same null vector from either factorization. *)
+(* Deterministic start vector, so a null vector does not depend on the
+   run; its formula fixes the reversible answers' bits. *)
 let start_vector n =
   Array.init n (fun i -> 0.5 +. (0.5 *. sin (float_of_int ((i * 37) + 11))))
 
@@ -374,7 +374,7 @@ let unit_vector y =
       Vec.normalize (Vec.scale (1.0 /. big) y)
     else Vec.normalize y
 
-(* four sweeps of inverse iteration, as [Clu]'s *)
+(* four sweeps of inverse iteration *)
 let inverse_iteration solve_fn n =
   let x = ref (unit_vector (start_vector n)) in
   for _ = 1 to 4 do

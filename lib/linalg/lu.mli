@@ -79,7 +79,7 @@ val factor_regularized : Matrix.t -> t * bool
 (** Like {!factor_exn} but replaces an exactly-zero pivot with
     [1e-300 + ε·max|a_ij|], so that factorization always succeeds. The
     boolean reports whether any pivot was patched. Intended for inverse
-    iteration on (near-)singular matrices, as {!Clu.factor_regularized}. *)
+    iteration on (near-)singular matrices ({!null_vector}). *)
 
 val dim : t -> int
 (** Order of the factored matrix. *)
@@ -170,9 +170,11 @@ val left_null_vector : workspace -> Vec.t
 (** Left null vector of the (near-)singular matrix in the workspace:
     [u] with [u a ≈ 0], unit 2-norm, its largest-modulus component
     positive. Four sweeps of inverse iteration on the factors of
-    {!factor_regularized}, started from the real part of the start
-    vector of {!Clu.left_null_vector}, so that for a real matrix the two
-    agree after {!Cvec.normalize}. A sweep whose 2-norm overflows (a
+    {!factor_regularized}, started from the fixed vector
+    [0.5 + 0.5·sin(37i + 11)], so the result does not depend on the
+    run. A complex matrix goes in as its interleaved real form
+    ([Qbd.char_poly_complex], {!Cvec.of_interleaved}). A sweep whose
+    2-norm overflows (a
     patched pivot near [1e-300], as in a zero matrix) is first scaled
     by its largest modulus; every other sweep is normalized as by
     {!Vec.normalize}. Factors the workspace {e in place}. *)
@@ -181,7 +183,7 @@ val null_vector : Matrix.t -> Vec.t
 (** Right null vector of a (near-)singular square matrix: [x] with
     [a x ≈ 0], unit 2-norm, its largest-modulus component positive.
     {!left_null_vector}'s inverse iteration on a copy of [a] factored
-    as it is (rows pivoted, as {!Clu.null_vector} pivots them), with
-    {!solve} in place of the transposed solve; for a real matrix it
-    agrees with {!Clu.null_vector} after {!Cvec.normalize}. Raises
-    [Invalid_argument] as {!factor} does. *)
+    as it is (rows pivoted), with {!solve} in place of the transposed
+    solve. The level-[N] system of every QBD solver takes its
+    coefficients from it ([Qbd.boundary]). Raises [Invalid_argument] as
+    {!factor} does. *)

@@ -1,8 +1,9 @@
 (** Francis implicit double-shift QR iteration for the eigenvalues of a
     real upper Hessenberg matrix. Complex eigenvalues appear in
     conjugate pairs. Eigenvalues only (no Schur vectors); combine with
-    inverse iteration ({!Clu.null_vector}) when eigenvectors of the
-    original problem are needed. *)
+    inverse iteration ({!Lu.left_null_vector}, on the interleaved real
+    form for a complex eigenvalue) when eigenvectors of the original
+    problem are needed. *)
 
 exception
   No_convergence of { dim : int; block : int; iterations : int }

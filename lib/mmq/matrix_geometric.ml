@@ -1,9 +1,6 @@
 module M = Urs_linalg.Matrix
 module V = Urs_linalg.Vec
-module CM = Urs_linalg.Cmatrix
-module CV = Urs_linalg.Cvec
 module Lu = Urs_linalg.Lu
-module Clu = Urs_linalg.Clu
 module Metrics = Urs_obs.Metrics
 module Span = Urs_obs.Span
 module Ledger = Urs_obs.Ledger
@@ -84,95 +81,51 @@ let compute_r ~tol ~max_iter q =
     raise (Solve_error (No_convergence { iterations; delta }));
   (r, iterations)
 
-let neg_cm m = CM.scale (Urs_linalg.Cx.of_float (-1.0)) m
-
 let solve_inner ~tol ~max_iter q =
   let env = Qbd.env q in
-  let n_servers = Environment.servers env in
   let s = Qbd.s q in
   let verdict = Stability.check ~env ~lambda:(Qbd.lambda q) ~mu:(Qbd.mu q) in
   if not verdict.Stability.stable then Error (Unstable verdict)
   else begin
     try
       let r, iterations = compute_r ~tol ~max_iter q in
-      (* boundary: same elimination as the spectral method with
-         Φ0 = I and Φ1 = Rᵀ *)
-      let bt = CM.of_real (M.transpose (Qbd.b q)) in
-      let ct_full = CM.of_real (M.transpose (Qbd.q2 q)) in
-      let tt j = CM.of_real (M.transpose (Qbd.transition_block q j)) in
-      let ss = Array.make (max 0 (n_servers - 1)) (CM.create 0 0) in
-      let prev = ref None in
-      for j = 0 to n_servers - 2 do
-        let mj =
-          match !prev with
-          | None -> tt j
-          | Some s_prev -> CM.add (CM.mul bt s_prev) (tt j)
-        in
-        let f = Clu.factor_exn mj in
-        let cj1 = CM.of_real (M.transpose (Qbd.c q (j + 1))) in
-        let s_j = Clu.solve_matrix f (neg_cm cj1) in
-        ss.(j) <- s_j;
-        prev := Some s_j
-      done;
-      let m_last =
-        match !prev with
-        | None -> tt (n_servers - 1)
-        | Some s_prev -> CM.add (CM.mul bt s_prev) (tt (n_servers - 1))
+      (* boundary: the spectral method's elimination with Φ0 = I and
+         Φ1 = Rᵀ, so γ is v_N *)
+      let b =
+        match Qbd.boundary q ~phi0:(M.identity s) ~phi1:(M.transpose r) with
+        | Ok b -> b
+        | Error `Singular ->
+            raise (Solve_error (Numerical "singular block during elimination"))
       in
-      let w = Clu.solve_matrix (Clu.factor_exn m_last) (neg_cm ct_full) in
-      let rt = CM.of_real (M.transpose r) in
-      let m_final =
-        CM.add (CM.mul bt w) (CM.add (tt n_servers) (CM.mul ct_full rt))
-      in
-      let g = Clu.null_vector m_final in
-      let xs = Array.make n_servers (CV.create s) in
-      xs.(n_servers - 1) <- CM.mul_vec w g;
-      for j = n_servers - 2 downto 0 do
-        xs.(j) <- CM.mul_vec ss.(j) xs.(j + 1)
-      done;
       (* normalization: Σ_{j<N} v_j·1 + v_N (I−R)⁻¹·1 = 1 *)
-      let i_minus_r = M.sub (M.identity s) r in
       let i_minus_r_f =
-        match Lu.factor i_minus_r with
+        match Lu.factor (M.sub (M.identity s) r) with
         | Ok f -> f
         | Error `Singular ->
             raise (Solve_error (Numerical "I - R singular (load too high?)"))
       in
-      let ones = Array.make s 1.0 in
-      let tail_weights = Lu.solve i_minus_r_f ones in
-      (* (I−R)⁻¹ 1 *)
-      let g_tail =
-        let acc = ref Urs_linalg.Cx.zero in
-        for i = 0 to s - 1 do
-          acc :=
-            Urs_linalg.Cx.add !acc
-              (Urs_linalg.Cx.scale tail_weights.(i) g.(i))
-        done;
-        !acc
-      in
+      let tail_weights = Lu.solve i_minus_r_f (Array.make s 1.0) in
       let total =
-        Array.fold_left (fun acc x -> Urs_linalg.Cx.add acc (CV.sum x)) g_tail xs
+        Array.fold_left
+          (fun acc x -> acc +. V.sum x)
+          (V.dot tail_weights b.Qbd.gamma)
+          b.Qbd.levels
       in
-      if Urs_linalg.Cx.modulus total < 1e-300 then
+      if abs_float total < 1e-300 then
         raise (Solve_error (Numerical "normalization constant vanished"));
-      let inv_total = Urs_linalg.Cx.inv total in
-      let realize x =
-        let scaled = CV.scale inv_total x in
-        let imag = V.norm_inf (CV.imag_part scaled) in
-        if imag > 1e-6 then
-          raise
-            (Solve_error
-               (Numerical
-                  (Printf.sprintf "imaginary residue %.2e in boundary" imag)));
-        CV.real_part scaled
-      in
-      let boundary = Array.map realize xs in
-      let v_n = realize g in
-      Ok { qbd = q; r; iterations; boundary; v_n; rho = nan }
+      let realize = V.scale (1.0 /. total) in
+      Ok
+        {
+          qbd = q;
+          r;
+          iterations;
+          boundary = Array.map realize b.Qbd.levels;
+          v_n = realize b.Qbd.gamma;
+          rho = nan;
+        }
     with
     | Solve_error e -> Error e
-    | Clu.Singular | Lu.Singular ->
-        Error (Numerical "singular block during elimination")
+    | Lu.Singular -> Error (Numerical "singular block during elimination")
   end
 
 let qbd t = t.qbd
@@ -260,7 +213,7 @@ let mean_queue_length t =
   let w1 = Lu.solve f ones in
   (* (I−R)⁻¹ 1 *)
   let w2 = Lu.solve f (M.mul_vec t.r w1) in
-  (* R(I−R)⁻² 1... careful with order *)
+  (* R(I−R)⁻² 1 *)
   let acc = ref 0.0 in
   for i = 0 to s - 1 do
     acc := !acc +. (t.v_n.(i) *. ((float_of_int n *. w1.(i)) +. w2.(i)))

@@ -6,8 +6,12 @@
     For levels [j >= N] the steady state satisfies [v_{N+r} = v_N Rʳ]
     where [R] is the minimal nonnegative solution of
     [Q0 + R Q1 + R² Q2 = 0], computed here by the classical fixed-point
-    iteration [R ← −(Q0 + R²Q2) Q1⁻¹]. The boundary levels are solved
-    with the same block-tridiagonal elimination as the spectral method. *)
+    iteration [R ← −(Q0 + R²Q2) Q1⁻¹]. The boundary levels go through
+    the spectral method's block-tridiagonal elimination,
+    {!Qbd.boundary} with [Φ0 = I] and [Φ1 = Rᵀ], so [γ] is [v_N]; the
+    normalization [Σ_{j<N} v_j·1 + v_N·(I − R)⁻¹·1 = 1] is real too.
+    Its factorizations do not count in
+    [urs_spectral_lu_factorizations_total]. *)
 
 type error =
   | Unstable of Stability.verdict

@@ -140,9 +140,6 @@ let q1 t = M.copy t.q1
 
 let q2 t = M.copy t.c_full
 
-let char_poly_at t z =
-  Urs_linalg.Companion.evaluate ~q0:t.b ~q1:t.q1 ~q2:t.c_full z
-
 let char_poly_real t z w =
   let sm = s t in
   let d = Urs_linalg.Lu.reset w ~lo:t.band_lo ~hi:t.band_hi in
@@ -154,6 +151,35 @@ let char_poly_real t z w =
     let ri = i * sm in
     for k = ri + t.band_lo.(i) to ri + t.band_hi.(i) do
       d.(k) <- (b.(k) +. (z *. q1.(k))) +. (z2 *. c.(k))
+    done
+  done
+
+(* Q(z) = A + iB as the real [[A, B], [−B, A]] with each mode's real
+   and imaginary parts interleaved (row and column 2i, then 2i + 1), so
+   row pair i spans columns 2·lo_i .. 2·hi_i + 1; A and B are formed as
+   [char_poly_real] forms Q(z) *)
+let char_poly_complex t z w =
+  let sm = s t in
+  let n = 2 * sm in
+  let d =
+    Urs_linalg.Lu.reset w
+      ~lo:(Array.init n (fun r -> 2 * t.band_lo.(r / 2)))
+      ~hi:(Array.init n (fun r -> (2 * t.band_hi.(r / 2)) + 1))
+  in
+  let b = t.b.M.data and q1 = t.q1.M.data and c = t.c_full.M.data in
+  let x = Urs_linalg.Cx.re z and y = Urs_linalg.Cx.im z in
+  let z2 = Urs_linalg.Cx.mul z z in
+  let x2 = Urs_linalg.Cx.re z2 and y2 = Urs_linalg.Cx.im z2 in
+  for i = 0 to sm - 1 do
+    let ri = i * sm and re_row = 2 * i * n in
+    let im_row = re_row + n in
+    for k = t.band_lo.(i) to t.band_hi.(i) do
+      let a = (b.(ri + k) +. (x *. q1.(ri + k))) +. (x2 *. c.(ri + k)) in
+      let bi = (y *. q1.(ri + k)) +. (y2 *. c.(ri + k)) in
+      d.(re_row + (2 * k)) <- a;
+      d.(re_row + (2 * k) + 1) <- bi;
+      d.(im_row + (2 * k)) <- -.bi;
+      d.(im_row + (2 * k) + 1) <- a
     done
   done
 
@@ -232,12 +258,35 @@ let det_q_scaled t w z =
   if sign = 0 then 0.0
   else float_of_int sign *. exp (log_det /. float_of_int (s t))
 
+(* u·Q(z) row by row over Q(z)'s band, each entry formed as
+   Q0 + (Q1·z + Q2·z²) in complex arithmetic and each product summed in
+   row order, skipping a zero u_i: outside the band every term is a
+   zero, so the value is the one the whole complex matrix gives *)
 let eigenpair_residual t z u =
+  let module Cx = Urs_linalg.Cx in
   let norm_u = Urs_linalg.Cvec.norm_inf u in
   if norm_u = 0.0 then infinity
-  else
-    Urs_linalg.Cvec.norm_inf (Urs_linalg.Cmatrix.vec_mul u (char_poly_at t z))
-    /. norm_u
+  else begin
+    let sm = s t in
+    let b = t.b.M.data and q1 = t.q1.M.data and c = t.c_full.M.data in
+    let z2 = Cx.mul z z in
+    let uq = Array.make sm Cx.zero in
+    for i = 0 to sm - 1 do
+      let ui = u.(i) in
+      if Cx.re ui <> 0.0 || Cx.im ui <> 0.0 then begin
+        let ri = i * sm in
+        for k = t.band_lo.(i) to t.band_hi.(i) do
+          let qik =
+            Cx.add
+              (Cx.of_float b.(ri + k))
+              (Cx.add (Cx.scale q1.(ri + k) z) (Cx.scale c.(ri + k) z2))
+          in
+          uq.(k) <- Cx.add uq.(k) (Cx.mul ui qik)
+        done
+      end
+    done;
+    Urs_linalg.Cvec.norm_inf uq /. norm_u
+  end
 
 (* v_{j−1}B + v_j T_j + v_{j+1}C_{j+1} without building T_j or C_{j+1}:
    B and C_{j+1} are diagonal, and T_j equals Q1 = T_N off the diagonal.
@@ -270,3 +319,80 @@ let generator_residual t vs j =
       done;
       !worst
   | _ -> invalid_arg "Qbd.generator_residual: expected three vectors"
+
+type boundary = {
+  levels : Urs_linalg.Vec.t array;
+  gamma : Urs_linalg.Vec.t;
+  condition : float;
+}
+
+(* Forward elimination of the block-tridiagonal balance equations of
+   levels 0 .. N−1, then the level-N equation for γ, then back
+   substitution. Every block is real: Bᵀ = λI, C_j is diagonal and
+   T_jᵀ equals Q1ᵀ off the diagonal. *)
+let boundary t ~phi0 ~phi1 =
+  let module Lu = Urs_linalg.Lu in
+  let sm = s t and n_servers = Environment.servers t.env in
+  let lambda = t.lambda in
+  let q1t = M.transpose t.q1 in
+  (* M_j = λS_{j−1} + T_jᵀ, filled in one pass into one workspace and
+     factored there in place. Each entry is (λ·s) + t, the value of
+     forming λS_{j−1} and T_jᵀ as matrices and adding them. Every
+     window spans its row, as in [Lu.factor]. *)
+  let work = Lu.workspace sm in
+  let full_lo = Array.make sm 0 and full_hi = Array.make sm (sm - 1) in
+  let condition = ref 1.0 in
+  let level_factor j s_prev =
+    let tj = transition_diag t j in
+    let d = Lu.reset work ~lo:full_lo ~hi:full_hi and qt = q1t.M.data in
+    for i = 0 to sm - 1 do
+      let ri = i * sm in
+      for k = 0 to sm - 1 do
+        let tik = if k = i then tj.(i) else qt.(ri + k) in
+        d.(ri + k) <-
+          (match s_prev with
+          | None -> tik
+          | Some sp -> (lambda *. sp.M.data.(ri + k)) +. tik)
+      done
+    done;
+    match Lu.factor_in_place work with
+    | Ok f ->
+        condition := Float.max !condition (Lu.pivot_condition f);
+        f
+    | Error `Singular -> raise Lu.Singular
+  in
+  try
+    (* S_j = −M_j⁻¹ C_{j+1}ᵀ; C_{j+1} is diagonal, so S_j is the
+       inverse with its columns scaled *)
+    let ss = Array.make (max 0 (n_servers - 1)) (M.create 0 0) in
+    let prev = ref None in
+    for j = 0 to n_servers - 2 do
+      let f = level_factor j !prev in
+      let s_j =
+        Lu.solve_diagonal f (Urs_linalg.Vec.scale (-1.0) (c_diag t (j + 1)))
+      in
+      ss.(j) <- s_j;
+      prev := Some s_j
+    done;
+    (* level N−1: x_{N−1} = W γᵀ with W = −M_last⁻¹ (C Φ0); level N:
+       [λW + T_Nᵀ Φ0 + C Φ1] γᵀ = 0, with T_N = Q1 *)
+    let f_last = level_factor (n_servers - 1) !prev in
+    let c_full_diag = c_diag t n_servers in
+    let w =
+      Lu.solve_matrix f_last
+        (M.init sm sm (fun i j -> -.c_full_diag.(i) *. M.get phi0 i j))
+    in
+    let tp = M.mul q1t phi0 in
+    let gamma =
+      Lu.null_vector
+        (M.init sm sm (fun i j ->
+             (lambda *. M.get w i j)
+             +. (M.get tp i j +. (c_full_diag.(i) *. M.get phi1 i j))))
+    in
+    (* back substitution: x_{N−1} = W γᵀ, then x_j = S_j x_{j+1} *)
+    let levels = Array.make n_servers (M.mul_vec w gamma) in
+    for j = n_servers - 2 downto 0 do
+      levels.(j) <- M.mul_vec ss.(j) levels.(j + 1)
+    done;
+    Ok { levels; gamma; condition = !condition }
+  with Lu.Singular -> Error `Singular

@@ -66,9 +66,6 @@ val q1 : t -> Urs_linalg.Matrix.t
 
 val q2 : t -> Urs_linalg.Matrix.t
 
-val char_poly_at : t -> Urs_linalg.Cx.t -> Urs_linalg.Cmatrix.t
-(** [Q(z)] evaluated at a complex point. *)
-
 val char_poly_real : t -> float -> Urs_linalg.Lu.workspace -> unit
 (** [char_poly_real t z w] writes [Q(z)] at a real point into the
     caller's [s×s] workspace [w], each entry formed as
@@ -86,6 +83,22 @@ val char_poly_real : t -> float -> Urs_linalg.Lu.workspace -> unit
     [t]: pool domains share [t]. The real-eigenvalue path of {!Spectral}
     and the dominant root of {!Geometric} take their left null vectors
     from it; {!det_q_scaled} takes its determinant. *)
+
+val char_poly_complex : t -> Urs_linalg.Cx.t -> Urs_linalg.Lu.workspace -> unit
+(** [char_poly_complex t z w] writes [Q(z) = A + iB] at a complex point
+    into the caller's [2s×2s] workspace [w] as the real matrix
+    [[A, B], [−B, A]] with each mode's parts interleaved: row and column
+    [2i] hold mode [i]'s real part, [2i + 1] its imaginary part. A left
+    null vector [y] of it gives one of [Q(z)],
+    [u_i = y_{2i} + i·y_{2i+1}] ({!Urs_linalg.Cvec.of_interleaved}):
+    [(p + iq)(A + iB) = 0] is [(p, q)·[[A, B], [−B, A]] = 0]. The real
+    null space is [span{u, iu}], twice the dimension of the complex
+    one, and any vector in it is a complex multiple of [u]. The form
+    keeps [Q(z)]'s band: rows [2i] and [2i + 1] span columns
+    [2·lo_i .. 2·hi_i + 1], so a fill and factorization cost the band
+    as in {!char_poly_real}, whose association forms [A] and [B]. Its
+    determinant is [|det Q(z)|²]. Raises [Invalid_argument] if [w] is
+    not [2s×2s]. *)
 
 (** {1 The symmetric view of a reversible environment}
 
@@ -136,7 +149,8 @@ val eigenpair_residual : t -> Urs_linalg.Cx.t -> Urs_linalg.Cvec.t -> float
     accuracy of a left eigenpair of the characteristic polynomial
     ([infinity] for a zero vector). Near machine epsilon for a
     well-conditioned solve; the health diagnostics flag anything
-    materially larger. *)
+    materially larger. Reads the prebuilt blocks over [Q(z)]'s band, each
+    entry formed in complex arithmetic as [Q0 + (Q1·z + Q2·z²)]. *)
 
 val generator_residual : t -> Urs_linalg.Vec.t array -> int -> float
 (** [generator_residual t vs j] is the infinity-norm residual of the
@@ -144,3 +158,36 @@ val generator_residual : t -> Urs_linalg.Vec.t array -> int -> float
     [vs = [| v_{j−1}; v_j; v_{j+1} |]]. It reads the prebuilt blocks
     ([T_j] differs from [Q1] only on the diagonal) and gives the value
     the explicit [B], [T_j] and [C_{j+1}] would. *)
+
+(** {1 The boundary levels} *)
+
+type boundary = {
+  levels : Urs_linalg.Vec.t array;
+      (** [x_0 .. x_{N−1}] for [gamma]: the boundary vectors up to the
+          normalization. *)
+  gamma : Urs_linalg.Vec.t;
+      (** The level-[N] system's null vector, unit 2-norm, largest
+          component positive ({!Urs_linalg.Lu.null_vector}). *)
+  condition : float;
+      (** The worst {!Urs_linalg.Lu.pivot_condition} over the [N] level
+          factorizations, at least [1.]. *)
+}
+
+val boundary :
+  t ->
+  phi0:Urs_linalg.Matrix.t ->
+  phi1:Urs_linalg.Matrix.t ->
+  (boundary, [ `Singular ]) result
+(** [boundary t ~phi0 ~phi1] solves the balance equations of levels
+    [0 .. N] given the levels above the boundary as
+    [v_{N+r}ᵀ = Φ_r·γᵀ] for [r = 0, 1], with [Φ_r] real [s×s]: forward
+    elimination [S_j = −M_j⁻¹·C_{j+1}ᵀ] with [M_j = λS_{j−1} + T_jᵀ],
+    each [M_j] filled into one {!Urs_linalg.Lu.workspace} and factored
+    there in place ([N] factorizations); then
+    [W = −M_{N−1}⁻¹·C·Φ0], [γ] the null vector of
+    [λW + T_Nᵀ·Φ0 + C·Φ1], and back substitution [x_{N−1} = W·γᵀ],
+    [x_j = S_j·x_{j+1}]. The spectral expansion passes
+    [Φ_r = (z_k^{N+r}·u_k)] in a real basis ({!Spectral}), the
+    matrix-geometric method [Φ0 = I] and [Φ1 = Rᵀ]
+    ({!Matrix_geometric}). The caller normalizes. [Error `Singular]
+    when a level block has an exactly zero pivot. *)

@@ -1,9 +1,8 @@
 module M = Urs_linalg.Matrix
 module V = Urs_linalg.Vec
-module CM = Urs_linalg.Cmatrix
 module CV = Urs_linalg.Cvec
 module Cx = Urs_linalg.Cx
-module Clu = Urs_linalg.Clu
+module Lu = Urs_linalg.Lu
 
 let log_src = Logs.Src.create "urs.spectral" ~doc:"spectral expansion solver"
 
@@ -205,7 +204,6 @@ let solve_stages ~path ?max_iter q =
   if not verdict.Stability.stable then Error (Unstable verdict)
   else begin
     try
-      let q1 = Qbd.q1 q in
       let qr_max_iter = Option.value max_iter ~default:default_qr_max_iter in
       let label () = Printf.sprintf "spectral N=%d s=%d" n_servers s in
       let zs =
@@ -231,7 +229,7 @@ let solve_stages ~path ?max_iter q =
                       track_qr ~max_iter:qr_max_iter ~label (fun observe ->
                           Urs_linalg.Companion.eigenvalues_inside_unit_disk
                             ~tol:eig_tol ~max_iter:qr_max_iter ?observe
-                            ~q0:(Qbd.q0 q) ~q1 ~q2:(Qbd.q2 q) ())
+                            ~q0:(Qbd.q0 q) ~q1:(Qbd.q1 q) ~q2:(Qbd.q2 q) ())
                     with
                     | Urs_linalg.Qr_eig.No_convergence
                         { dim; block; iterations } ->
@@ -243,7 +241,7 @@ let solve_stages ~path ?max_iter q =
                                     companion matrix, trailing block %d \
                                     stuck after %d sweeps)"
                                    dim dim block iterations)))
-                    | Urs_linalg.Lu.Singular ->
+                    | Lu.Singular ->
                         raise
                           (Solve_error (Numerical "singular arrival block")))))
       in
@@ -263,187 +261,99 @@ let solve_stages ~path ?max_iter q =
          returns its imaginary part as exactly 0) has a real Q(z_k) and
          a real eigenvector, found in real arithmetic. Conjugate
          eigenvalues have conjugate eigenvectors (Q has real
-         coefficients), so each complex pair is computed only once. *)
+         coefficients), so each complex pair is computed once, at the
+         eigenvalue with positive imaginary part, from Q(z)'s
+         interleaved real form; the other is its conjugate. The QR step
+         returns a pair as exact conjugates, which the modulus sort
+         leaves side by side. [partner.(k)] is the other index of z_k's
+         pair, or k for a real z_k. *)
+      let partner = Array.init s Fun.id in
       let us =
         Span.with_ ~name:"urs_spectral_stage"
           ~labels:[ ("stage", "eigenvectors") ]
           (fun () ->
             let us = Array.make s [||] in
-            (* one workspace for every real Q(z_k), factored in place *)
-            let work = Urs_linalg.Lu.workspace s in
-            for k = 0 to s - 1 do
-              let z = zs.(k) in
+            (* one workspace for every real Q(z_k), factored in place,
+               and one of order 2s for the complex ones *)
+            let work = Lu.workspace s in
+            let work2 = lazy (Lu.workspace (2 * s)) in
+            let k = ref 0 in
+            while !k < s do
+              let z = zs.(!k) in
               if Cx.im z = 0.0 then begin
                 Qbd.char_poly_real q (Cx.re z) work;
-                us.(k) <-
-                  CV.normalize
-                    (CV.of_real (Urs_linalg.Lu.left_null_vector work))
+                us.(!k) <- CV.normalize (CV.of_real (Lu.left_null_vector work));
+                incr k
               end
-              else if Cx.im z > 0.0 then
-                us.(k) <- Clu.left_null_vector (Qbd.char_poly_at q z)
-            done;
-            for k = 0 to s - 1 do
-              if Cx.im zs.(k) < 0.0 then begin
-                (* find the conjugate partner (pairs are adjacent after the
-                   modulus sort, but search defensively) *)
-                let partner = ref (-1) in
-                let zc = Cx.conj zs.(k) in
-                for k' = 0 to s - 1 do
-                  if
-                    !partner < 0
-                    && Cx.im zs.(k') > 0.0
-                    && Cx.modulus (Cx.sub zs.(k') zc)
-                       <= 1e-12 *. (1.0 +. Cx.modulus zc)
-                  then partner := k'
-                done;
-                if !partner >= 0 then begin
-                  Metrics.inc m_conj;
-                  us.(k) <- Array.map Cx.conj us.(!partner)
-                end
-                else us.(k) <- Clu.left_null_vector (Qbd.char_poly_at q zs.(k))
+              else begin
+                let k' = !k + 1 in
+                let paired =
+                  k' < s
+                  && Cx.re zs.(k') = Cx.re z
+                  && Cx.im zs.(k') = -.Cx.im z
+                in
+                if not paired then
+                  raise (Solve_error (Numerical "unpaired complex eigenvalue"));
+                let upper, lower =
+                  if Cx.im z > 0.0 then (!k, k') else (k', !k)
+                in
+                let w = Lazy.force work2 in
+                Qbd.char_poly_complex q zs.(upper) w;
+                let u =
+                  CV.normalize (CV.of_interleaved (Lu.left_null_vector w))
+                in
+                Metrics.inc m_conj;
+                us.(upper) <- u;
+                us.(lower) <- Array.map Cx.conj u;
+                partner.(upper) <- lower;
+                partner.(lower) <- upper;
+                k := !k + 2
               end
             done;
             us)
       in
       (* Φ_r has column k equal to z_k^{N+r} u_kᵀ, so v_{N+r}ᵀ = Φ_r γᵀ.
-         Every block in the boundary elimination except Φ is real
-         (Bᵀ = λI and C_j is diagonal), so the expensive factorizations
-         stay in real arithmetic. When every z_k is real (every
-         reversible model), so are Φ, the level-N system and γ; a
-         complex spectrum carries Φ as (re, im) pairs of real matrices
-         and takes γ from a complex null vector. *)
-      let lambda = Qbd.lambda q in
-      let real_spectrum = Array.for_all (fun z -> Cx.im z = 0.0) zs in
-      let worst_cond = ref 1.0 in
-      let note_cond f =
-        worst_cond := Float.max !worst_cond (Urs_linalg.Lu.pivot_condition f);
-        f
-      in
-      let g, xs =
+         It is kept real: a conjugate pair (z, z̄) contributes the
+         columns Re(z^{N+r} u) and Im(z̄^{N+r} ū), whose coefficients
+         g and ḡ give γ = (g + i·ḡ)/2 and its conjugate, since
+         γ·w + γ̄·w̄ = 2·Re(γ·w) for w = z^{N+r} u. *)
+      let g, xs, condition =
         Span.with_ ~name:"urs_spectral_stage"
           ~labels:[ ("stage", "boundary") ]
           (fun () ->
-            let module Lu = Urs_linalg.Lu in
-            (* M_j = λS_{j−1} + T_jᵀ, filled in one pass into one
-               workspace and factored there in place: T_jᵀ equals Q1ᵀ
-               off the diagonal, and its diagonal comes from
-               [Qbd.transition_diag]. Each entry is (λ·s) + t, the value
-               of forming λS_{j−1} and T_jᵀ as matrices and adding them.
-               Every window spans its row, as in [Lu.factor]. *)
-            let q1t = M.transpose q1 in
-            let work = Lu.workspace s in
-            let full_lo = Array.make s 0 and full_hi = Array.make s (s - 1) in
-            let level_factor j s_prev =
-              let tj = Qbd.transition_diag q j in
-              let d = Lu.reset work ~lo:full_lo ~hi:full_hi
-              and t = q1t.M.data in
-              for i = 0 to s - 1 do
-                let ri = i * s in
-                for k = 0 to s - 1 do
-                  let tik = if k = i then tj.(i) else t.(ri + k) in
-                  d.(ri + k) <-
-                    (match s_prev with
-                    | None -> tik
-                    | Some sp -> (lambda *. sp.M.data.(ri + k)) +. tik)
-                done
-              done;
-              Metrics.inc m_lu;
-              match Lu.factor_in_place work with
-              | Ok f -> note_cond f
-              | Error `Singular ->
-                  raise (Solve_error (Numerical "singular boundary block"))
+            let phi r =
+              let e = n_servers + r in
+              let zp =
+                Array.map
+                  (fun z ->
+                    if Cx.im z = 0.0 then
+                      Cx.of_float (Cx.re z ** float_of_int e)
+                    else cx_pow z e)
+                  zs
+              in
+              M.init s s (fun i k ->
+                  let im = Cx.im zs.(k) in
+                  if im = 0.0 then Cx.re zp.(k) *. Cx.re us.(k).(i)
+                  else
+                    let w = Cx.mul zp.(k) us.(k).(i) in
+                    if im > 0.0 then Cx.re w else Cx.im w)
             in
-            (* forward elimination of the block-tridiagonal boundary system:
-               S_j = −M_j⁻¹ C_{j+1}ᵀ, all real; C_{j+1} is diagonal, so
-               S_j is the inverse with its columns scaled *)
-            let ss = Array.make (max 0 (n_servers - 1)) (M.create 0 0) in
-            let prev = ref None in
-            for j = 0 to n_servers - 2 do
-              let f = level_factor j !prev in
-              let s_j =
-                Lu.solve_diagonal f (V.scale (-1.0) (Qbd.c_diag q (j + 1)))
-              in
-              ss.(j) <- s_j;
-              prev := Some s_j
-            done;
-            (* level N-1 equation: x_{N-1} = W γᵀ with
-               W = −M_last⁻¹ (C Φ0) (C diagonal); level N equation:
-               [λW + T_Nᵀ Φ0 + C Φ1] γᵀ = 0, with T_N = Q1 *)
-            let f_last = level_factor (n_servers - 1) !prev in
-            let c_full_diag = Qbd.c_diag q n_servers in
-            let scale_rows_neg d m =
-              M.init s s (fun i j -> -.d.(i) *. M.get m i j)
-            in
-            let level w tp phi1 i j =
-              (lambda *. M.get w i j)
-              +. (M.get tp i j +. (c_full_diag.(i) *. M.get phi1 i j))
-            in
-            (* back substitution: x_{N-1} = W g, then x_j = S_j x_{j+1} *)
-            let back_substitute last apply =
-              let xs = Array.make n_servers last in
-              for j = n_servers - 2 downto 0 do
-                xs.(j) <- apply ss.(j) xs.(j + 1)
-              done;
-              xs
-            in
-            if real_spectrum then begin
-              let phi r =
-                let zp =
-                  Array.map (fun z -> Cx.re z ** float_of_int (n_servers + r)) zs
-                in
-                M.init s s (fun i k -> zp.(k) *. Cx.re us.(k).(i))
-              in
-              let phi0 = phi 0 and phi1 = phi 1 in
-              let w = Lu.solve_matrix f_last (scale_rows_neg c_full_diag phi0) in
-              let tp = M.mul q1t phi0 in
-              let g = Lu.null_vector (M.init s s (level w tp phi1)) in
-              let xs = back_substitute (M.mul_vec w g) M.mul_vec in
-              (Array.map Cx.of_float g, Array.map CV.of_real xs)
-            end
-            else begin
-              let phi r =
-                let re = M.create s s and im = M.create s s in
-                for k = 0 to s - 1 do
-                  let zp = cx_pow zs.(k) (n_servers + r) in
-                  for i = 0 to s - 1 do
-                    let v = Cx.mul zp us.(k).(i) in
-                    M.set re i k (Cx.re v);
-                    M.set im i k (Cx.im v)
-                  done
-                done;
-                (re, im)
-              in
-              let phi0_re, phi0_im = phi 0 in
-              let phi1_re, phi1_im = phi 1 in
-              let w_re =
-                Lu.solve_matrix f_last (scale_rows_neg c_full_diag phi0_re)
-              in
-              let w_im =
-                Lu.solve_matrix f_last (scale_rows_neg c_full_diag phi0_im)
-              in
-              let tp_re = M.mul q1t phi0_re and tp_im = M.mul q1t phi0_im in
-              let m_gamma =
-                CM.init s s (fun i j ->
-                    Cx.make
-                      (level w_re tp_re phi1_re i j)
-                      (level w_im tp_im phi1_im i j))
-              in
-              let g = Clu.null_vector m_gamma in
-              let g_re = CV.real_part g and g_im = CV.imag_part g in
-              (* (re + i·im)(vr + i·vi) *)
-              let a = M.mul_vec w_re g_re and b = M.mul_vec w_im g_im in
-              let c = M.mul_vec w_re g_im and d = M.mul_vec w_im g_re in
-              let last =
-                Array.init s (fun i ->
-                    Cx.make (a.(i) -. b.(i)) (c.(i) +. d.(i)))
-              in
-              let real_apply m v =
-                let vr = M.mul_vec m (CV.real_part v) in
-                let vi = M.mul_vec m (CV.imag_part v) in
-                Array.init s (fun i -> Cx.make vr.(i) vi.(i))
-              in
-              (g, back_substitute last real_apply)
-            end)
+            match Qbd.boundary q ~phi0:(phi 0) ~phi1:(phi 1) with
+            | Error `Singular ->
+                raise (Solve_error (Numerical "singular boundary block"))
+            | Ok b ->
+                Metrics.inc ~by:(float_of_int n_servers) m_lu;
+                let g = b.Qbd.gamma in
+                ( Array.mapi
+                    (fun k gk ->
+                      let p = partner.(k) in
+                      if p = k then Cx.of_float gk
+                      else if Cx.im zs.(k) > 0.0 then
+                        Cx.make (0.5 *. gk) (0.5 *. g.(p))
+                      else Cx.make (0.5 *. g.(p)) (-0.5 *. gk))
+                    g,
+                  b.Qbd.levels,
+                  b.Qbd.condition ))
       in
       (* normalization (eq. 20): Σ_{j<N} x_j·1 + Σ_k γ_k (u_k·1) z^N/(1−z) *)
       Span.with_ ~name:"urs_spectral_stage"
@@ -465,27 +375,16 @@ let solve_stages ~path ?max_iter q =
           in
           let total =
             Array.fold_left
-              (fun acc x -> Cx.add acc (CV.sum x))
+              (fun acc x -> Cx.add acc (Cx.of_float (V.sum x)))
               spectral_total xs
           in
           if Cx.modulus total < 1e-300 then
             raise (Solve_error (Numerical "normalization constant vanished"));
           let inv_total = Cx.inv total in
           let gammas = Array.map (fun gk -> Cx.mul gk inv_total) g in
-          let boundary =
-            Array.map
-              (fun x ->
-                let scaled = CV.scale inv_total x in
-                let imag = V.norm_inf (CV.imag_part scaled) in
-                if imag > 1e-6 then
-                  raise
-                    (Solve_error
-                       (Numerical
-                          (Printf.sprintf
-                             "boundary vector has imaginary residue %.2e" imag)));
-                CV.real_part scaled)
-              xs
-          in
+          (* the levels are real; the total is real up to what the
+             conjugate terms of a pair leave in its imaginary part *)
+          let boundary = Array.map (V.scale (Cx.re inv_total)) xs in
           (* sanity: boundary probabilities must be (essentially)
              nonnegative *)
           Array.iter
@@ -508,12 +407,10 @@ let solve_stages ~path ?max_iter q =
               u_sums;
               gammas;
               boundary;
-              boundary_condition = !worst_cond;
+              boundary_condition = condition;
               residual = nan;
             })
-    with
-    | Solve_error e -> Error e
-    | Clu.Singular -> Error (Numerical "singular block during elimination")
+    with Solve_error e -> Error e
   end
 
 (* ---- queries ---- *)
@@ -684,8 +581,8 @@ let boundary_condition t = t.boundary_condition
 let residual t = t.residual
 
 (* public entry point: the staged solve wrapped in a span, then the
-   residual (an accuracy certificate, cheap next to the companion
-   eigensolve), the summary gauges and one ledger record *)
+   residual (an accuracy certificate), the summary gauges and one
+   ledger record *)
 let solve ?max_iter q =
   Metrics.inc m_solves;
   let t0 = Span.now () in

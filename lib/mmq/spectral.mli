@@ -57,8 +57,20 @@ val solve : ?max_iter:int -> Qbd.t -> (t, error) result
     with a [Numerical "QR iteration did not converge ..."] error.
     Companion eigenvalues within [1e-9] of the unit circle count as
     outside the unit disk; the definite path's lie below [1/μ < 1] by
-    construction. When every eigenvalue is real, the level-[N] system
-    and its null vector are solved in real arithmetic.
+    construction. A real eigenvalue's left eigenvector comes from the
+    [s×s] real [Q(z)] ({!Qbd.char_poly_real}); a conjugate pair's from
+    the interleaved [2s×2s] real form of [Q(z)] at the member with
+    positive imaginary part ({!Qbd.char_poly_complex}), the other
+    member's being its conjugate (counted in
+    [urs_spectral_conjugate_shortcuts_total]). The QR step returns a
+    pair as exact conjugates at adjacent indices; a complex eigenvalue
+    without one fails the solve with
+    [Numerical "unpaired complex eigenvalue"]. The boundary runs
+    {!Qbd.boundary} in real arithmetic for every spectrum: a pair
+    [(z, z̄)] contributes the columns [Re(z^{N+r}·u)] and
+    [Im(z̄^{N+r}·ū)] to [Φ_r], and its coefficients [g], [ḡ] map back
+    as [γ = (g + i·ḡ)/2] and its conjugate. Its [N] factorizations
+    count in [urs_spectral_lu_factorizations_total].
 
     A successful solve computes its {!residual} once, after the
     [urs_spectral_solve] span closes. Each call updates the last-solve
@@ -143,6 +155,6 @@ val max_eigen_residual : t -> float
 
 val boundary_condition : t -> float
 (** Worst pivot-ratio condition estimate
-    ({!Urs_linalg.Lu.pivot_condition}) over the LU factorizations of
-    the boundary block-tridiagonal elimination. [1.] when [N = 1]
-    (no real factorization happens). *)
+    ({!Urs_linalg.Lu.pivot_condition}) over the [N] LU factorizations
+    of the boundary block-tridiagonal elimination ({!Qbd.boundary}), at
+    least [1.]. *)

@@ -1,6 +1,6 @@
 (* Tests for the dense linear-algebra substrate: vectors, matrices, LU,
-   QR, the Hessenberg/QR eigensolver, companion linearization and root
-   finding. *)
+   QR, the Hessenberg/QR eigensolver, companion linearization, complex
+   matrices in their interleaved real form and root finding. *)
 
 (* the library's private row-update kernel, compiled into the tests
    from its source (test/dune); named before [open Urs_linalg], which
@@ -210,16 +210,7 @@ let test_max_abs_nan () =
   (* a NaN sticks wherever it sits, also before a larger entry *)
   let m = Matrix.of_arrays [| [| 1.0; Float.nan |]; [| -7.0; 2.0 |] |] in
   Alcotest.(check bool) "real NaN propagates" true
-    (Float.is_nan (Matrix.max_abs m));
-  let c =
-    Cmatrix.init 2 2 (fun i j ->
-        if i = 0 && j = 0 then Cx.make 0.5 Float.nan
-        else Cx.make (float_of_int (i + j)) 1.0)
-  in
-  Alcotest.(check bool) "complex NaN propagates" true
-    (Float.is_nan (Cmatrix.max_abs c));
-  let c = Cmatrix.init 1 2 (fun _ j -> Cx.make 3.0 (float_of_int (4 * j))) in
-  check_float ~tol:0.0 "largest modulus" 5.0 (Cmatrix.max_abs c)
+    (Float.is_nan (Matrix.max_abs m))
 
 (* ---- eigenvalues ---- *)
 
@@ -265,17 +256,6 @@ let test_eigen_known_3x3 () =
   check_float ~tol:1e-8 "e0" (-2.0) (Cx.re e.(0));
   check_float ~tol:1e-8 "e1" 3.0 (Cx.re e.(1));
   check_float ~tol:1e-8 "e2" 5.0 (Cx.re e.(2))
-
-let test_eigenvector_residuals () =
-  let a = random_matrix 10 in
-  let e = Eigen.eigenvalues a in
-  Array.iter
-    (fun z ->
-      let v = Eigen.right_eigenvector a z in
-      let u = Eigen.left_eigenvector a z in
-      if Eigen.residual_right a z v > 1e-8 then Alcotest.fail "right residual";
-      if Eigen.residual_left a z u > 1e-8 then Alcotest.fail "left residual")
-    e
 
 let test_hessenberg_preserves_eigenvalues () =
   let a = random_matrix 8 in
@@ -333,60 +313,76 @@ let test_companion_singular_q2 () =
   check_float ~tol:1e-10 "z0" 0.2 (Cx.re zs.(0));
   check_float ~tol:1e-10 "z1" 0.5 (Cx.re zs.(1))
 
+(* a complex n×n matrix m as the real [[A, B], [−B, A]] of m = A + iB,
+   each entry's real and imaginary parts interleaved (row and column 2i,
+   then 2i + 1), as Qbd.char_poly_complex writes Q(z) *)
+let interleaved n m =
+  let r = Matrix.create (2 * n) (2 * n) in
+  for i = 0 to n - 1 do
+    for k = 0 to n - 1 do
+      let a = Cx.re (m i k) and b = Cx.im (m i k) in
+      Matrix.set r (2 * i) (2 * k) a;
+      Matrix.set r (2 * i) ((2 * k) + 1) b;
+      Matrix.set r ((2 * i) + 1) (2 * k) (-.b);
+      Matrix.set r ((2 * i) + 1) ((2 * k) + 1) a
+    done
+  done;
+  r
+
 let test_companion_eigen_satisfy_det () =
-  (* random quadratic, all roots found satisfy |det Q(z)| ≈ 0 *)
+  (* random quadratic, all roots found satisfy |det Q(z)| ≈ 0, read from
+     the interleaved real form, whose determinant is |det Q(z)|² *)
   let q0 = random_matrix 4 and q1 = random_matrix 4 and q2 = random_matrix 4 in
+  let q_at ~q0 ~q1 ~q2 z i k =
+    let g m = Matrix.get m i k in
+    Cx.add (Cx.of_float (g q0))
+      (Cx.add (Cx.scale (g q1) z) (Cx.scale (g q2) (Cx.mul z z)))
+  in
+  (* the identity at a point that is no root, on 2×2 blocks:
+     det Q = q00·q11 − q01·q10 *)
+  let z = Cx.make 0.3 0.4 in
+  let p0 = random_matrix 2 and p1 = random_matrix 2 and p2 = random_matrix 2 in
+  let q = q_at ~q0:p0 ~q1:p1 ~q2:p2 z in
+  let d = Cx.sub (Cx.mul (q 0 0) (q 1 1)) (Cx.mul (q 0 1) (q 1 0)) in
+  check_float ~tol:1e-12 "det of the real form = |det Q|²" (Cx.modulus2 d)
+    (Lu.det (interleaved 2 q));
   let zs = Companion.eigenvalues_inside_unit_disk ~q0 ~q1 ~q2 () in
   Array.iter
     (fun z ->
-      let d = Clu.det (Companion.evaluate ~q0 ~q1 ~q2 z) in
-      if Cx.modulus d > 1e-6 then
-        Alcotest.failf "det Q(z) = %g at claimed root" (Cx.modulus d))
+      let d = sqrt (abs_float (Lu.det (interleaved 4 (q_at ~q0 ~q1 ~q2 z)))) in
+      if d > 1e-6 then Alcotest.failf "det Q(z) = %g at claimed root" d)
     zs
 
 (* ---- complex modules ---- *)
 
-let test_clu_solve () =
-  let n = 6 in
-  let a =
-    Cmatrix.init n n (fun i j ->
-        Cx.make (Random.State.float rand_state 1.0)
-          (if i = j then 0.5 else Random.State.float rand_state 0.2))
+let test_complex_left_null_vector () =
+  (* row 1 is 2i times row 0, so u = (2i, −1) has u·a = 0; through the
+     interleaved real form, whose null space is span{u, iu}, and back,
+     phase-normalized: the dominant 2i rotates to 2, so u = (2, i)/√5 *)
+  let rows =
+    [|
+      [| Cx.one; Cx.make 0.0 1.0 |]; [| Cx.make 0.0 2.0; Cx.of_float (-2.0) |];
+    |]
   in
-  let b = Cvec.init n (fun i -> Cx.make (float_of_int i) 1.0) in
-  match Clu.solve_system a b with
-  | Ok x ->
-      let r = Cvec.norm_inf (Cvec.sub (Cmatrix.mul_vec a x) b) in
-      if r > 1e-9 then Alcotest.failf "complex residual %g" r
-  | Error `Singular -> Alcotest.fail "unexpected singular"
-
-let test_clu_null_vector () =
-  (* construct a singular complex matrix with known null vector (1, -1) *)
-  let a =
-    Cmatrix.init 2 2 (fun i j ->
-        let v = [| [| 2.0; 2.0 |]; [| 3.0; 3.0 |] |] in
-        Cx.of_float v.(i).(j))
+  let a i k = rows.(i).(k) in
+  let u =
+    Cvec.normalize
+      (Cvec.of_interleaved
+         (Lu.left_null_vector (workspace_of (interleaved 2 a))))
   in
-  let v = Clu.null_vector a in
-  let r = Cvec.norm_inf (Cmatrix.mul_vec a v) in
-  if r > 1e-9 then Alcotest.failf "null vector residual %g" r;
-  check_float "unit norm" 1.0 (Cvec.norm2 v)
-
-let test_clu_left_null_vector () =
-  let a =
-    Cmatrix.init 2 2 (fun i j ->
-        let v = [| [| 2.0; 4.0 |]; [| 1.0; 2.0 |] |] in
-        Cx.of_float v.(i).(j))
+  let r =
+    Array.init 2 (fun k -> Cx.add (Cx.mul u.(0) (a 0 k)) (Cx.mul u.(1) (a 1 k)))
   in
-  let u = Clu.left_null_vector a in
-  let r = Cvec.norm_inf (Cmatrix.vec_mul u a) in
-  if r > 1e-9 then Alcotest.failf "left null residual %g" r
-
-let test_clu_det () =
-  let a = Cmatrix.init 2 2 (fun i j -> if i = j then Cx.make 0.0 1.0 else Cx.zero) in
-  let d = Clu.det a in
-  check_float "det re" (-1.0) (Cx.re d);
-  check_float "det im" 0.0 (Cx.im d)
+  if Cvec.norm_inf r > 1e-12 then
+    Alcotest.failf "left null residual %g" (Cvec.norm_inf r);
+  let r5 = sqrt 5.0 in
+  Alcotest.(check bool)
+    "u = (2, i)/√5" true
+    (Cvec.approx_equal ~tol:1e-12 u
+       [| Cx.make (2.0 /. r5) 0.0; Cx.make 0.0 (1.0 /. r5) |]);
+  Alcotest.check_raises "odd length"
+    (Invalid_argument "Cvec.of_interleaved: odd length") (fun () ->
+      ignore (Cvec.of_interleaved [| 1.0; 2.0; 3.0 |]))
 
 let test_cvec_normalize_phase () =
   let v = Cvec.init 2 (fun i -> if i = 0 then Cx.make 0.0 2.0 else Cx.one) in
@@ -394,20 +390,6 @@ let test_cvec_normalize_phase () =
   (* dominant component must be rotated to the positive real axis *)
   check_float "dominant is real" 0.0 (Cx.im n.(Cvec.max_abs_index n));
   Alcotest.(check bool) "dominant positive" true (Cx.re n.(Cvec.max_abs_index n) > 0.0)
-
-let test_cmatrix_arithmetic () =
-  let a = Cmatrix.init 2 2 (fun i j -> Cx.make (float_of_int (i + j)) 1.0) in
-  let b = Cmatrix.identity 2 in
-  let sum = Cmatrix.add a b in
-  if not (Cx.approx_equal (Cmatrix.get sum 0 0) (Cx.make 1.0 1.0)) then
-    Alcotest.fail "add wrong";
-  let diff = Cmatrix.sub sum b in
-  Alcotest.(check bool) "sub inverts add" true (Cmatrix.approx_equal diff a);
-  let scaled = Cmatrix.scale (Cx.make 0.0 1.0) b in
-  (* i·I: conj transpose is −i·I *)
-  let ct = Cmatrix.conj_transpose scaled in
-  if not (Cx.approx_equal (Cmatrix.get ct 0 0) (Cx.make 0.0 (-1.0))) then
-    Alcotest.fail "conj transpose wrong"
 
 let test_cx_helpers () =
   let z = Cx.make 3.0 4.0 in
@@ -1374,11 +1356,11 @@ let prop_band_cholesky =
            not (Cholesky.factor b)
          end)
 
-(* rows 0..n−2 random, the last their sum: singular, with a right null
-   vector that both factorizations find from the same start *)
+(* rows 0..n−2 random, the last their sum: singular, with a
+   one-dimensional right null space; the null vector has unit 2-norm and
+   its largest-modulus component positive *)
 let prop_lu_null_vector =
-  QCheck2.Test.make ~name:"Lu.null_vector = Clu.null_vector on real matrices"
-    ~count:60
+  QCheck2.Test.make ~name:"Lu.null_vector: residual, sign" ~count:60
     QCheck2.Gen.(
       int_range 2 9 >>= fun n ->
       array_size (return (n * n)) (float_range 0.1 1.0) >|= fun data ->
@@ -1394,9 +1376,9 @@ let prop_lu_null_vector =
         Matrix.set a (n - 1) j !s
       done;
       let x = Lu.null_vector a in
-      let cx = Clu.null_vector (Cmatrix.of_real a) in
       Vec.norm_inf (Matrix.mul_vec a x) <= 1e-9 *. Float.max 1.0 (Matrix.norm_inf a)
-      && Cvec.approx_equal ~tol:1e-9 (Cvec.normalize (Cvec.of_real x)) cx)
+      && abs_float (Vec.norm2 x -. 1.0) <= 1e-14
+      && x.(Vec.max_abs_index x) > 0.0)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -1444,8 +1426,6 @@ let () =
           Alcotest.test_case "trace and det identities" `Quick
             test_eigen_trace_det_identity;
           Alcotest.test_case "triangular 3x3" `Quick test_eigen_known_3x3;
-          Alcotest.test_case "eigenvector residuals" `Quick
-            test_eigenvector_residuals;
           Alcotest.test_case "hessenberg preserves spectrum" `Quick
             test_hessenberg_preserves_eigenvalues;
           Alcotest.test_case "balancing preserves spectrum" `Quick
@@ -1470,16 +1450,13 @@ let () =
         ] );
       ( "complex",
         [
-          Alcotest.test_case "clu solve" `Quick test_clu_solve;
-          Alcotest.test_case "null vector" `Quick test_clu_null_vector;
-          Alcotest.test_case "left null vector" `Quick test_clu_left_null_vector;
-          Alcotest.test_case "complex determinant" `Quick test_clu_det;
+          Alcotest.test_case "left null vector" `Quick
+            test_complex_left_null_vector;
           Alcotest.test_case "cvec phase normalization" `Quick
             test_cvec_normalize_phase;
         ] );
       ( "complex extras",
         [
-          Alcotest.test_case "cmatrix arithmetic" `Quick test_cmatrix_arithmetic;
           Alcotest.test_case "cx helpers" `Quick test_cx_helpers;
         ] );
       ( "eigen extras",

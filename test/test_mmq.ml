@@ -166,8 +166,10 @@ let test_qbd_blocks () =
     check_float "c_diag" (M.get cm i i) cd.(i)
   done;
   (* Q(1) must be singular: it is the environment generator *)
-  let d = Urs_linalg.Clu.det (Qbd.char_poly_at q Cx.one) in
-  if Cx.modulus d > 1e-8 then Alcotest.failf "det Q(1) = %g" (Cx.modulus d)
+  let w = Urs_linalg.Lu.workspace s in
+  Qbd.char_poly_real q 1.0 w;
+  let log_det, _ = Urs_linalg.Lu.log_abs_det w in
+  if exp log_det > 1e-8 then Alcotest.failf "det Q(1) = %g" (exp log_det)
 
 let test_transition_block_nonsingular () =
   let env = paper_env ~servers:4 in
@@ -362,9 +364,11 @@ let test_geometric_queue_quantiles () =
 
 let test_spectral_real_eigenvectors_match_complex () =
   (* the paper model's spectrum is real, so every left eigenvector comes
-     from the real LU; it must be the one the complex LU finds. One
-     workspace serves every eigenvalue, as in the solver, so each Q(z_k)
-     goes in over the windows the previous factorization left. *)
+     from the s×s real LU; it must be the one that Q(z)'s interleaved
+     2s×2s form, which serves complex eigenvalues, gives at the same z.
+     One workspace of each order serves every eigenvalue, as in the
+     solver, so each Q(z_k) goes in over the windows the previous
+     factorization left. *)
   List.iter
     (fun servers ->
       let q =
@@ -372,6 +376,7 @@ let test_spectral_real_eigenvectors_match_complex () =
           ~lambda:(0.8 *. float_of_int servers) ~mu:1.0
       in
       let work = Urs_linalg.Lu.workspace (Qbd.s q) in
+      let work2 = Urs_linalg.Lu.workspace (2 * Qbd.s q) in
       Array.iter
         (fun z ->
           if Cx.im z <> 0.0 then
@@ -381,8 +386,11 @@ let test_spectral_real_eigenvectors_match_complex () =
             Urs_linalg.Cvec.normalize
               (Urs_linalg.Cvec.of_real (Urs_linalg.Lu.left_null_vector work))
           in
+          Qbd.char_poly_complex q z work2;
           let complex =
-            Urs_linalg.Clu.left_null_vector (Qbd.char_poly_at q z)
+            Urs_linalg.Cvec.normalize
+              (Urs_linalg.Cvec.of_interleaved
+                 (Urs_linalg.Lu.left_null_vector work2))
           in
           if not (Urs_linalg.Cvec.approx_equal ~tol:1e-10 real complex) then
             Alcotest.failf "N=%d z=%g: real and complex eigenvectors differ"
@@ -395,9 +403,9 @@ let test_spectral_real_eigenvectors_match_complex () =
    diagonal solves, the one-pass boundary assembly, the in-place Q(z)
    factorizations); every skipped term subtracts a zero, so none of
    these may move. The three reversible models take their eigenvalues
-   from the definite linearization and solve the level-N system in real
-   arithmetic; the Erlang-3 model keeps the companion path and the
-   complex level-N system. *)
+   from the definite linearization; the Erlang-3 model takes the
+   companion path, its complex eigenvectors from Q(z)'s interleaved real
+   form, and its level-N system in a real basis. *)
 let test_pinned_answers () =
   let bits name expected actual =
     let b = Int64.bits_of_float in
@@ -435,7 +443,7 @@ let test_pinned_answers () =
   in
   pin "erlang-3 N=3"
     (Qbd.create ~env:erlang3 ~lambda:2.0 ~mu:1.0)
-    ~l:0x1.9d9334781377ep+1 ~residual:0x1.d8p-52 ~cond:0x1.62c4efbf9ef3bp+1
+    ~l:0x1.9d9334781377fp+1 ~residual:0x1.88p-52 ~cond:0x1.62c4efbf9ef3bp+1
     ~z:0x1.6832419510b21p-1 ~geo_z:0x1.6832419510c06p-1
     ~geo_l:0x1.2fb7290ba0ecp+1;
   (* the paper's fitted H2 repair periods *)
@@ -526,7 +534,10 @@ let test_pinned_eigenvalue_stage () =
    companion path, and their digest is the one the companion path gave
    before the definite path existed. The 51 reversible models take the
    definite path; besides their digest, each L is held to the companion
-   path's L, within 1e-10 relative. *)
+   path's L, within 1e-10 relative. The Erlang-3 models' complex
+   eigenvectors and level-N system moved from a dense complex LU to
+   real arithmetic; besides their digest, each L is held to the one the
+   complex LU gave, within 1e-12 relative. *)
 let broad_models () =
   let at label env load =
     ( Printf.sprintf "%s load=%g" label load,
@@ -582,6 +593,16 @@ let companion_l =
     0x1.ccff75ec7e9b9p+0; 0x1.f1c030e12e614p+1; 0x1.81f29d6fdecbep+3;
   |]
 
+(* the complex LU's L on the 15 Erlang-3 models, in order *)
+let complex_lu_l =
+  [|
+    0x1.4ba3110c14c92p-1; 0x1.e02b72e1442e9p+0; 0x1.32de92bf2d6a9p+3;
+    0x1.cc406f32e5b52p-1; 0x1.26c5d9d2c5f9cp+1; 0x1.44688dbcd9b87p+3;
+    0x1.2aacc79a6954p+0; 0x1.6293e6e7f00ap+1; 0x1.57ab0bb498901p+3;
+    0x1.7148d3d4796a1p+0; 0x1.a18a779553adbp+1; 0x1.6c0ab088dcf3ap+3;
+    0x1.b8fb11aaf04b5p+0; 0x1.e2a6cf570b2afp+1; 0x1.813651f28a32cp+3;
+  |]
+
 let test_pinned_broad () =
   let models = broad_models () in
   Alcotest.(check int) "model count" 66 (List.length models);
@@ -617,9 +638,17 @@ let test_pinned_broad () =
         v)
       models
   in
+  let erl = values (Spectral.Companion Spectral.Not_reversible) erlang in
   Alcotest.(check string)
-    "answers on 15 Erlang-3 models" "38378d097f64b981b1af92fa68d1ff94"
-    (digest_floats (values (Spectral.Companion Spectral.Not_reversible) erlang));
+    "answers on 15 Erlang-3 models" "5e0fdd85ace13cae9a50837ebc39c415"
+    (digest_floats erl);
+  List.iteri
+    (fun k l ->
+      let l0 = complex_lu_l.(k) in
+      if abs_float (l -. l0) > 1e-12 *. l0 then
+        Alcotest.failf "%s: L %h against the complex LU's %h"
+          (fst (List.nth erlang k)) l l0)
+    (List.filteri (fun i _ -> i mod 7 = 0) erl);
   let rev = values Spectral.Definite reversible in
   Alcotest.(check string)
     "answers on 51 reversible models" "df6f93fd846e9e1fa3d180af6619436b"
@@ -688,7 +717,8 @@ let test_ph_env_coxian_marginals () =
 
 let test_ph_env_erlang3_complex_spectrum () =
   (* Erlang-3 operative periods give complex conjugate eigenvalue pairs,
-     which keep the complex-LU path and the conjugate-pair shortcut *)
+     one eigenvector per pair from Q(z)'s interleaved real form and the
+     other its conjugate *)
   let op =
     Urs_prob.Phase_type.of_erlang (Urs_prob.Erlang.create ~k:3 ~rate:0.3)
   in
@@ -951,6 +981,33 @@ let test_mg_agreement_sweep () =
             Alcotest.failf "N=%d λ=%g: %.10f vs %.10f" servers lambda l1 l2)
     [ (2, 1.0); (3, 2.5); (5, 3.0); (7, 5.0) ]
 
+(* the boundary elimination that Spectral also runs, certified through
+   this caller: levels 0 .. N+2 satisfy their balance equations *)
+let test_mg_balance () =
+  List.iter
+    (fun (label, q) ->
+      match Matrix_geometric.solve q with
+      | Error e -> Alcotest.failf "%s: %a" label Matrix_geometric.pp_error e
+      | Ok mg ->
+          let s = Qbd.s q and n = Environment.servers (Qbd.env q) in
+          let level j =
+            Array.init s (fun i ->
+                Matrix_geometric.probability mg ~mode:i ~jobs:j)
+          in
+          for j = 0 to n + 2 do
+            let r =
+              Qbd.generator_residual q
+                [| level (j - 1); level j; level (j + 1) |]
+                j
+            in
+            if r > 1e-10 then
+              Alcotest.failf "%s: level %d balance residual %g" label j r
+          done)
+    [
+      ("paper N=5", Qbd.create ~env:(paper_env ~servers:5) ~lambda:4.0 ~mu:1.0);
+      ("erlang-3 N=3", Qbd.create ~env:(erlang3_env ()) ~lambda:2.0 ~mu:1.0);
+    ]
+
 let test_mg_mode_marginals () =
   let env = paper_env ~servers:4 in
   let q = Qbd.create ~env ~lambda:3.0 ~mu:1.0 in
@@ -1032,23 +1089,74 @@ let test_mmc_min_servers () =
 
 (* ---- qcheck properties ---- *)
 
+(* Random models: H2 operative periods (reversible, real spectra) or,
+   with one-way phases and so complex eigenvalues, Erlang-k (k = 2..4)
+   or Coxian-2 ones; exponential or H2 repairs; loads 0.3..0.9 of the
+   mean operative capacity. N <= 5 for H2/exponential, N <= 4 up to
+   four phases and N <= 3 beyond, which keeps s <= 56. *)
 let gen_system =
-  QCheck2.Gen.(
-    let* servers = int_range 1 5 in
-    let* util = float_range 0.3 0.9 in
-    let* w1 = float_range 0.2 0.8 in
-    let* r1 = float_range 0.05 0.5 in
-    let* ratio = float_range 2.0 30.0 in
-    let* inop_rate = float_range 5.0 50.0 in
-    let op = H.of_pairs [ (w1, r1); (1.0 -. w1, r1 /. ratio) ] in
-    let inop = exp_dist inop_rate in
-    let env = Environment.create ~servers ~operative:op ~inoperative:inop in
-    let lambda = util *. Environment.mean_operative_servers env in
-    return (env, lambda))
+  let open QCheck2.Gen in
+  let* kind = oneofl [ `H2; `Erlang; `Coxian ] in
+  let* op_phases, operative =
+    match kind with
+    | `H2 ->
+        let* w1 = float_range 0.2 0.8 in
+        let* r1 = float_range 0.05 0.5 in
+        let* ratio = float_range 2.0 30.0 in
+        return
+          ( 2,
+            Urs_prob.Phase_type.of_hyperexponential
+              (H.of_pairs [ (w1, r1); (1.0 -. w1, r1 /. ratio) ]) )
+    | `Erlang ->
+        let* k = int_range 2 4 in
+        let* rate = float_range 0.05 1.0 in
+        return
+          (k, Urs_prob.Phase_type.of_erlang (Urs_prob.Erlang.create ~k ~rate))
+    | `Coxian ->
+        let* r1 = float_range 0.05 1.0 in
+        let* r2 = float_range 0.005 0.5 in
+        let* p = float_range 0.1 0.9 in
+        return
+          ( 2,
+            Urs_prob.Phase_type.create ~alpha:[| 1.0; 0.0 |]
+              ~t_matrix:(M.of_arrays [| [| -.r1; p *. r1 |]; [| 0.0; -.r2 |] |])
+          )
+  in
+  let* h2_repairs = bool in
+  let* inop_rate = float_range 5.0 50.0 in
+  let* inop =
+    if h2_repairs then
+      let* w1 = float_range 0.5 0.95 in
+      let* ratio = float_range 2.0 20.0 in
+      return (H.of_pairs [ (w1, inop_rate); (1.0 -. w1, inop_rate /. ratio) ])
+    else return (exp_dist inop_rate)
+  in
+  let phases = op_phases + if h2_repairs then 2 else 1 in
+  let* servers =
+    int_range 1
+      (if phases = 3 && kind = `H2 then 5 else if phases <= 4 then 4 else 3)
+  in
+  let* util = float_range 0.3 0.9 in
+  let env =
+    Environment.create_ph ~servers ~operative
+      ~inoperative:(Urs_prob.Phase_type.of_hyperexponential inop)
+      ()
+  in
+  let lambda = util *. Environment.mean_operative_servers env in
+  let label =
+    Printf.sprintf "%s op (%d phases), %s repairs, N=%d, util=%.3f"
+      (match kind with `H2 -> "H2" | `Erlang -> "Erlang" | `Coxian -> "Coxian")
+      op_phases
+      (if h2_repairs then "H2" else "exponential")
+      servers util
+  in
+  return (label, env, lambda)
+
+let print_system (label, _, _) = label
 
 let prop_spectral_consistency =
   QCheck2.Test.make ~name:"spectral solution self-consistent" ~count:25
-    gen_system (fun (env, lambda) ->
+    ~print:print_system gen_system (fun (_, env, lambda) ->
       if lambda <= 0.0 then true
       else begin
         let q = Qbd.create ~env ~lambda ~mu:1.0 in
@@ -1059,13 +1167,18 @@ let prop_spectral_consistency =
               abs_float (Spectral.mean_busy_servers sol -. lambda) < 1e-6
             in
             let resid_ok = Spectral.residual sol < 1e-8 in
+            (* the eigenpairs of complex spectra have no other check *)
+            let eigen_ok = Spectral.max_eigen_residual sol <= 1e-9 in
             let l = Spectral.mean_queue_length sol in
-            busy_ok && resid_ok && l >= lambda /. 1.0 -. 1e-9
+            busy_ok && resid_ok && eigen_ok && l >= lambda /. 1.0 -. 1e-9
       end)
 
+(* the truncated chain as well where it fits: s·(levels + 1) <= 2,000
+   states (under its 4,000 limit; 32 MB dense, copied once by its LU)
+   with a tail mass below 1e-10 *)
 let prop_spectral_equals_mg =
-  QCheck2.Test.make ~name:"spectral = matrix-geometric" ~count:15 gen_system
-    (fun (env, lambda) ->
+  QCheck2.Test.make ~name:"spectral = matrix-geometric" ~count:15
+    ~print:print_system gen_system (fun (_, env, lambda) ->
       if lambda <= 0.0 then true
       else begin
         let q = Qbd.create ~env ~lambda ~mu:1.0 in
@@ -1074,12 +1187,22 @@ let prop_spectral_equals_mg =
             let la = Spectral.mean_queue_length a in
             let lb = Matrix_geometric.mean_queue_length b in
             abs_float (la -. lb) /. Float.max 1.0 la < 1e-6
+            && begin
+                 let levels = min 300 ((2000 / Qbd.s q) - 1) in
+                 match Truncated.solve ~levels q with
+                 | Ok t when Truncated.truncation_mass t < 1e-10 ->
+                     abs_float (la -. Truncated.mean_queue_length t)
+                     /. Float.max 1.0 la
+                     < 1e-7
+                 | Ok _ -> true
+                 | Error _ -> false
+               end
         | _ -> false
       end)
 
 let prop_geometric_upper_bound_heavyish =
-  QCheck2.Test.make ~name:"dominant eigenvalue in (0,1)" ~count:25 gen_system
-    (fun (env, lambda) ->
+  QCheck2.Test.make ~name:"dominant eigenvalue in (0,1)" ~count:25
+    ~print:print_system gen_system (fun (_, env, lambda) ->
       if lambda <= 0.0 then true
       else begin
         let q = Qbd.create ~env ~lambda ~mu:1.0 in
@@ -1274,7 +1397,7 @@ let () =
             test_spectral_hyperexponential_repairs;
           Alcotest.test_case "three-phase operative (n=3)" `Quick
             test_spectral_three_phase_operative;
-          Alcotest.test_case "real eigenvectors = complex-LU ones" `Quick
+          Alcotest.test_case "real eigenvectors = complex 2s-form ones" `Quick
             test_spectral_real_eigenvectors_match_complex;
           Alcotest.test_case "answers pinned bit for bit" `Quick
             test_pinned_answers;
@@ -1340,6 +1463,7 @@ let () =
           Alcotest.test_case "agreement sweep vs spectral" `Quick
             test_mg_agreement_sweep;
           Alcotest.test_case "mode marginals" `Quick test_mg_mode_marginals;
+          Alcotest.test_case "levels satisfy balance" `Quick test_mg_balance;
         ] );
       ( "truncated oracle",
         [
