@@ -883,19 +883,16 @@ let section_serve () =
      `urs report` plots them but only spectral/sim can breach the gate)@.";
   flush ()
 
-(* ---- query engine: ledger scan throughput, cold vs indexed ---- *)
+(* ---- query engine: ledger scan throughput ---- *)
 
 let section_query () =
-  header "Query engine — ledger scan throughput, cold vs indexed";
+  header "Query engine — ledger scan throughput";
   Format.printf
-    "(synthetic two-kind ledger; the filter rules out half the records,@.\
-    \ so the sidecar index can seek over their blocks without parsing)@.@.";
-  List.iter remove_gate_stat [ "query_cold"; "query_indexed" ];
+    "(synthetic two-kind ledger; the filter matches half the records,@.\
+    \ and the scan parses every one)@.@.";
+  remove_gate_stat "query";
   let path = Filename.temp_file "urs_bench_query" ".jsonl" in
-  Fun.protect ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ path; Urs_obs.Ledger_store.index_path path ])
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
   let n = 200_000 in
   let line seq kind =
@@ -907,12 +904,10 @@ let section_query () =
            ("wall_seconds", Json.Float (1e-3 *. float_of_int (seq mod 97)));
            ("outcome", Json.String "ok") ])
   in
-  (* first half one kind, second half the other — long homogeneous runs,
-     like a real bench ledger's per-section record bursts *)
   let st = Urs_obs.Ledger_store.open_ ~truncate:true ~flush_every:1024 path in
   for i = 1 to n do
-    let kind = if i <= n / 2 then "solve" else "http.access" in
-    Urs_obs.Ledger_store.write st ~kind ~time:(float_of_int i) (line i kind)
+    Urs_obs.Ledger_store.write st
+      (line i (if i <= n / 2 then "solve" else "http.access"))
   done;
   Urs_obs.Ledger_store.close st;
   let filter = { Urs_obs.Query.no_filter with kind = Some "solve" } in
@@ -920,48 +915,38 @@ let section_query () =
     [ Urs_obs.Query.Count;
       Urs_obs.Query.Quantile (0.99, Urs_obs.Query.Wall_seconds) ]
   in
-  Format.printf "  %-10s  %10s  %12s  %10s  %10s@." "mode" "matched"
-    "records/s" "seeked" "wall (s)";
-  let bench ~name ~use_index =
-    let g0 = Urs_obs.Runtime.sample () in
-    match Urs_obs.Query.run ~use_index ~filter ~aggs path with
-    | Error msg -> Format.printf "  %-10s  query failed: %s@." name msg
-    | Ok r ->
-        let d =
-          Urs_obs.Runtime.delta ~before:g0 ~after:(Urs_obs.Runtime.sample ())
-        in
-        let scanned = r.Urs_obs.Query.parsed + r.Urs_obs.Query.seeked in
-        let per_sec =
-          float_of_int scanned /. r.Urs_obs.Query.elapsed_s
-        in
-        let per w = w /. float_of_int (max 1 scanned) in
-        let stat =
+  let g0 = Urs_obs.Runtime.sample () in
+  match Urs_obs.Query.run ~filter ~aggs path with
+  | Error msg -> Format.printf "  query failed: %s@." msg
+  | Ok r ->
+      let d =
+        Urs_obs.Runtime.delta ~before:g0 ~after:(Urs_obs.Runtime.sample ())
+      in
+      let scanned = r.Urs_obs.Query.parsed in
+      let per_sec = float_of_int scanned /. r.Urs_obs.Query.elapsed_s in
+      let per w = w /. float_of_int (max 1 scanned) in
+      gate_stats :=
+        ( "query",
           {
             Urs_obs.Perf.seconds = per r.Urs_obs.Query.elapsed_s;
             minor_words = per d.Urs_obs.Runtime.d_minor_words;
             promoted_words = per d.Urs_obs.Runtime.d_promoted_words;
             major_words = per d.Urs_obs.Runtime.d_major_words;
-          }
-        in
-        gate_stats := (name, stat) :: !gate_stats;
-        Metrics.set
-          (Metrics.gauge
-             ~labels:[ ("mode", if use_index then "indexed" else "cold") ]
-             ~help:"Ledger records scanned per second by the query engine"
-             "urs_bench_query_records_per_sec")
-          per_sec;
-        Format.printf "  %-10s  %10d  %12.0f  %10d  %10.3f@." name
-          r.Urs_obs.Query.matched per_sec r.Urs_obs.Query.seeked
-          r.Urs_obs.Query.elapsed_s;
-        flush ()
-  in
-  bench ~name:"query_cold" ~use_index:false;
-  bench ~name:"query_indexed" ~use_index:true;
-  Format.printf
-    "@.(both rows land in BENCH_history.jsonl as ungated trend rows —@.\
-     seconds is per scanned record; the indexed run should seek over@.\
-     roughly half the file)@.";
-  flush ()
+          } )
+        :: !gate_stats;
+      Metrics.set
+        (Metrics.gauge
+           ~help:"Ledger records scanned per second by the query engine"
+           "urs_bench_query_records_per_sec")
+        per_sec;
+      Format.printf "  %10s  %10s  %12s  %10s@." "scanned" "matched"
+        "records/s" "wall (s)";
+      Format.printf "  %10d  %10d  %12.0f  %10.3f@." scanned
+        r.Urs_obs.Query.matched per_sec r.Urs_obs.Query.elapsed_s;
+      Format.printf
+        "@.(the row lands in BENCH_history.jsonl as an ungated trend row;@.\
+         seconds is per scanned record)@.";
+      flush ()
 
 (* ---- convergence: iterations to tolerance and recorder overhead ---- *)
 
@@ -1115,7 +1100,7 @@ let sections : (string * string * (unit -> unit)) list =
     ("scale", "Spectral stage seconds against N = 5..30, Erlang-3 N = 6..10",
       section_scale);
     ("serve", "HTTP serve throughput and p99 (healthz, cached solve)", section_serve);
-    ("query", "Ledger query engine: cold vs indexed scan", section_query);
+    ("query", "Ledger query engine: scan throughput", section_query);
     ("conv", "Convergence: iterations to tolerance per solver", section_conv);
     ("speedup", "Pool and solve-cache speedups", section_speedup);
   ]

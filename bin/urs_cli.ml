@@ -1708,7 +1708,7 @@ let report_cmd =
 
 let query_cmd =
   let run ledger kind strategy outcome route trace_id since until group_by
-      aggs format no_index =
+      aggs format =
     let module Q = Urs_obs.Query in
     let parse_aggs specs =
       let specs = if specs = [] then [ "count" ] else specs in
@@ -1729,9 +1729,7 @@ let query_cmd =
         let filter =
           { Q.kind; strategy; outcome; route; trace_id; since; until }
         in
-        match
-          Q.run ~use_index:(not no_index) ~filter ~group_by ~aggs ledger
-        with
+        match Q.run ~filter ~group_by ~aggs ledger with
         | Error msg -> `Error (false, msg)
         | Ok t ->
             if t.Q.malformed > 0 then
@@ -1815,15 +1813,6 @@ let query_cmd =
             "Output format: $(b,table) (fixed-width text), $(b,json), or \
              $(b,data) (gnuplot-ready columns).")
   in
-  let no_index =
-    Arg.(
-      value & flag
-      & info [ "no-index" ]
-          ~doc:
-            "Ignore the sparse sidecar indexes (FILE.idx) and parse every \
-             line. The default uses them to seek over blocks the --kind / \
-             --since / --until filters rule out.")
-  in
   Cmd.v
     (Cmd.info "query"
        ~doc:
@@ -1835,7 +1824,7 @@ let query_cmd =
     Term.(
       ret
         (const run $ ledger $ kind $ strategy $ outcome $ route $ trace_id
-       $ since $ until $ group_by $ aggs $ format $ no_index))
+       $ since $ until $ group_by $ aggs $ format))
 
 (* ---- tail ---- *)
 

@@ -42,7 +42,7 @@ let grade_approx ~label ~utilization delta =
       [ Printf.sprintf "%s: approximation off by %.0f%%" label (100. *. delta) ]
   else Diagnostics.Ok
 
-let check_model ?thresholds ?sim ?pool model =
+let check_model ?sim ?pool model =
   let name =
     Printf.sprintf "N=%d lambda=%g" model.Model.servers
       model.Model.arrival_rate
@@ -72,7 +72,7 @@ let check_model ?thresholds ?sim ?pool model =
             };
           ]
       | Ok sol ->
-          let rep = Diagnostics.check_spectral ?thresholds sol in
+          let rep = Diagnostics.check_spectral sol in
           Diagnostics.observe_spectral rep;
           let exact_l = Mq.Spectral.mean_queue_length sol in
           let spectral_check =
@@ -95,7 +95,7 @@ let check_model ?thresholds ?sim ?pool model =
                 }
             | Ok mg ->
                 let d, v =
-                  Diagnostics.check_exact_pair ?thresholds
+                  Diagnostics.check_exact_pair
                     ~label:(name ^ ": spectral vs matrix-geometric L")
                     exact_l
                     (Mq.Matrix_geometric.mean_queue_length mg)
@@ -156,13 +156,12 @@ let check_model ?thresholds ?sim ?pool model =
                         ~default:infinity
                     in
                     let d, v =
-                      Diagnostics.check_simulation_agreement ?thresholds
+                      Diagnostics.check_simulation_agreement
                         ~label:(name ^ ": simulated L") ~exact:exact_l
                         ~estimate:perf.Solver.mean_jobs ~half_width:hw ()
                     in
                     let rel_ci, v_ci =
-                      Diagnostics.check_ci ?thresholds
-                        ~label:(name ^ ": simulated L")
+                      Diagnostics.check_ci ~label:(name ^ ": simulated L")
                         ~estimate:perf.Solver.mean_jobs ~half_width:hw ()
                     in
                     [
@@ -217,7 +216,7 @@ let avg_trajectories trajs =
         trajs;
       if !cnt > 0 then !sum /. float_of_int !cnt else nan)
 
-let check_warmup ?thresholds ?pool ~sim model =
+let check_warmup ?pool ~sim model =
   let name =
     Printf.sprintf "N=%d lambda=%g" model.Model.servers
       model.Model.arrival_rate
@@ -270,7 +269,7 @@ let check_warmup ?thresholds ?pool ~sim model =
             Printf.sprintf "no settling within the %.0f-unit horizon"
               warmup_horizon);
       verdict =
-        Diagnostics.check_warmup ?thresholds ~label:(name ^ ": warm-up")
+        Diagnostics.check_warmup ~label:(name ^ ": warm-up")
           ~warmup:sim_warmup ~horizon:warmup_horizon truncation;
     }
   in
@@ -306,7 +305,7 @@ let check_warmup ?thresholds ?pool ~sim model =
                 [ 0; 1; 2; 3; 4 ]
             in
             let worst, verdict =
-              Diagnostics.check_transient_trajectory ?thresholds
+              Diagnostics.check_transient_trajectory
                 ~label:(name ^ ": L(t) vs uniformization")
                 pairs
             in
@@ -343,7 +342,7 @@ let major_pause_phase phase =
      or an explicit-GC entry point counts as a pause candidate *)
   starts_with ~prefix:"major" phase || starts_with ~prefix:"explicit" phase
 
-let check_memory_stage ?thresholds model =
+let check_memory_stage model =
   let name =
     Printf.sprintf "N=%d lambda=%g" model.Model.servers
       model.Model.arrival_rate
@@ -417,9 +416,8 @@ let check_memory_stage ?thresholds model =
                          "on"
                        else "unavailable");
                   verdict =
-                    Diagnostics.check_memory ?thresholds
-                      ~label:(name ^ ": memory") ~top_heap_words:top
-                      ~worst_pause ();
+                    Diagnostics.check_memory ~label:(name ^ ": memory")
+                      ~top_heap_words:top ~worst_pause ();
                 };
               ])
 
@@ -433,7 +431,7 @@ let check_memory_stage ?thresholds model =
    contraction. [qr_max_iter] exists so tests (and the curious) can
    lower the QR/QL sweep budget and watch the stage go suspect. *)
 
-let check_convergence_stage ?thresholds ?qr_max_iter model =
+let check_convergence_stage ?qr_max_iter model =
   let name =
     Printf.sprintf "N=%d lambda=%g" model.Model.servers
       model.Model.arrival_rate
@@ -482,7 +480,7 @@ let check_convergence_stage ?thresholds ?qr_max_iter model =
               name ^ " conv/" ^ tr.Urs_obs.Convergence.solver
             in
             let value, verdict =
-              Diagnostics.check_convergence ?thresholds ~label:check_name tr
+              Diagnostics.check_convergence ~label:check_name tr
             in
             {
               name = check_name;
@@ -717,7 +715,7 @@ let full_grid = [ (5, 4.0); (10, 8.0); (12, 8.0) ]
 let quick_sim = { Solver.duration = 30_000.0; replications = 5; seed = 7 }
 let full_sim = { Solver.duration = 100_000.0; replications = 5; seed = 7 }
 
-let run ?(quick = false) ?thresholds ?pool () =
+let run ?(quick = false) ?pool () =
   let t0 = Span.now () in
   let grid = if quick then quick_grid else full_grid in
   let sim = if quick then quick_sim else full_sim in
@@ -730,7 +728,7 @@ let run ?(quick = false) ?thresholds ?pool () =
         let per_model =
           let eval (servers, lambda) =
             let cs =
-              check_model ?thresholds ~sim ?pool (paper_model ~servers ~lambda)
+              check_model ~sim ?pool (paper_model ~servers ~lambda)
             in
             Urs_obs.Progress.tick "doctor:models";
             cs
@@ -742,19 +740,19 @@ let run ?(quick = false) ?thresholds ?pool () =
         (* warm-up analysis runs after the grid: the N=5 paper model is
            the transient cross-check target in both quick and full mode *)
         let warmup =
-          check_warmup ?thresholds ?pool ~sim (paper_model ~servers:5 ~lambda:4.0)
+          check_warmup ?pool ~sim (paper_model ~servers:5 ~lambda:4.0)
         in
         Urs_obs.Progress.tick "doctor:models";
         (* memory stage: the same paper model, solved once more under
            the runtime probe *)
         let memory =
-          check_memory_stage ?thresholds (paper_model ~servers:5 ~lambda:4.0)
+          check_memory_stage (paper_model ~servers:5 ~lambda:4.0)
         in
         Urs_obs.Progress.tick "doctor:models";
         (* convergence stage: the same model once more, every iterative
            method recorded and graded *)
         let convergence =
-          check_convergence_stage ?thresholds (paper_model ~servers:5 ~lambda:4.0)
+          check_convergence_stage (paper_model ~servers:5 ~lambda:4.0)
         in
         Urs_obs.Progress.tick "doctor:models";
         (* slo stage: drill the burn-rate engine on synthetic healthy

@@ -21,7 +21,6 @@ type report = { checks : check list; verdict : Urs_mmq.Diagnostics.verdict }
 
 val run :
   ?quick:bool ->
-  ?thresholds:Urs_mmq.Diagnostics.thresholds ->
   ?pool:Urs_exec.Pool.t ->
   unit ->
   report
@@ -39,7 +38,6 @@ val run :
 val verdict : report -> Urs_mmq.Diagnostics.verdict
 
 val check_model :
-  ?thresholds:Urs_mmq.Diagnostics.thresholds ->
   ?sim:Solver.sim_options ->
   ?pool:Urs_exec.Pool.t ->
   Model.t ->
@@ -47,7 +45,6 @@ val check_model :
 (** Cross-check one model; [sim] enables the simulation comparison. *)
 
 val check_warmup :
-  ?thresholds:Urs_mmq.Diagnostics.thresholds ->
   ?pool:Urs_exec.Pool.t ->
   sim:Solver.sim_options ->
   Model.t ->
@@ -63,7 +60,6 @@ val check_warmup :
     includes them for the N=5 paper model. *)
 
 val check_convergence_stage :
-  ?thresholds:Urs_mmq.Diagnostics.thresholds ->
   ?qr_max_iter:int ->
   Model.t ->
   check list

@@ -28,11 +28,6 @@ let sub u v =
 
 let scale a v = Array.map (fun x -> a *. x) v
 
-let scale_inplace a v =
-  for i = 0 to Array.length v - 1 do
-    v.(i) <- a *. v.(i)
-  done
-
 let axpy a x y =
   check_dims x y;
   for i = 0 to Array.length x - 1 do

@@ -36,9 +36,6 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 (** [scale a v] is [a * v]. *)
 
-val scale_inplace : float -> t -> unit
-(** In-place scalar multiplication. *)
-
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] performs [y <- a*x + y]. *)
 

@@ -8,79 +8,64 @@ module Metrics = Urs_obs.Metrics
 
 type verdict = Ok | Degraded of string list | Suspect of string list
 
-type thresholds = {
-  residual_degraded : float;
-  residual_suspect : float;
-  condition_degraded : float;
-  condition_suspect : float;
-  margin_degraded : float;
-  ci_rel_degraded : float;
-  ci_rel_suspect : float;
-  delta_exact_degraded : float;
-  delta_exact_suspect : float;
-  sim_band_half_widths : float;
-  sim_band_rel_floor : float;
-  sim_suspect_factor : float;
-  warmup_slack_frac : float;
-  transient_rel_degraded : float;
-  transient_rel_suspect : float;
-  memory_top_heap_words : float;
-  memory_gc_pause_seconds : float;
-  conv_cap_ratio_suspect : float;
-  conv_stall_window : int;
-  conv_rate_degraded : float;
-}
+(* ---- thresholds ---- *)
 
-let default_thresholds =
-  {
-    (* balance/eigenpair residuals and mass defect: paper-model solves
-       land near 1e-15; anything past 1e-10 deserves a second look and
-       past 1e-6 the answer should not be trusted *)
-    residual_degraded = 1e-10;
-    residual_suspect = 1e-6;
-    (* pivot-ratio estimates of the boundary LU blocks *)
-    condition_degraded = 1e10;
-    condition_suspect = 1e14;
-    (* spectral solves go ill-conditioned as utilization -> 1 *)
-    margin_degraded = 1e-3;
-    (* simulation 95% CI half-width relative to the estimate *)
-    ci_rel_degraded = 0.05;
-    ci_rel_suspect = 0.5;
-    (* relative disagreement between two *exact* methods *)
-    delta_exact_degraded = 1e-8;
-    delta_exact_suspect = 1e-4;
-    (* exact-vs-simulation band: this many CI half-widths, floored at
-       this fraction of the exact value (the CI itself is noisy at few
-       replications); [sim_suspect_factor] times the band -> suspect *)
-    sim_band_half_widths = 3.0;
-    sim_band_rel_floor = 0.05;
-    sim_suspect_factor = 3.0;
-    (* Welch truncation may exceed the configured warmup by this
-       fraction of the run horizon before the summary window is
-       declared transient-contaminated *)
-    warmup_slack_frac = 0.05;
-    (* measured trajectory vs uniformization transient expectation:
-       replication averages over a handful of runs are noisy, and the
-       simulator's initial phase mix differs slightly from the
-       most-likely-mode start of Transient.solve *)
-    transient_rel_degraded = 0.35;
-    transient_rel_suspect = 1.0;
-    (* memory stage: the N=5 paper solve tops out around a few tens of
-       megawords even with the probe machinery on — a quarter-gigaword
-       top-heap or a >1 s major-GC pause inside a solve span means the
-       allocation profile changed fundamentally *)
-    memory_top_heap_words = 2.5e8;
-    memory_gc_pause_seconds = 1.0;
-    (* convergence stage: burning >= 80% of the iteration cap means the
-       next harder model will stall outright; a window of samples with
-       no residual improvement is a stall in progress; a per-iteration
-       contraction rate above 0.995 (> 5000 iterations per decade) is
-       pathologically slow even for the linearly-convergent R fixed
-       point (z_s ≈ 0.96 on the paper models passes) *)
-    conv_cap_ratio_suspect = 0.8;
-    conv_stall_window = 12;
-    conv_rate_degraded = 0.995;
-  }
+(* balance/eigenpair residuals and mass defect: paper-model solves land
+   near 1e-15; anything past 1e-10 deserves a second look and past 1e-6
+   the answer should not be trusted *)
+let residual_degraded = 1e-10
+let residual_suspect = 1e-6
+
+(* pivot-ratio estimates of the boundary LU blocks *)
+let condition_degraded = 1e10
+let condition_suspect = 1e14
+
+(* spectral solves go ill-conditioned as utilization -> 1 *)
+let margin_degraded = 1e-3
+
+(* simulation 95% CI half-width relative to the estimate *)
+let ci_rel_degraded = 0.05
+let ci_rel_suspect = 0.5
+
+(* relative disagreement between two *exact* methods *)
+let delta_exact_degraded = 1e-8
+let delta_exact_suspect = 1e-4
+
+(* exact-vs-simulation band: this many CI half-widths, floored at this
+   fraction of the exact value (the CI itself is noisy at few
+   replications); [sim_suspect_factor] times the band -> suspect *)
+let sim_band_half_widths = 3.0
+let sim_band_rel_floor = 0.05
+let sim_suspect_factor = 3.0
+
+(* Welch truncation may exceed the configured warmup by this fraction
+   of the run horizon before the summary window is declared
+   transient-contaminated *)
+let warmup_slack_frac = 0.05
+
+(* measured trajectory vs uniformization transient expectation:
+   replication averages over a handful of runs are noisy, and the
+   simulator's initial phase mix differs slightly from the
+   most-likely-mode start of Transient.solve *)
+let transient_rel_degraded = 0.35
+let transient_rel_suspect = 1.0
+
+(* memory stage: the N=5 paper solve tops out around a few tens of
+   megawords even with the probe machinery on — a quarter-gigaword
+   top-heap or a >1 s major-GC pause inside a solve span means the
+   allocation profile changed fundamentally *)
+let memory_top_heap_words = 2.5e8
+let memory_gc_pause_seconds = 1.0
+
+(* convergence stage: burning >= 80% of the iteration cap means the
+   next harder model will stall outright; a window of samples with no
+   residual improvement is a stall in progress; a per-iteration
+   contraction rate above 0.995 (> 5000 iterations per decade) is
+   pathologically slow even for the linearly-convergent R fixed point
+   (z_s ≈ 0.96 on the paper models passes) *)
+let conv_cap_ratio_suspect = 0.8
+let conv_stall_window = 12
+let conv_rate_degraded = 0.995
 
 (* ---- verdict algebra ---- *)
 
@@ -142,8 +127,7 @@ type spectral_report = {
   verdict : verdict;
 }
 
-let check_spectral ?(thresholds = default_thresholds) sol =
-  let t = thresholds in
+let check_spectral sol =
   let q = Spectral.qbd sol in
   let stab =
     Stability.check ~env:(Qbd.env q) ~lambda:(Qbd.lambda q) ~mu:(Qbd.mu q)
@@ -155,18 +139,18 @@ let check_spectral ?(thresholds = default_thresholds) sol =
   let dominant_z = Spectral.dominant_eigenvalue sol in
   let stability_margin = Stability.margin stab in
   let sc = new_scorer () in
-  grade sc ~degraded:t.residual_degraded ~suspect:t.residual_suspect
+  grade sc ~degraded:residual_degraded ~suspect:residual_suspect
     ~fmt:"balance residual %.2e" balance_residual;
-  grade sc ~degraded:t.residual_degraded ~suspect:t.residual_suspect
+  grade sc ~degraded:residual_degraded ~suspect:residual_suspect
     ~fmt:"eigenpair residual %.2e" eigen_residual;
-  grade sc ~degraded:t.residual_degraded ~suspect:t.residual_suspect
+  grade sc ~degraded:residual_degraded ~suspect:residual_suspect
     ~fmt:"mass defect %.2e" mass_defect;
-  grade sc ~degraded:t.condition_degraded ~suspect:t.condition_suspect
+  grade sc ~degraded:condition_degraded ~suspect:condition_suspect
     ~fmt:"boundary condition %.2e" boundary_condition;
   if stability_margin <= 0.0 then
     complain sc 2
       (Printf.sprintf "stability margin %.2e not positive" stability_margin)
-  else if stability_margin < t.margin_degraded then
+  else if stability_margin < margin_degraded then
     complain sc 1
       (Printf.sprintf "stability margin %.2e: near saturation"
          stability_margin);
@@ -195,32 +179,29 @@ let relative_delta a b =
   let scale = Float.max (abs_float a) (abs_float b) in
   if scale = 0.0 then 0.0 else abs_float (a -. b) /. scale
 
-let check_exact_pair ?(thresholds = default_thresholds) ~label a b =
-  let t = thresholds in
+let check_exact_pair ~label a b =
   let sc = new_scorer () in
   let d = relative_delta a b in
   if Float.is_nan d then
     complain sc 2 (Printf.sprintf "%s: non-finite disagreement" label)
-  else if d >= t.delta_exact_suspect then
+  else if d >= delta_exact_suspect then
     complain sc 2 (Printf.sprintf "%s disagree by %.2e (suspect)" label d)
-  else if d >= t.delta_exact_degraded then
+  else if d >= delta_exact_degraded then
     complain sc 1 (Printf.sprintf "%s disagree by %.2e (degraded)" label d);
   (d, close sc)
 
-let check_simulation_agreement ?(thresholds = default_thresholds) ~label
-    ~exact ~estimate ~half_width () =
-  let t = thresholds in
+let check_simulation_agreement ~label ~exact ~estimate ~half_width () =
   let sc = new_scorer () in
   let delta = abs_float (exact -. estimate) in
   let rel = relative_delta exact estimate in
   let band =
     Float.max
-      (t.sim_band_half_widths *. half_width)
-      (t.sim_band_rel_floor *. abs_float exact)
+      (sim_band_half_widths *. half_width)
+      (sim_band_rel_floor *. abs_float exact)
   in
   if Float.is_nan delta then
     complain sc 2 (Printf.sprintf "%s: non-finite simulation delta" label)
-  else if delta > t.sim_suspect_factor *. band then
+  else if delta > sim_suspect_factor *. band then
     complain sc 2
       (Printf.sprintf "%s: simulation off by %.3g (>> CI, suspect)" label delta)
   else if delta > band then
@@ -231,11 +212,9 @@ let check_simulation_agreement ?(thresholds = default_thresholds) ~label
 
 (* ---- warm-up (initial transient) ---- *)
 
-let check_warmup ?(thresholds = default_thresholds) ~label ~warmup ~horizon
-    truncation =
-  let t = thresholds in
+let check_warmup ~label ~warmup ~horizon truncation =
   let sc = new_scorer () in
-  let slack = t.warmup_slack_frac *. horizon in
+  let slack = warmup_slack_frac *. horizon in
   (match truncation with
   | None ->
       complain sc 1
@@ -251,29 +230,25 @@ let check_warmup ?(thresholds = default_thresholds) ~label ~warmup ~horizon
             label tr warmup));
   close sc
 
-let check_memory ?(thresholds = default_thresholds) ~label ~top_heap_words
-    ~worst_pause () =
-  let t = thresholds in
+let check_memory ~label ~top_heap_words ~worst_pause () =
   let sc = new_scorer () in
-  if top_heap_words > t.memory_top_heap_words then
+  if top_heap_words > memory_top_heap_words then
     complain sc 2
       (Printf.sprintf
          "%s: top heap %.3g words exceeds the %.3g-word budget — allocation \
           profile changed fundamentally"
-         label top_heap_words t.memory_top_heap_words);
+         label top_heap_words memory_top_heap_words);
   (match worst_pause with
-  | Some p when p > t.memory_gc_pause_seconds ->
+  | Some p when p > memory_gc_pause_seconds ->
       complain sc 2
         (Printf.sprintf
            "%s: a %.3g s major-GC pause landed inside the solve (threshold \
             %.3g s)"
-           label p t.memory_gc_pause_seconds)
+           label p memory_gc_pause_seconds)
   | Some _ | None -> ());
   close sc
 
-let check_transient_trajectory ?(thresholds = default_thresholds) ~label pairs
-    =
-  let t = thresholds in
+let check_transient_trajectory ~label pairs =
   let sc = new_scorer () in
   match pairs with
   | [] ->
@@ -294,12 +269,12 @@ let check_transient_trajectory ?(thresholds = default_thresholds) ~label pairs
       in
       if Float.is_nan worst then
         complain sc 2 (Printf.sprintf "%s: non-finite trajectory delta" label)
-      else if worst >= t.transient_rel_suspect then
+      else if worst >= transient_rel_suspect then
         complain sc 2
           (Printf.sprintf
              "%s: trajectory off the transient expectation by %.2g (suspect)"
              label worst)
-      else if worst >= t.transient_rel_degraded then
+      else if worst >= transient_rel_degraded then
         complain sc 1
           (Printf.sprintf
              "%s: trajectory off the transient expectation by %.2g (degraded)"
@@ -316,9 +291,7 @@ let check_transient_trajectory ?(thresholds = default_thresholds) ~label pairs
    trace ends on its last deflation, so those two checks are vacuous
    there and bite on the deflation-free solvers (R fixed point, Brent,
    uniformization) and on genuine stalls. *)
-let check_convergence ?(thresholds = default_thresholds)
-    ~label (tr : Urs_obs.Convergence.trace) =
-  let t = thresholds in
+let check_convergence ~label (tr : Urs_obs.Convergence.trace) =
   let sc = new_scorer () in
   if not tr.converged then
     complain sc 2
@@ -330,7 +303,7 @@ let check_convergence ?(thresholds = default_thresholds)
     | _ -> nan
   in
   if tr.converged && Float.is_finite cap_ratio
-     && cap_ratio >= t.conv_cap_ratio_suspect
+     && cap_ratio >= conv_cap_ratio_suspect
   then
     complain sc 2
       (Printf.sprintf
@@ -368,9 +341,9 @@ let check_convergence ?(thresholds = default_thresholds)
     collect (!last_deflation + 1) []
   in
   let wlen = List.length window in
-  if wlen >= t.conv_stall_window then begin
+  if wlen >= conv_stall_window then begin
     let tail =
-      List.filteri (fun i _ -> i >= wlen - t.conv_stall_window) window
+      List.filteri (fun i _ -> i >= wlen - conv_stall_window) window
     in
     let first = List.hd tail in
     let last = List.nth tail (List.length tail - 1) in
@@ -380,7 +353,7 @@ let check_convergence ?(thresholds = default_thresholds)
         (Printf.sprintf
            "%s: %s residual stagnated (%.2e -> %.2e over the last %d \
             iterations)"
-           label tr.solver first last t.conv_stall_window);
+           label tr.solver first last conv_stall_window);
     (* slow linear contraction: geometric mean of successive ratios *)
     let rec rate_acc prev rest acc cnt =
       match rest with
@@ -393,7 +366,7 @@ let check_convergence ?(thresholds = default_thresholds)
     let acc, cnt = rate_acc (List.hd window) (List.tl window) 0.0 0 in
     if cnt >= 4 then begin
       let rate = exp (acc /. float_of_int cnt) in
-      if tr.converged && rate > t.conv_rate_degraded && rate < 1.0 then
+      if tr.converged && rate > conv_rate_degraded && rate < 1.0 then
         complain sc 1
           (Printf.sprintf
              "%s: %s contracts slowly (rate ~%.4f per iteration)" label
@@ -406,18 +379,16 @@ let check_convergence ?(thresholds = default_thresholds)
   in
   (value, close sc)
 
-let check_ci ?(thresholds = default_thresholds) ~label ~estimate ~half_width ()
-    =
-  let t = thresholds in
+let check_ci ~label ~estimate ~half_width () =
   let sc = new_scorer () in
   let rel =
     if estimate = 0.0 then if half_width = 0.0 then 0.0 else infinity
     else half_width /. abs_float estimate
   in
-  if rel >= t.ci_rel_suspect then
+  if rel >= ci_rel_suspect then
     complain sc 2
       (Printf.sprintf "%s: relative CI half-width %.2e (suspect)" label rel)
-  else if rel >= t.ci_rel_degraded then
+  else if rel >= ci_rel_degraded then
     complain sc 1
       (Printf.sprintf "%s: relative CI half-width %.2e (degraded)" label rel);
   (rel, close sc)

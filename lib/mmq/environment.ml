@@ -294,8 +294,3 @@ let stationary_mode_probability t i =
     md.y;
   exp !log_p
   end
-
-let pp_mode ppf md =
-  Format.fprintf ppf "X=(%s) Y=(%s)"
-    (String.concat "," (Array.to_list (Array.map string_of_int md.x)))
-    (String.concat "," (Array.to_list (Array.map string_of_int md.y)))

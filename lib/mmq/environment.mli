@@ -98,5 +98,3 @@ val availability : t -> float
 
 val mean_operative_servers : t -> float
 (** [N * availability]. *)
-
-val pp_mode : Format.formatter -> mode -> unit

@@ -100,8 +100,6 @@ let eigenvalues t = Array.copy t.zs
 
 let dominant_eigenvalue t = Cx.re t.zs.(Array.length t.zs - 1)
 
-let boundary_vectors t = Array.map V.copy t.boundary
-
 (* z^e for e >= 0 by square-and-multiply, shared by the boundary
    elimination and the level queries *)
 let cx_pow z e =

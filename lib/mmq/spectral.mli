@@ -98,9 +98,6 @@ val eigenvalues : t -> Urs_linalg.Cx.t array
 val dominant_eigenvalue : t -> float
 (** The largest-modulus eigenvalue [z_s]; always real positive. *)
 
-val boundary_vectors : t -> Urs_linalg.Vec.t array
-(** [v_0 .. v_{N−1}]. *)
-
 val probability : t -> mode:int -> jobs:int -> float
 (** Steady-state probability [p(i, j)] of mode [i] with [j] jobs. *)
 

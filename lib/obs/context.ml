@@ -63,8 +63,6 @@ let rec nonzero64 () =
   let v = next64 () in
   if v = 0L then nonzero64 () else v
 
-let fresh_span_id () = nonzero64 ()
-
 let new_trace ?(sampled = true) () =
   { trace_hi = nonzero64 (); trace_lo = next64 ();
     span_id = nonzero64 (); sampled }

@@ -53,9 +53,6 @@ val new_trace : ?sampled:bool -> unit -> t
 val child : t -> t
 (** Same trace and sampling decision, fresh span id. *)
 
-val fresh_span_id : unit -> int64
-(** A nonzero span id from the same stream (used by [Span]). *)
-
 (** {1 Rendering} *)
 
 val id_hex : int64 -> string

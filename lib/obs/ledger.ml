@@ -212,7 +212,7 @@ let record ?strategy ?(params = []) ?(outcome = "ok") ?(summary = [])
         match !store with
         | None -> ()
         | Some st -> (
-            try Ledger_store.write st ~kind ~time (Json.to_string (to_json r))
+            try Ledger_store.write st (Json.to_string (to_json r))
             with Sys_error _ -> ())
       end)
 
@@ -266,46 +266,35 @@ let wait_since ?kind ?limit ~seq ~timeout_s () =
 
 (* ---- streaming reads ---- *)
 
-type fold_stats = { malformed : int; seeked_records : int }
+type fold_stats = { malformed : int }
 
 let parse_line line = Result.bind (Json.of_string line) of_json
 
-let fold_file ?should_skip path ~init ~f =
-  match
-    Ledger_store.fold_lines ?should_skip path ~init:(init, 0)
-      ~f:(fun (acc, bad) line ->
-        if line = "" then (acc, bad)
-        else
-          match parse_line line with
-          | Ok r -> (f acc r, bad)
-          | Error _ ->
-              (* malformed mid-file line or the torn tail of a crashed
-                 writer: count it and keep going *)
-              (acc, bad + 1))
-  with
-  | Error _ as e -> e
-  | Ok ((acc, malformed), seeked_records) ->
-      Ok (acc, { malformed; seeked_records })
+let fold_file path ~init ~f =
+  Ledger_store.fold_lines path ~init:(init, 0) ~f:(fun (acc, bad) line ->
+      if line = "" then (acc, bad)
+      else
+        match parse_line line with
+        | Ok r -> (f acc r, bad)
+        | Error _ ->
+            (* malformed mid-file line or the torn tail of a crashed
+               writer: count it and keep going *)
+            (acc, bad + 1))
+  |> Result.map (fun (acc, malformed) -> (acc, { malformed }))
 
-let fold_path ?should_skip path ~init ~f =
+let fold_path path ~init ~f =
   match Ledger_store.segments path with
   | [] -> Error (path ^ ": no such file")
   | segs ->
-      let acc, stats =
-        List.fold_left
-          (fun (acc, stats) seg ->
-            match fold_file ?should_skip seg ~init:acc ~f with
-            | Error _ ->
-                (* a segment deleted by a racing rotation between the
-                   enumeration and the open: nothing left to read *)
-                (acc, stats)
-            | Ok (acc, s) ->
-                ( acc,
-                  {
-                    malformed = stats.malformed + s.malformed;
-                    seeked_records = stats.seeked_records + s.seeked_records;
-                  } ))
-          (init, { malformed = 0; seeked_records = 0 })
-          segs
-      in
-      Ok (acc, stats)
+      Ok
+        (List.fold_left
+           (fun (acc, stats) seg ->
+             match fold_file seg ~init:acc ~f with
+             | Error _ ->
+                 (* a segment deleted by a racing rotation between the
+                    enumeration and the open: nothing left to read *)
+                 (acc, stats)
+             | Ok (acc, s) ->
+                 (acc, { malformed = stats.malformed + s.malformed }))
+           (init, { malformed = 0 })
+           segs)

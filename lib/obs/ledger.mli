@@ -86,10 +86,8 @@ val open_file :
     {!Ledger_store}: [max_bytes] enables size-based rotation to
     [path.1..K] with [keep] (default 3) retained segments, and
     [flush_every] (default 1) batches channel flushes — see
-    {!Ledger_store.open_}. Every segment grows a sparse [.idx] sidecar
-    that filtered scans ({!fold_file} with [~should_skip], [urs query])
-    use to seek over irrelevant blocks. Raises [Sys_error] if the path
-    cannot be opened. *)
+    {!Ledger_store.open_}. Raises [Sys_error] if the path cannot be
+    opened. *)
 
 val close : unit -> unit
 (** Flush and close the file sink (keeps the memory sink, if enabled). *)
@@ -131,25 +129,20 @@ type fold_stats = {
   malformed : int;
       (** Lines that did not parse as records (torn tail, corruption)
           — skipped, not fatal. *)
-  seeked_records : int;
-      (** Records never parsed because their index block was seeked
-          over ([~should_skip]). *)
 }
 
 val fold_file :
-  ?should_skip:(Ledger_store.block -> bool) -> string -> init:'a ->
-  f:('a -> record -> 'a) -> ('a * fold_stats, string) result
+  string -> init:'a -> f:('a -> record -> 'a) ->
+  ('a * fold_stats, string) result
 (** Stream one segment file through [f], skipping (and counting)
     malformed lines instead of aborting: a torn tail (a crashed writer)
     or a corrupt line mid-file costs one count, not the whole read.
-    Blank lines are neither records nor malformed. With [~should_skip],
-    the segment's sparse sidecar index is consulted and blocks
-    satisfying the predicate are seeked over without parsing. [Error]
-    only when the file cannot be opened. *)
+    Blank lines are neither records nor malformed. [Error] only when
+    the file cannot be opened. *)
 
 val fold_path :
-  ?should_skip:(Ledger_store.block -> bool) -> string -> init:'a ->
-  f:('a -> record -> 'a) -> ('a * fold_stats, string) result
+  string -> init:'a -> f:('a -> record -> 'a) ->
+  ('a * fold_stats, string) result
 (** {!fold_file} over every segment of the ledger at [path] — rotated
     segments oldest-first ({!Ledger_store.segments}), then the active
     file — so records stream in seq order across a rotation. A segment

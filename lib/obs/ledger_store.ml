@@ -1,7 +1,6 @@
 (* File sink mechanics for the run ledger: size-based rotation with
-   bounded retention, batched flushing, and a sparse sidecar index so
-   filtered scans can seek over whole blocks instead of parsing every
-   line.
+   bounded retention, batched flushing, and the streaming line scan
+   every reader goes through.
 
    This layer works on raw JSONL lines — it never parses a record — so
    [Ledger] (which owns record serialization and the process-wide lock)
@@ -13,26 +12,12 @@
      ledger.jsonl          the active segment (appended to)
      ledger.jsonl.1        the most recently rotated segment
      ledger.jsonl.K        the oldest retained segment
-     <segment>.idx         sidecar index of that segment
 
    Rotation renames the active file to [.1] (shifting [.i] to [.i+1]
    and deleting [.keep] first), then reopens a fresh active segment —
    all plain [Sys.rename]/[Sys.remove], atomic per file on POSIX. A
    reader that races a rotation sees each line exactly once per segment
-   file it opens; seq numbers make cross-segment order explicit.
-
-   The index holds one JSON line per block of [block_records] records:
-   the block's byte extent, time range and per-kind record counts. A
-   scan filtering on kind or time seeks over any block that cannot
-   match. Index lines are advisory — a missing, stale or torn index
-   only costs a full parse of the uncovered bytes, never correctness
-   (blocks are validated against the data file before use). *)
-
-let block_records = 256
-
-let index_path path = path ^ ".idx"
-
-let index_schema = "urs-ledger-idx/1"
+   file it opens; seq numbers make cross-segment order explicit. *)
 
 (* ---- writer ---- *)
 
@@ -42,15 +27,8 @@ type t = {
   keep : int;
   flush_every : int;
   mutable oc : out_channel;
-  mutable idx_oc : out_channel;
   mutable bytes : int;  (* size of the active segment *)
   mutable unflushed : int;
-  (* state of the index block being accumulated *)
-  mutable block_start : int;
-  mutable block_count : int;
-  mutable block_t0 : float;
-  mutable block_t1 : float;
-  block_kinds : (string, int) Hashtbl.t;
 }
 
 let open_channel ~truncate path =
@@ -60,92 +38,41 @@ let open_channel ~truncate path =
   in
   open_out_gen flags 0o644 path
 
-let reset_block t =
-  t.block_start <- t.bytes;
-  t.block_count <- 0;
-  t.block_t0 <- nan;
-  t.block_t1 <- nan;
-  Hashtbl.reset t.block_kinds
-
 let open_ ?(truncate = false) ?max_bytes ?(keep = 3) ?(flush_every = 1) path =
   let oc = open_channel ~truncate path in
-  let idx_oc = open_channel ~truncate (index_path path) in
-  let t =
-    {
-      path;
-      max_bytes;
-      keep = max 1 keep;
-      flush_every = max 1 flush_every;
-      oc;
-      idx_oc;
-      bytes = out_channel_length oc;
-      unflushed = 0;
-      block_start = 0;
-      block_count = 0;
-      block_t0 = nan;
-      block_t1 = nan;
-      block_kinds = Hashtbl.create 8;
-    }
-  in
-  (* appends resume after the last indexed block; the bytes between its
-     end and the current tail just get parsed on every scan *)
-  reset_block t;
-  t
-
-let emit_block t =
-  if t.block_count > 0 then begin
-    let kinds =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k n acc -> (k, n) :: acc) t.block_kinds [])
-    in
-    Json.to_channel t.idx_oc
-      (Json.Obj
-         [
-           ("schema", Json.String index_schema);
-           ("start", Json.Int t.block_start);
-           ("end", Json.Int t.bytes);
-           ("t0", Json.Float t.block_t0);
-           ("t1", Json.Float t.block_t1);
-           ("n", Json.Int t.block_count);
-           ("kinds", Json.Obj (List.map (fun (k, n) -> (k, Json.Int n)) kinds));
-         ]);
-    reset_block t
-  end
+  {
+    path;
+    max_bytes;
+    keep = max 1 keep;
+    flush_every = max 1 flush_every;
+    oc;
+    bytes = out_channel_length oc;
+    unflushed = 0;
+  }
 
 let flush t =
   Stdlib.flush t.oc;
-  Stdlib.flush t.idx_oc;
   t.unflushed <- 0
 
 let shift_rotated path keep =
   let seg i = path ^ "." ^ string_of_int i in
-  let remove p = try Sys.remove p with Sys_error _ -> () in
+  (try Sys.remove (seg keep) with Sys_error _ -> ());
   let rename src dst = if Sys.file_exists src then Sys.rename src dst in
-  remove (seg keep);
-  remove (index_path (seg keep));
   for i = keep - 1 downto 1 do
-    rename (seg i) (seg (i + 1));
-    rename (index_path (seg i)) (index_path (seg (i + 1)))
+    rename (seg i) (seg (i + 1))
   done;
-  rename path (seg 1);
-  rename (index_path path) (index_path (seg 1))
+  rename path (seg 1)
 
 let rotate t =
-  (* finalize the segment: index its partial tail block so every byte
-     of a rotated file is block-covered, then flush before the rename
-     so no buffered line can land in the wrong segment *)
-  emit_block t;
+  (* flush before the rename so no buffered line can land in the wrong
+     segment *)
   flush t;
   close_out_noerr t.oc;
-  close_out_noerr t.idx_oc;
   shift_rotated t.path t.keep;
   t.oc <- open_channel ~truncate:true t.path;
-  t.idx_oc <- open_channel ~truncate:true (index_path t.path);
-  t.bytes <- 0;
-  reset_block t
+  t.bytes <- 0
 
-let write t ~kind ~time line =
+let write t line =
   let len = String.length line + 1 in
   (match t.max_bytes with
   | Some m when t.bytes > 0 && t.bytes + len > m -> rotate t
@@ -153,138 +80,39 @@ let write t ~kind ~time line =
   output_string t.oc line;
   output_char t.oc '\n';
   t.bytes <- t.bytes + len;
-  t.block_count <- t.block_count + 1;
-  if Float.is_nan t.block_t0 then t.block_t0 <- time;
-  t.block_t1 <- time;
-  Hashtbl.replace t.block_kinds kind
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.block_kinds kind));
-  if t.block_count >= block_records then emit_block t;
   t.unflushed <- t.unflushed + 1;
   if t.unflushed >= t.flush_every then flush t
 
 let close t =
-  emit_block t;
   (try flush t with Sys_error _ -> ());
-  close_out_noerr t.oc;
-  close_out_noerr t.idx_oc
+  close_out_noerr t.oc
 
-(* ---- segment enumeration ---- *)
+(* ---- reading ---- *)
 
 let segments path =
   let rotated = ref [] in
   let misses = ref 0 in
   let i = ref 1 in
   (* contiguous numbering in steady state; tolerate one gap left by a
-     crash between the shift renames *)
-  while !misses <= 1 && !i <= 64 do
+     crash between the shift renames. The second miss ends the walk,
+     so every retained segment is found whatever [keep] is. *)
+  while !misses <= 1 do
     let p = path ^ "." ^ string_of_int !i in
     if Sys.file_exists p then rotated := p :: !rotated else incr misses;
     incr i
   done;
   !rotated @ (if Sys.file_exists path then [ path ] else [])
 
-(* ---- index reader ---- *)
-
-type block = {
-  start_off : int;
-  end_off : int;
-  t0 : float;
-  t1 : float;
-  count : int;
-  kinds : (string * int) list;
-}
-
-let block_of_json j =
-  let int k =
-    match Option.bind (Json.member k j) Json.to_float_opt with
-    | Some f -> Some (int_of_float f)
-    | None -> None
-  in
-  let num k = Option.bind (Json.member k j) Json.to_float_opt in
-  match (Json.member "schema" j, int "start", int "end", int "n") with
-  | Some (Json.String s), Some start_off, Some end_off, Some count
-    when s = index_schema && 0 <= start_off && start_off < end_off
-         && count > 0 ->
-      let kinds =
-        match Json.member "kinds" j with
-        | Some (Json.Obj kvs) ->
-            List.filter_map
-              (fun (k, v) ->
-                match Json.to_float_opt v with
-                | Some f when f > 0.0 -> Some (k, int_of_float f)
-                | _ -> None)
-              kvs
-        | _ -> []
-      in
-      Some
-        {
-          start_off;
-          end_off;
-          t0 = Option.value ~default:nan (num "t0");
-          t1 = Option.value ~default:nan (num "t1");
-          count;
-          kinds;
-        }
-  | _ -> None
-
-let read_index ?max_off path =
-  match open_in_bin (index_path path) with
-  | exception Sys_error _ -> []
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let fits b =
-            match max_off with None -> true | Some m -> b.end_off <= m
-          in
-          let rec go acc prev_end =
-            match input_line ic with
-            | exception End_of_file -> List.rev acc
-            | line -> (
-                match Result.to_option (Json.of_string line) with
-                | None -> go acc prev_end (* torn or malformed: advisory *)
-                | Some j -> (
-                    match block_of_json j with
-                    | Some b when b.start_off >= prev_end && fits b ->
-                        go (b :: acc) b.end_off
-                    | _ -> go acc prev_end))
-          in
-          go [] 0)
-
-(* ---- scanning ---- *)
-
-let fold_lines ?should_skip path ~init ~f =
+let fold_lines path ~init ~f =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
   | ic ->
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          let size = in_channel_length ic in
-          let blocks =
-            match should_skip with
-            | None -> []
-            | Some _ -> read_index ~max_off:size path
+          let rec go acc =
+            match input_line ic with
+            | exception End_of_file -> acc
+            | line -> go (f acc line)
           in
-          let skip =
-            match should_skip with Some p -> p | None -> fun _ -> false
-          in
-          let acc = ref init in
-          let skipped = ref 0 in
-          let rec go blocks =
-            let pos = pos_in ic in
-            match blocks with
-            | b :: rest when b.end_off <= pos -> go rest
-            | b :: rest when b.start_off = pos && skip b ->
-                seek_in ic b.end_off;
-                skipped := !skipped + b.count;
-                go rest
-            | blocks -> (
-                match input_line ic with
-                | exception End_of_file -> ()
-                | line ->
-                    acc := f !acc line;
-                    go blocks)
-          in
-          go blocks;
-          Ok (!acc, !skipped))
+          Ok (go init))

@@ -1,88 +1,58 @@
 (** File-sink mechanics for the run ledger: size-based rotation with
-    bounded retention, batched flushing, and a sparse sidecar index for
-    seek-over-blocks filtered scans.
+    bounded retention, batched flushing, and the streaming line scan
+    every reader goes through.
 
     Operates on raw JSONL lines (never parses a record), so {!Ledger}
     can layer record serialization and the process-wide lock on top
     without a dependency cycle. {b Not synchronized} — every writer
     call must happen under the ledger mutex.
 
-    On-disk layout (logrotate-style): the active segment at [path],
-    rotated segments at [path.1] (newest) through [path.K] (oldest),
-    and one [.idx] sidecar per segment with one JSON line per block of
-    {!block_records} records carrying the block's byte extent, time
-    range and per-kind record counts. The index is advisory: a missing,
-    stale or torn sidecar only costs a full parse of the uncovered
-    bytes (blocks are validated against the data file before use). *)
-
-val block_records : int
-(** Records per index block (256). *)
-
-val index_path : string -> string
-(** [path ^ ".idx"] — the sidecar of a segment. *)
-
-val index_schema : string
-(** ["urs-ledger-idx/1"]. *)
+    On-disk layout (logrotate-style): the active segment at [path] and
+    rotated segments at [path.1] (newest) through [path.K] (oldest).
+    Those segment files are everything the ledger writes, so it never
+    takes more than [(K + 1) × max_bytes] on disk (plus one oversized
+    record, see {!open_}). *)
 
 (** {1 Writing} *)
 
 type t
-(** An open sink: the active segment, its sidecar, and the rotation /
-    flush-batching state. *)
+(** An open sink: the active segment and the rotation / flush-batching
+    state. *)
 
 val open_ :
   ?truncate:bool -> ?max_bytes:int -> ?keep:int -> ?flush_every:int ->
   string -> t
-(** Open [path] for appending ([~truncate:true] starts both the segment
-    and its sidecar fresh). [max_bytes] enables rotation: a write that
-    would push the active segment past it rotates first (a single
-    oversized record still gets written, to an otherwise-empty
-    segment). [keep] (default 3, clamped to [>= 1]) rotated segments
-    are retained; the oldest is deleted at rotation. [flush_every]
-    (default 1, clamped to [>= 1]) batches channel flushes: every
-    record is flushed when 1, otherwise every that-many records — and
-    always on {!close} and at rotation. Raises [Sys_error] when the
-    path cannot be opened. *)
+(** Open [path] for appending ([~truncate:true] starts the segment
+    fresh). [max_bytes] enables rotation: a write that would push the
+    active segment past it rotates first (a single oversized record
+    still gets written, to an otherwise-empty segment). [keep] (default
+    3, clamped to [>= 1]) rotated segments are retained; the oldest is
+    deleted at rotation. [flush_every] (default 1, clamped to [>= 1])
+    batches channel flushes: every record is flushed when 1, otherwise
+    every that-many records — and always on {!close} and at rotation.
+    Raises [Sys_error] when the path cannot be opened. *)
 
-val write : t -> kind:string -> time:float -> string -> unit
+val write : t -> string -> unit
 (** Append one line (no trailing newline in the argument), rotating
-    first when it would overflow [max_bytes] and indexing every
-    {!block_records} records. Raises [Sys_error] on I/O failure. *)
+    first when it would overflow [max_bytes]. Raises [Sys_error] on I/O
+    failure. *)
 
 val flush : t -> unit
 
 val close : t -> unit
-(** Index the partial tail block, flush, and close both channels
-    (never raises). *)
+(** Flush and close the channel (never raises). *)
 
 (** {1 Reading} *)
 
 val segments : string -> string list
 (** Existing segment files of the ledger at [path], oldest first:
     [path.K; ...; path.1; path] — each present only if it exists on
-    disk. Seq numbers increase along (and across) the returned
-    files. *)
-
-type block = {
-  start_off : int;  (** Byte offset of the block's first record. *)
-  end_off : int;  (** Byte offset one past the block's last record. *)
-  t0 : float;  (** Time of the first record ([nan] when unknown). *)
-  t1 : float;  (** Time of the last record. *)
-  count : int;  (** Records in the block. *)
-  kinds : (string * int) list;  (** Per-kind record counts, sorted. *)
-}
-
-val read_index : ?max_off:int -> string -> block list
-(** Parse the sidecar of the segment at [path]: blocks in file order,
-    dropping malformed or torn lines, blocks overlapping a previous one
-    and (with [max_off], normally the data-file size) blocks extending
-    past it. An unreadable sidecar is simply [[]]. *)
+    disk. Numbering may skip one index (a crash between rotation
+    renames); the walk stops at the second missing one. Seq numbers
+    increase along (and across) the returned files. *)
 
 val fold_lines :
-  ?should_skip:(block -> bool) -> string -> init:'a ->
-  f:('a -> string -> 'a) -> ('a * int, string) result
+  string -> init:'a -> f:('a -> string -> 'a) -> ('a, string) result
 (** [fold_lines path ~init ~f] streams the lines of one segment through
-    [f]. With [should_skip], the sidecar index is consulted and every
-    block satisfying the predicate is seeked over instead of read;
-    the second component of the result is the total record count of
-    the skipped blocks. [Error] only when the file cannot be opened. *)
+    [f]. A torn last line (no trailing newline) is passed on as it is.
+    [Error] only when the file cannot be opened. *)

@@ -1,10 +1,10 @@
 (* The ledger query engine behind `urs query`: filter -> group ->
    aggregate over every segment of a (possibly rotated) JSONL ledger,
-   using the sparse sidecar index to seek over blocks the filter rules
-   out. Grouping keys are the low-cardinality record dimensions; the
-   aggregations are the repo's own estimators (Welford for mean/stddev,
-   Empirical.quantile for percentiles) so `urs query` answers match the
-   test goldens bit-for-bit. *)
+   in one streaming pass that parses every record. Grouping keys are
+   the low-cardinality record dimensions; the aggregations are the
+   repo's own estimators (Welford for mean/stddev, Empirical.quantile
+   for percentiles) so `urs query` answers match the test goldens
+   bit-for-bit. *)
 
 module Welford = Urs_stats.Welford
 module Empirical = Urs_stats.Empirical
@@ -188,21 +188,6 @@ let matches flt (r : Ledger.record) =
   && (match flt.since with None -> true | Some t -> r.Ledger.time >= t)
   && match flt.until with None -> true | Some t -> r.Ledger.time <= t
 
-(* A block can be seeked over when the filter can prove no record in it
-   matches: the wanted kind never occurs, or the block's time range
-   lies entirely outside the window. *)
-let block_skippable flt (b : Ledger_store.block) =
-  (match flt.kind with
-  | Some k -> not (List.mem_assoc k b.kinds)
-  | None -> false)
-  || (match flt.since with
-     | Some t -> Float.is_finite b.t1 && b.t1 < t
-     | None -> false)
-  ||
-  match flt.until with
-  | Some t -> Float.is_finite b.t0 && b.t0 > t
-  | None -> false
-
 (* ---- execution ---- *)
 
 type acc =
@@ -283,103 +268,68 @@ type t = {
   segments : int;
   parsed : int;  (* records parsed (before the filter) *)
   matched : int;
-  seeked : int;  (* records proven irrelevant and seeked over *)
   malformed : int;
   elapsed_s : float;
 }
 
-let run ?(use_index = true) ?(filter = no_filter) ?(group_by = [])
-    ?(aggs = [ Count ]) path =
+(* The engine shared by [run] and [run_records]: [add] filters one
+   record into its group, [result] finishes every group. *)
+let engine ~filter ~group_by ~aggs =
   let aggs = if aggs = [] then [ Count ] else aggs in
   let aggs_a = Array.of_list aggs in
   let t0 = Unix.gettimeofday () in
-  let segments = List.length (Ledger_store.segments path) in
   let groups : (string list, group_state) Hashtbl.t = Hashtbl.create 64 in
   let parsed = ref 0 in
   let matched = ref 0 in
-  let should_skip = if use_index then Some (block_skippable filter) else None in
-  match
-    Ledger.fold_path ?should_skip path ~init:() ~f:(fun () r ->
-        incr parsed;
-        if matches filter r then begin
-          incr matched;
-          let g = List.map (key_value r) group_by in
-          let st =
-            match Hashtbl.find_opt groups g with
-            | Some st -> st
-            | None ->
-                let st = make_state aggs_a in
-                Hashtbl.add groups g st;
-                st
-          in
-          feed aggs_a st r
-        end)
-  with
-  | Error msg -> Error msg
-  | Ok ((), stats) ->
-      let rows =
-        List.sort
-          (fun a b -> compare a.group b.group)
-          (Hashtbl.fold
-             (fun g st acc -> { group = g; cells = finish aggs_a st } :: acc)
-             groups [])
+  let add r =
+    incr parsed;
+    if matches filter r then begin
+      incr matched;
+      let g = List.map (key_value r) group_by in
+      let st =
+        match Hashtbl.find_opt groups g with
+        | Some st -> st
+        | None ->
+            let st = make_state aggs_a in
+            Hashtbl.add groups g st;
+            st
       in
-      Ok
-        {
-          group_columns = List.map key_label group_by;
-          columns = List.map agg_label aggs;
-          rows;
-          segments;
-          parsed = !parsed;
-          matched = !matched;
-          seeked = stats.Ledger.seeked_records;
-          malformed = stats.Ledger.malformed;
-          elapsed_s = Unix.gettimeofday () -. t0;
-        }
+      feed aggs_a st r
+    end
+  in
+  let result ~segments ~malformed =
+    let rows =
+      List.sort
+        (fun a b -> compare a.group b.group)
+        (Hashtbl.fold
+           (fun g st acc -> { group = g; cells = finish aggs_a st } :: acc)
+           groups [])
+    in
+    {
+      group_columns = List.map key_label group_by;
+      columns = List.map agg_label aggs;
+      rows;
+      segments;
+      parsed = !parsed;
+      matched = !matched;
+      malformed;
+      elapsed_s = Unix.gettimeofday () -. t0;
+    }
+  in
+  (add, result)
+
+let run ?(filter = no_filter) ?(group_by = []) ?(aggs = [ Count ]) path =
+  let add, result = engine ~filter ~group_by ~aggs in
+  let segments = List.length (Ledger_store.segments path) in
+  Ledger.fold_path path ~init:() ~f:(fun () r -> add r)
+  |> Result.map (fun ((), stats) ->
+         result ~segments ~malformed:stats.Ledger.malformed)
 
 let run_records ?(filter = no_filter) ?(group_by = []) ?(aggs = [ Count ])
     records =
-  let aggs = if aggs = [] then [ Count ] else aggs in
-  let aggs_a = Array.of_list aggs in
-  let t0 = Unix.gettimeofday () in
-  let groups : (string list, group_state) Hashtbl.t = Hashtbl.create 64 in
-  let parsed = ref 0 in
-  let matched = ref 0 in
-  List.iter
-    (fun r ->
-      incr parsed;
-      if matches filter r then begin
-        incr matched;
-        let g = List.map (key_value r) group_by in
-        let st =
-          match Hashtbl.find_opt groups g with
-          | Some st -> st
-          | None ->
-              let st = make_state aggs_a in
-              Hashtbl.add groups g st;
-              st
-        in
-        feed aggs_a st r
-      end)
-    records;
-  let rows =
-    List.sort
-      (fun a b -> compare a.group b.group)
-      (Hashtbl.fold
-         (fun g st acc -> { group = g; cells = finish aggs_a st } :: acc)
-         groups [])
-  in
-  {
-    group_columns = List.map key_label group_by;
-    columns = List.map agg_label aggs;
-    rows;
-    segments = 0;
-    parsed = !parsed;
-    matched = !matched;
-    seeked = 0;
-    malformed = 0;
-    elapsed_s = Unix.gettimeofday () -. t0;
-  }
+  let add, result = engine ~filter ~group_by ~aggs in
+  List.iter add records;
+  result ~segments:0 ~malformed:0
 
 (* ---- rendering ---- *)
 
@@ -390,8 +340,8 @@ let cell_str column v =
 
 let scan_line r =
   Printf.sprintf
-    "scanned %d record(s) (%d seeked, %d malformed) in %d segment(s), %.3fs"
-    (r.parsed + r.seeked) r.seeked r.malformed r.segments r.elapsed_s
+    "scanned %d record(s) (%d malformed) in %d segment(s), %.3fs" r.parsed
+    r.malformed r.segments r.elapsed_s
 
 let text_table rows =
   let ncols = match rows with [] -> 0 | header :: _ -> List.length header in
@@ -454,7 +404,6 @@ let result_json r =
       ("segments", Json.Int r.segments);
       ("parsed", Json.Int r.parsed);
       ("matched", Json.Int r.matched);
-      ("seeked", Json.Int r.seeked);
       ("malformed", Json.Int r.malformed);
       ("elapsed_s", Json.Float r.elapsed_s);
     ]

@@ -1,11 +1,9 @@
 (** The ledger query engine behind [urs query]: filter → group →
     aggregate over every segment of a (possibly rotated) JSONL ledger.
 
-    Scans stream through {!Ledger.fold_path}, so torn lines are skipped
-    and counted rather than fatal, and — when the filter names a kind
-    or a time window — the sparse sidecar index lets whole blocks be
-    seeked over without parsing ({!result}[.seeked] counts those
-    records). Aggregations reuse the repo's estimators
+    Scans stream through {!Ledger.fold_path}, parsing every record of
+    every segment once; torn lines are skipped and counted rather than
+    fatal. Aggregations reuse the repo's estimators
     ({!Urs_stats.Welford}, {!Urs_stats.Empirical.quantile}), so query
     answers agree with the library to the last bit. *)
 
@@ -72,19 +70,16 @@ type t = {
   segments : int;  (** segment files enumerated *)
   parsed : int;  (** records parsed (pre-filter) *)
   matched : int;  (** records passing the filter *)
-  seeked : int;  (** records seeked over via the index *)
   malformed : int;  (** lines skipped as unparseable *)
   elapsed_s : float;
 }
 
 val run :
-  ?use_index:bool -> ?filter:filter -> ?group_by:key list ->
-  ?aggs:agg list -> string -> (t, string) result
+  ?filter:filter -> ?group_by:key list -> ?aggs:agg list -> string ->
+  (t, string) result
 (** [run path] executes one query over the ledger at [path] (all
-    segments, oldest first). [use_index] (default true) enables
-    block seeking; [urs query --no-index] and the cold leg of the
-    bench turn it off. [aggs] defaults to [[Count]]. [Error] when no
-    segment of [path] exists. *)
+    segments, oldest first). [aggs] defaults to [[Count]]. [Error] when
+    no segment of [path] exists. *)
 
 val run_records :
   ?filter:filter -> ?group_by:key list -> ?aggs:agg list ->

@@ -65,19 +65,6 @@ let measure f =
   let r = f () in
   (r, delta ~before:s0 ~after:(sample ()))
 
-let delta_json d =
-  Json.Obj
-    [
-      ("minor_words", Json.Float d.d_minor_words);
-      ("promoted_words", Json.Float d.d_promoted_words);
-      ("major_words", Json.Float d.d_major_words);
-      ("minor_collections", Json.Int d.d_minor_collections);
-      ("major_collections", Json.Int d.d_major_collections);
-      ("compactions", Json.Int d.d_compactions);
-      ("heap_words", Json.Int d.heap_words_after);
-      ("top_heap_words", Json.Int d.top_heap_words_after);
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* Profiling switch (the atomic itself lives in Span, the lowest layer
    that needs it). *)

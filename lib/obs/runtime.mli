@@ -59,8 +59,6 @@ val measure : (unit -> 'a) -> 'a * delta
 (** [measure f] runs [f] and returns its result with the GC delta
     across the call. No metrics or ledger side effects. *)
 
-val delta_json : delta -> Json.t
-
 val probe : ?registry:Metrics.t -> label:string -> (unit -> 'a) -> 'a * delta
 (** Like {!measure}, but also adds the delta to the [urs_runtime_*]
     counters/gauges and appends a ledger record of kind ["runtime"]

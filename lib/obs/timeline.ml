@@ -131,8 +131,6 @@ let series ?(registry = default) ?(capacity = default_capacity) ?horizon
           Hashtbl.add registry.tbl key s;
           s)
 
-let set_meta (s : series) meta = locked s.lock (fun () -> s.meta <- canon meta)
-
 (* [Float.min]/[Float.max] with the common strict cases compared first:
    the same results, but the stdlib functions test sign bits through a
    C call whenever their first argument wins *)

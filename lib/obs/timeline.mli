@@ -88,8 +88,6 @@ val clear : series -> unit
     handle stays registered. Each replication clears its series before
     recording, so concurrently displayed data is last-run-wins. *)
 
-val set_meta : series -> labels -> unit
-
 val reset : ?registry:t -> unit -> unit
 (** {!clear} every series in the registry. *)
 

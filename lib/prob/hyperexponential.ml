@@ -97,8 +97,6 @@ let sample d g =
   let j = Rng.choose g d.weights in
   Rng.exponential g d.rates.(j)
 
-let exponential_mean_rate d = 1.0 /. mean d
-
 let pp ppf d =
   Format.fprintf ppf "H%d(" (phases d);
   for j = 0 to phases d - 1 do

@@ -39,7 +39,4 @@ val quantile : t -> float -> float
 val sample : t -> Rng.t -> float
 (** Pick a phase by weight, then sample that exponential. *)
 
-val exponential_mean_rate : t -> float
-(** Rate of the exponential with the same mean, [1 / mean]. *)
-
 val pp : Format.formatter -> t -> unit

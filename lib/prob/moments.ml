@@ -7,9 +7,3 @@ let factorial k =
   !acc
 
 let reduced k m = m /. factorial k
-
-let scv_of_moments ~m1 ~m2 = (m2 /. (m1 *. m1)) -. 1.0
-
-let variance_of_moments ~m1 ~m2 = m2 -. (m1 *. m1)
-
-let m2_of_mean_scv ~mean ~scv = mean *. mean *. (scv +. 1.0)

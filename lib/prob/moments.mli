@@ -6,12 +6,3 @@ val factorial : int -> float
 val reduced : int -> float -> float
 (** [reduced k m] is [m / k!] — the "reduced moment" [u_k = M_k/k!] of a
     hyperexponential, equal to [Σ αⱼ tⱼᵏ] with [tⱼ = 1/ξⱼ]. *)
-
-val scv_of_moments : m1:float -> m2:float -> float
-(** Squared coefficient of variation [M₂/M₁² − 1] (paper, eq. (2)). *)
-
-val variance_of_moments : m1:float -> m2:float -> float
-(** [M₂ − M₁²]. *)
-
-val m2_of_mean_scv : mean:float -> scv:float -> float
-(** Second raw moment of a distribution with the given mean and scv. *)

@@ -11,7 +11,7 @@
 # The healthy leg also soaks the telemetry pipeline: the ledger runs
 # with rotation (--ledger-max-bytes 65536 --ledger-keep 3) and batched
 # flushing (--ledger-flush-every 64), and afterwards the disk footprint
-# must be bounded (at most 4 segment files, at most 256 KiB total) with
+# must be bounded (at most 4 files, at most 256 KiB total) with
 # every surviving segment parseable. A third, bounded-traffic leg keeps
 # enough retention that nothing is deleted and cross-checks `urs query`
 # per-route counts against the server's urs_http_requests_total.
@@ -107,12 +107,13 @@ grep '"kind":"slo"' "$LEDGER" | grep -q '"outcome":"ok"' ||
 
 # ---- rotation kept the journal bounded and every segment readable ----
 
-seg_count=$(ls "$LEDGER" "$LEDGER".? 2>/dev/null | wc -l)
+# every file the ledger wrote counts, not only the numbered segments
+seg_count=$(ls "$LEDGER"* 2>/dev/null | wc -l)
 [ "$seg_count" -le 4 ] ||
-  fail "$seg_count ledger segments on disk (want <= keep + 1 = 4)"
-total_bytes=$(cat "$LEDGER" "$LEDGER".? 2>/dev/null | wc -c)
+  fail "$seg_count ledger files on disk (want <= keep + 1 = 4)"
+total_bytes=$(cat "$LEDGER"* 2>/dev/null | wc -c)
 [ "$total_bytes" -le 262144 ] ||
-  fail "ledger segments total $total_bytes bytes (want <= 256 KiB)"
+  fail "ledger files total $total_bytes bytes (want <= 256 KiB)"
 [ -f "$LEDGER.1" ] || fail "a ${SOAK_SECONDS}s soak never rotated the ledger"
 
 # `urs query` streams every segment; zero malformed lines means each

@@ -3023,7 +3023,7 @@ let test_slo_young_engine () =
         {|"breached":false|}
   | evs -> Alcotest.failf "expected one eval, got %d" (List.length evs)
 
-(* ---- ledger rotation, streaming reads and the sidecar index ---- *)
+(* ---- ledger rotation and streaming reads ---- *)
 
 module Store = Urs_obs.Ledger_store
 
@@ -3033,10 +3033,7 @@ let with_tmp_ledger f =
     ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
-        (Store.index_path path
-        :: List.concat_map
-             (fun s -> [ s; Store.index_path s ])
-             (Store.segments path)))
+        (Store.segments path))
     (fun () -> f path)
 
 let seqs_of_path path =
@@ -3158,41 +3155,22 @@ let test_flush_batching () =
   Alcotest.(check int) "flushed per record" 1 (count ());
   Ledger.close ()
 
-let test_index_sidecar_seek () =
+let test_rotation_many_segments () =
+  (* one record per segment and a retention that deletes nothing: the
+     readers must find every one of the 90 segments, far past any
+     fixed cap on rotated-file numbers *)
   with_clean_ledger @@ fun () ->
   with_tmp_ledger @@ fun path ->
-  Ledger.open_file ~truncate:true path;
-  (* 300 of kind a then 300 of kind b: with 256-record blocks, block 0
-     is pure a, block 1 mixed, block 2 (88 records) pure b *)
-  for _ = 1 to 300 do
-    Ledger.record ~kind:"a" ~wall_seconds:0.001 ()
-  done;
-  for _ = 1 to 300 do
-    Ledger.record ~kind:"b" ~wall_seconds:0.001 ()
+  Ledger.open_file ~truncate:true ~max_bytes:1 ~keep:100 path;
+  for _ = 1 to 90 do
+    sample_record ()
   done;
   Ledger.close ();
-  let blocks = Store.read_index path in
-  Alcotest.(check int) "three blocks" 3 (List.length blocks);
-  Alcotest.(check int) "blocks cover every record" 600
-    (List.fold_left (fun acc b -> acc + b.Store.count) 0 blocks);
-  ignore
-    (List.fold_left
-       (fun prev b ->
-         if b.Store.start_off < prev then Alcotest.fail "blocks overlap";
-         b.Store.end_off)
-       0 blocks);
-  (* a kind-a scan proves block 2 (pure b) irrelevant and seeks it *)
-  match
-    Ledger.fold_file path
-      ~should_skip:(fun b -> not (List.mem_assoc "a" b.Store.kinds))
-      ~init:0
-      ~f:(fun n r -> if r.Ledger.kind = "a" then n + 1 else n)
-  with
-  | Error e -> Alcotest.failf "fold_file: %s" e
-  | Ok (n, stats) ->
-      Alcotest.(check int) "every a record seen" 300 n;
-      Alcotest.(check int) "pure-b tail block seeked" 88
-        stats.Ledger.seeked_records
+  Alcotest.(check int) "every segment listed" 90
+    (List.length (Store.segments path));
+  let seqs, _ = seqs_of_path path in
+  Alcotest.(check (list int)) "every record read, in order"
+    (List.init 90 (fun i -> i + 1)) seqs
 
 (* ---- query engine ---- *)
 
@@ -3317,6 +3295,106 @@ let test_query_over_segments () =
   | Ok r ->
       Alcotest.(check bool) "spans rotated segments" true (r.Query.segments > 1);
       Alcotest.(check int) "nothing lost across rotation" 30 r.Query.matched
+
+(* Records in increasing time (ties included) from a few kinds and
+   routes, the segment size (1 byte puts every record in its own
+   segment, so a long draw passes 64 segments), and a random filter and
+   grouping. Times sit near a real Unix epoch so they print like a real
+   ledger's; wall times are arbitrary doubles, so the JSON round trip
+   has to be exact. *)
+let gen_scan_case =
+  let open QCheck2.Gen in
+  let kinds = [ "solve"; "http.access"; "sweep.point" ] in
+  let routes = [ "/solve"; "/healthz"; "/metrics" ] in
+  let t0 = 1.7e9 in
+  let* steps =
+    list_size (int_range 0 120)
+      (triple (oneofl kinds) (oneofl routes)
+         (pair (oneofl [ 0.0; 0.25; 1.0; 7.5 ]) (float_range 0.0 1.0)))
+  in
+  let* max_bytes = oneofl [ 1; 400; 1500; 100_000 ] in
+  let* kind = opt (oneofl ("absent" :: kinds)) in
+  let* route = opt (oneofl routes) in
+  let window = opt (map (fun d -> t0 +. d) (float_range 0.0 300.0)) in
+  let* since = window in
+  let* until = window in
+  let* group_by =
+    oneofl Query.[ []; [ Kind ]; [ Route ]; [ Kind; Route ] ]
+  in
+  let time = ref t0 in
+  let records =
+    List.mapi
+      (fun i (kind, route, (gap, wall_seconds)) ->
+        time := !time +. gap;
+        {
+          Ledger.seq = i + 1;
+          time = !time;
+          kind;
+          strategy = None;
+          params =
+            (if kind = "http.access" then [ ("route", Json.String route) ]
+             else []);
+          wall_seconds;
+          outcome = "ok";
+          summary = [];
+          gauges = [];
+          trace_id = None;
+          span_id = None;
+        })
+      steps
+  in
+  return
+    (records, max_bytes, { Query.no_filter with kind; route; since; until },
+     group_by)
+
+let print_scan_case (records, max_bytes, (f : Query.filter), group_by) =
+  let opt pp = function None -> "-" | Some v -> pp v in
+  Printf.sprintf
+    "max_bytes %d, kind %s, route %s, since %s, until %s, group-by [%s]\n%s"
+    max_bytes (opt Fun.id f.kind) (opt Fun.id f.route)
+    (opt string_of_float f.since) (opt string_of_float f.until)
+    (String.concat "," (List.map Query.key_label group_by))
+    (String.concat "\n"
+       (List.map (fun r -> Json.to_string (Ledger.to_json r)) records))
+
+(* A query over a rotated ledger on disk answers exactly like the same
+   engine over the same records in memory: every segment is read,
+   oldest first, and every record round-trips through its JSON line. *)
+let scan_matches_memory =
+  QCheck2.Test.make ~name:"file scan = in-memory engine" ~count:60
+    ~print:print_scan_case gen_scan_case
+    (fun (records, max_bytes, filter, group_by) ->
+      with_tmp_ledger @@ fun path ->
+      (* a retention that deletes nothing: one rotation per record at
+         most *)
+      let st =
+        Store.open_ ~truncate:true ~max_bytes
+          ~keep:(List.length records + 1) path
+      in
+      List.iter
+        (fun r -> Store.write st (Json.to_string (Ledger.to_json r)))
+        records;
+      Store.close st;
+      let aggs =
+        Query.[ Count; Rate; Mean Wall_seconds; Quantile (0.9, Wall_seconds) ]
+      in
+      let mem = Query.run_records ~filter ~group_by ~aggs records in
+      match Query.run ~filter ~group_by ~aggs path with
+      | Error e -> QCheck2.Test.fail_reportf "query: %s" e
+      | Ok disk ->
+          let same_row (a : Query.row) (b : Query.row) =
+            a.group = b.group && List.equal Float.equal a.cells b.cells
+          in
+          (disk.Query.parsed = mem.Query.parsed
+          && disk.Query.matched = mem.Query.matched
+          && List.equal same_row disk.Query.rows mem.Query.rows)
+          || QCheck2.Test.fail_reportf
+               "disk: %d parsed, %d matched, %d row(s) in %d segment(s); \
+                memory: %d parsed, %d matched, %d row(s)"
+               disk.Query.parsed disk.Query.matched
+               (List.length disk.Query.rows) disk.Query.segments
+               mem.Query.parsed mem.Query.matched
+               (List.length mem.Query.rows))
 
 (* ---- tail cursor and /tail route ---- *)
 
@@ -3606,8 +3684,8 @@ let () =
             test_rotation_concurrent_domains;
           Alcotest.test_case "torn tail" `Quick test_fold_file_torn_tail;
           Alcotest.test_case "flush batching" `Quick test_flush_batching;
-          Alcotest.test_case "index sidecar seeks" `Quick
-            test_index_sidecar_seek;
+          Alcotest.test_case "more than 64 segments" `Quick
+            test_rotation_many_segments;
         ] );
       ( "ledger-query",
         [
@@ -3618,6 +3696,7 @@ let () =
           Alcotest.test_case "grammar" `Quick test_query_parse_grammar;
           Alcotest.test_case "spans rotated segments" `Quick
             test_query_over_segments;
+          QCheck_alcotest.to_alcotest scan_matches_memory;
         ] );
       ( "tail",
         [
