@@ -286,12 +286,11 @@ let obs_t =
       & info [ "profile-gc" ]
           ~doc:
             "Arm the runtime (GC/allocation) probes: spans and pool tasks \
-             record their Gc.quick_stat deltas, urs_runtime_* metrics and a \
-             ledger 'runtime' record are emitted, and — on runtimes with \
-             eventring support — GC pauses and allocation counters are \
-             captured and merged into $(b,--trace-format perfetto) traces \
-             as GC slices and counter tracks. Off by default (zero \
-             overhead).")
+             record their Gc.quick_stat deltas, and — on runtimes with \
+             eventring support — GC pauses are counted in urs_runtime_gc_* \
+             metrics and merged, with allocation counters, into \
+             $(b,--trace-format perfetto) traces as GC slices and counter \
+             tracks. Off by default (zero overhead).")
   in
   let make verbose metrics format trace trace_format ledger ledger_max_bytes
       ledger_keep ledger_flush_every serve jobs profile_gc =

@@ -5,7 +5,6 @@
 
 module Mq = Urs_mmq
 module Diagnostics = Urs_mmq.Diagnostics
-module Metrics = Urs_obs.Metrics
 module Span = Urs_obs.Span
 module Ledger = Urs_obs.Ledger
 module Json = Urs_obs.Json
@@ -290,19 +289,22 @@ let check_warmup ?pool ~sim model =
                series needs ~q·t terms), so the cross-check covers the
                initial ramp — the regime where the transient solution
                actually differs from steady state; late-time agreement
-               is already covered by the exact-vs-sim check *)
-            let pairs =
-              List.filter_map
-                (fun i ->
-                  if i < Array.length avg && Float.is_finite avg.(i) then begin
-                    let time = (float_of_int i +. 0.5) *. width in
-                    Some
-                      ( time,
-                        avg.(i),
-                        Mq.Transient.mean_jobs_at tr ~initial ~time )
-                  end
-                  else None)
+               is already covered by the exact-vs-sim check. One pass
+               serves every point. *)
+            let points =
+              List.filter
+                (fun i -> i < Array.length avg && Float.is_finite avg.(i))
                 [ 0; 1; 2; 3; 4 ]
+            in
+            let profile =
+              Mq.Transient.relaxation_profile tr ~initial
+                ~times:
+                  (List.map (fun i -> (float_of_int i +. 0.5) *. width) points)
+            in
+            let pairs =
+              List.map2
+                (fun i (time, expected) -> (time, avg.(i), expected))
+                points profile
             in
             let worst, verdict =
               Diagnostics.check_transient_trajectory
@@ -320,106 +322,6 @@ let check_warmup ?pool ~sim model =
             })
   in
   [ warmup_check; transient_check ]
-
-(* ---- memory stage ----
-
-   The N=5 λ=4 spectral solve re-runs under the runtime probe: the
-   quick-stat delta yields the top-heap high-water mark, and — when the
-   runtime has eventring support — the Runtime_events consumer yields
-   GC slices, from which we take the longest major-collection pause
-   overlapping the probed solve window. Both are graded by
-   [Diagnostics.check_memory]. The stage starts the consumer only if
-   nobody else did (e.g. the CLI's [--profile-gc]) and stops only what
-   it started. *)
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let major_pause_phase phase =
-  (* runtime_phase_name: "major", "major_slice", "major_gc_stw",
-     "explicit_gc_full_major", ... — anything touching the major heap
-     or an explicit-GC entry point counts as a pause candidate *)
-  starts_with ~prefix:"major" phase || starts_with ~prefix:"explicit" phase
-
-let check_memory_stage model =
-  let name =
-    Printf.sprintf "N=%d lambda=%g" model.Model.servers
-      model.Model.arrival_rate
-  in
-  match Model.qbd model with
-  | None ->
-      [
-        {
-          name = name ^ " memory";
-          value = nan;
-          detail = "not phase-type";
-          verdict = Diagnostics.Degraded [ name ^ ": memory stage needs phase-type" ];
-        };
-      ]
-  | Some q ->
-      let started = Urs_obs.Runtime.start_events () in
-      Fun.protect
-        ~finally:(fun () -> if started then Urs_obs.Runtime.stop_events ())
-        (fun () ->
-          let t0 = Span.now () in
-          let res, delta =
-            Urs_obs.Runtime.probe ~label:"doctor.memory" (fun () ->
-                Span.with_ ~name:"urs_doctor_memory" (fun () ->
-                    Mq.Spectral.solve q))
-          in
-          let t1 = Span.now () in
-          let worst_pause =
-            List.fold_left
-              (fun acc (s : Urs_obs.Runtime.slice) ->
-                let s0 = s.Urs_obs.Runtime.start_s in
-                let s1 = s0 +. s.Urs_obs.Runtime.duration_s in
-                if
-                  major_pause_phase s.Urs_obs.Runtime.phase
-                  && s1 > t0 && s0 < t1
-                then
-                  match acc with
-                  | Some w when w >= s.Urs_obs.Runtime.duration_s -> acc
-                  | _ -> Some s.Urs_obs.Runtime.duration_s
-                else acc)
-              None
-              (Urs_obs.Runtime.gc_slices ())
-          in
-          match res with
-          | Error e ->
-              let msg = Format.asprintf "%a" Mq.Spectral.pp_error e in
-              [
-                {
-                  name = name ^ " memory";
-                  value = nan;
-                  detail = msg;
-                  verdict = Diagnostics.Suspect [ name ^ " memory: " ^ msg ];
-                };
-              ]
-          | Ok _ ->
-              let top =
-                float_of_int delta.Urs_obs.Runtime.top_heap_words_after
-              in
-              [
-                {
-                  name = name ^ " memory";
-                  value = top;
-                  detail =
-                    Printf.sprintf
-                      "top heap %.3g words, %.3g minor words allocated, \
-                       worst major pause %s (events %s)"
-                      top delta.Urs_obs.Runtime.d_minor_words
-                      (match worst_pause with
-                      | Some p -> Printf.sprintf "%.3g s" p
-                      | None -> "none observed")
-                      (if started || Urs_obs.Runtime.events_running () then
-                         "on"
-                       else "unavailable");
-                  verdict =
-                    Diagnostics.check_memory ~label:(name ^ ": memory")
-                      ~top_heap_words:top ~worst_pause ();
-                };
-              ])
 
 (* ---- convergence stage ----
 
@@ -506,209 +408,6 @@ let check_convergence_stage ?qr_max_iter model =
       in
       error_checks @ trace_checks @ empty_check
 
-(* ---- slo stage ----
-
-   The SLO engine is itself part of the serving surface, so the doctor
-   drills it rather than trusting it: synthetic workloads replay an
-   hour of traffic through an engine on a private registry under a
-   fake clock — a healthy one comfortably inside its budget and a
-   faulty one burning it ten times over — and the stage is suspect
-   unless the healthy drill stays quiet and the faulty one alarms.
-   Four drills cover both SLI kinds (error-rate and latency). *)
-
-let slo_drill ~label ~objective ~emit ~expect_breach =
-  let registry = Metrics.create () in
-  let now = ref 0.0 in
-  let slo =
-    Urs_obs.Slo.create ~clock:(fun () -> !now) ~registry [ objective ]
-  in
-  (* 61 minutes at one sample per minute: the slow 1h window gets a
-     true baseline, not just the creation sample *)
-  for _ = 1 to 61 do
-    now := !now +. 60.0;
-    emit registry;
-    Urs_obs.Slo.tick slo
-  done;
-  let evals = Urs_obs.Slo.evaluate slo in
-  let breached = Urs_obs.Slo.any_breached evals in
-  let burn =
-    match evals with
-    | { Urs_obs.Slo.windows = w :: _; _ } :: _ -> w.Urs_obs.Slo.burn_rate
-    | _ -> nan
-  in
-  {
-    name = "slo " ^ label;
-    value = burn;
-    detail =
-      Printf.sprintf "burn %.3g, breached %b (expected %b)" burn breached
-        expect_breach;
-    verdict =
-      (if breached = expect_breach then Diagnostics.Ok
-       else
-         Diagnostics.Suspect
-           [
-             Printf.sprintf "slo drill %s: breached %b where %b was expected"
-               label breached expect_breach;
-           ]);
-  }
-
-let check_slo_stage () =
-  Span.with_ ~name:"urs_doctor_slo" @@ fun () ->
-  let error_objective budget =
-    {
-      Urs_obs.Slo.name = "drill-errors";
-      sli = Urs_obs.Slo.Error_rate { metric = Urs_obs.Slo.default_error_metric };
-      budget;
-    }
-  in
-  let latency_objective =
-    (* p99 < 50ms over the standard request histogram *)
-    Urs_obs.Slo.parse_objective_exn "drill-latency: p99 < 50ms"
-  in
-  let emit_errors ~bad registry =
-    let c code =
-      Metrics.counter ~registry
-        ~labels:[ ("code", code); ("route", "drill") ]
-        Urs_obs.Slo.default_error_metric
-    in
-    Metrics.inc ~by:(float_of_int (1000 - bad)) (c "200");
-    if bad > 0 then Metrics.inc ~by:(float_of_int bad) (c "500")
-  in
-  let emit_latency ~slow registry =
-    let h =
-      Metrics.histogram ~registry ~buckets:Metrics.default_latency_buckets
-        ~labels:[ ("route", "drill") ]
-        Urs_obs.Slo.default_latency_metric
-    in
-    for _ = 1 to 1000 - slow do
-      Metrics.observe h 0.004
-    done;
-    for _ = 1 to slow do
-      Metrics.observe h 0.2
-    done
-  in
-  [
-    (* 1‰ of errors against a 1% budget: burn 0.1, quiet *)
-    slo_drill ~label:"error-rate healthy"
-      ~objective:(error_objective 0.01)
-      ~emit:(emit_errors ~bad:1) ~expect_breach:false;
-    (* 10% of errors against a 1% budget: burn 10, alarm *)
-    slo_drill ~label:"error-rate breach"
-      ~objective:(error_objective 0.01)
-      ~emit:(emit_errors ~bad:100) ~expect_breach:true;
-    (* everything at 4ms against p99 < 50ms: quiet *)
-    slo_drill ~label:"latency healthy" ~objective:latency_objective
-      ~emit:(emit_latency ~slow:0) ~expect_breach:false;
-    (* 10% of requests at 200ms against a 1% budget: alarm *)
-    slo_drill ~label:"latency breach" ~objective:latency_objective
-      ~emit:(emit_latency ~slow:100) ~expect_breach:true;
-  ]
-
-(* ---- perf-drift stage ----
-
-   The change-point detector behind `urs report --detect` gates perf
-   regressions, so the doctor drills it the way it drills the SLO
-   engine: seeded synthetic perf series in which the right answer is
-   known — i.i.d. lognormal noise around a stable baseline must stay
-   quiet, and the same noise with an injected 2x step must flag within
-   a few points of the injection, with a sane magnitude estimate. *)
-
-let drift_noise = 0.05
-let drift_step_at = 20
-
-let drift_series ~seed ~n ~step_at ~step =
-  let rng = Urs_prob.Rng.create seed in
-  let xs = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    let level = if i >= step_at then step else 1.0 in
-    (* multiplicative noise around the spectral solver's ~2.6 ms scale *)
-    xs.(i) <- 0.0026 *. level *. exp (drift_noise *. Urs_prob.Rng.normal rng)
-  done;
-  xs
-
-let check_perf_drift_stage () =
-  Span.with_ ~name:"urs_doctor_perf_drift" @@ fun () ->
-  let module Cp = Urs_stats.Changepoint in
-  let detect xs = Cp.detect (Array.map log xs) in
-  let quiet_check =
-    match detect (drift_series ~seed:100 ~n:40 ~step_at:max_int ~step:1.0) with
-    | None ->
-        {
-          name = "perf-drift quiet";
-          value = 0.0;
-          detail = "no change-point across 40 i.i.d. noise points";
-          verdict = Diagnostics.Ok;
-        }
-    | Some c ->
-        {
-          name = "perf-drift quiet";
-          value = float_of_int c.Cp.start;
-          detail =
-            Printf.sprintf "false alarm at run %d (stat %.1f)" c.Cp.start
-              c.Cp.statistic;
-          verdict =
-            Diagnostics.Suspect
-              [ "perf-drift: detector false-alarmed on i.i.d. noise" ];
-        }
-  in
-  let step_checks =
-    let step_at = drift_step_at in
-    match detect (drift_series ~seed:200 ~n:30 ~step_at ~step:2.0) with
-    | None ->
-        [
-          {
-            name = "perf-drift step";
-            value = nan;
-            detail =
-              Printf.sprintf "missed an injected 2x step at run %d" step_at;
-            verdict =
-              Diagnostics.Suspect [ "perf-drift: detector missed a 2x step" ];
-          };
-        ]
-    | Some c ->
-        let delay = c.Cp.detected - step_at in
-        let located = abs (c.Cp.start - step_at) in
-        let ratio = exp c.Cp.shift in
-        [
-          {
-            name = "perf-drift step";
-            value = float_of_int delay;
-            detail =
-              Printf.sprintf
-                "2x step at run %d: flagged start %d, detected at %d (delay \
-                 %d)"
-                step_at c.Cp.start c.Cp.detected delay;
-            verdict =
-              (if c.Cp.direction = Cp.Up && delay <= 3 && located <= 3 then
-                 Diagnostics.Ok
-               else
-                 Diagnostics.Suspect
-                   [
-                     Printf.sprintf
-                       "perf-drift: step flagged %d points late (start off \
-                        by %d)"
-                       delay located;
-                   ]);
-          };
-          {
-            name = "perf-drift magnitude";
-            value = ratio;
-            detail = Printf.sprintf "estimated step %.2fx (injected 2.00x)" ratio;
-            verdict =
-              (if ratio > 1.5 && ratio < 2.7 then Diagnostics.Ok
-               else
-                 Diagnostics.Degraded
-                   [
-                     Printf.sprintf
-                       "perf-drift: step magnitude estimate %.2fx is far \
-                        from the injected 2x"
-                       ratio;
-                   ]);
-          };
-        ]
-  in
-  quiet_check :: step_checks
-
 let quick_grid = [ (5, 4.0) ]
 let full_grid = [ (5, 4.0); (10, 8.0); (12, 8.0) ]
 
@@ -722,7 +421,7 @@ let run ?(quick = false) ?pool () =
   (* the grid models fan out across the pool, and each model's
      simulation replications nest on the same pool (the pool supports
      nested batches); check order is the grid order either way *)
-  Urs_obs.Progress.start ~total:(List.length grid + 5) "doctor:models";
+  Urs_obs.Progress.start ~total:(List.length grid + 2) "doctor:models";
   let checks =
     Span.with_ ~name:"urs_doctor_run" (fun () ->
         let per_model =
@@ -743,28 +442,13 @@ let run ?(quick = false) ?pool () =
           check_warmup ?pool ~sim (paper_model ~servers:5 ~lambda:4.0)
         in
         Urs_obs.Progress.tick "doctor:models";
-        (* memory stage: the same paper model, solved once more under
-           the runtime probe *)
-        let memory =
-          check_memory_stage (paper_model ~servers:5 ~lambda:4.0)
-        in
-        Urs_obs.Progress.tick "doctor:models";
         (* convergence stage: the same model once more, every iterative
            method recorded and graded *)
         let convergence =
           check_convergence_stage (paper_model ~servers:5 ~lambda:4.0)
         in
         Urs_obs.Progress.tick "doctor:models";
-        (* slo stage: drill the burn-rate engine on synthetic healthy
-           and breached workloads under a fake clock *)
-        let slo = check_slo_stage () in
-        Urs_obs.Progress.tick "doctor:models";
-        (* perf-drift stage: drill the report --detect change-point
-           detector on seeded synthetic series with known answers *)
-        let perf_drift = check_perf_drift_stage () in
-        Urs_obs.Progress.tick "doctor:models";
-        List.concat per_model @ warmup @ memory @ convergence @ slo
-        @ perf_drift)
+        List.concat per_model @ warmup @ convergence)
   in
   Urs_obs.Progress.finish "doctor:models";
   let verdict =

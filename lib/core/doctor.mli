@@ -8,7 +8,11 @@
     ({!Urs_mmq.Diagnostics.check_spectral}), then cross-validates the
     mean queue length against the matrix-geometric solver (exact, tight
     tolerance), the geometric approximation (loose tolerance) and a
-    fixed-seed simulation (confidence-band tolerance). *)
+    fixed-seed simulation (confidence-band tolerance). Two stages on
+    the N=5 paper model follow: the warm-up and transient checks
+    ({!check_warmup}) and the convergence audit
+    ({!check_convergence_stage}). Every check grades a solve the run
+    itself performs. *)
 
 type check = {
   name : string;  (** e.g. ["N=5 lambda=4 spectral"]. *)
@@ -25,12 +29,12 @@ val run :
   unit ->
   report
 (** Run the cross-checks. [quick] (default [false]) restricts the grid
-    to the single N=5, λ=4 paper model with a short simulation — a few
-    seconds, suitable for CI smoke. The full run covers N=5/10/12 with
-    longer simulations. When [pool] is given the grid models are
-    checked on it concurrently (and each model's simulation
-    replications nest on the same pool); the report is identical to a
-    sequential run.
+    to the single N=5, λ=4 paper model with a short simulation — about
+    a second, suitable for CI smoke; its report holds ten checks. The
+    full run covers N=5/10/12 with longer simulations. When [pool] is
+    given the grid models are checked on it concurrently (and each
+    model's simulation replications nest on the same pool); the report
+    is identical to a sequential run.
 
     Updates the [urs_health_status{component="doctor"}] gauge and
     appends a ["doctor.run"] record to the active ledger. *)
@@ -54,8 +58,8 @@ val check_warmup :
     private timeline registry; the replication-averaged trajectory is
     fed to Welch's truncation rule — checked against the warmup the
     [sim] options imply (0.1 × duration) — and cross-checked against
-    the uniformization transient expectation
-    ({!Urs_mmq.Transient.mean_jobs_at}) at several time points. Returns
+    the uniformization transient expectation at several time points
+    (one {!Urs_mmq.Transient.relaxation_profile} pass). Returns
     the ["... warmup"] and ["... sim-vs-transient"] checks; {!run}
     includes them for the N=5 paper model. *)
 
@@ -71,25 +75,9 @@ val check_convergence_stage :
     iteration-cap proximity, non-monotone deflation, residual
     stagnation, slow linear contraction. One ["... conv/<solver>"]
     check per trace, plus a suspect check when the spectral solve
-    itself fails. [qr_max_iter] lowers the QR sweep budget (tests use
-    it to force a stall). {!run} includes this stage for the N=5 paper
-    model. *)
-
-val check_slo_stage : unit -> check list
-(** SLO-engine drill: replay an hour of synthetic traffic through
-    {!Urs_obs.Slo} engines on private registries under a fake clock —
-    healthy and deliberately breached workloads for both SLI kinds
-    (error-rate and latency) — and verify the healthy drills stay
-    quiet while the breached ones alarm. Four ["slo ..."] checks;
-    {!run} includes them just before the perf-drift stage. *)
-
-val check_perf_drift_stage : unit -> check list
-(** Change-point-detector drill behind [urs report --detect]: seeded
-    synthetic perf series with known answers — i.i.d. lognormal noise
-    around a stable baseline must stay quiet, and the same noise with
-    an injected 2x step must flag within a few runs of the injection
-    with a sane magnitude estimate. Three ["perf-drift ..."] checks;
-    {!run} includes them as its final stage. *)
+    itself fails. [qr_max_iter] lowers the QR sweep budget per
+    eigenvalue (tests use it to force a stall). {!run} includes this
+    stage, its last, for the N=5 paper model. *)
 
 val paper_model : servers:int -> lambda:float -> Model.t
 (** The §4 paper model: service rate 1, fitted H2 operative periods,

@@ -50,15 +50,9 @@ let warmup_slack_frac = 0.05
 let transient_rel_degraded = 0.35
 let transient_rel_suspect = 1.0
 
-(* memory stage: the N=5 paper solve tops out around a few tens of
-   megawords even with the probe machinery on — a quarter-gigaword
-   top-heap or a >1 s major-GC pause inside a solve span means the
-   allocation profile changed fundamentally *)
-let memory_top_heap_words = 2.5e8
-let memory_gc_pause_seconds = 1.0
-
-(* convergence stage: burning >= 80% of the iteration cap means the
-   next harder model will stall outright; a window of samples with no
+(* convergence stage: a run of iterations between deflations that
+   burns >= 80% of the iteration cap means the next harder model will
+   stall outright; a window of samples with no
    residual improvement is a stall in progress; a per-iteration
    contraction rate above 0.995 (> 5000 iterations per decade) is
    pathologically slow even for the linearly-convergent R fixed point
@@ -230,24 +224,6 @@ let check_warmup ~label ~warmup ~horizon truncation =
             label tr warmup));
   close sc
 
-let check_memory ~label ~top_heap_words ~worst_pause () =
-  let sc = new_scorer () in
-  if top_heap_words > memory_top_heap_words then
-    complain sc 2
-      (Printf.sprintf
-         "%s: top heap %.3g words exceeds the %.3g-word budget — allocation \
-          profile changed fundamentally"
-         label top_heap_words memory_top_heap_words);
-  (match worst_pause with
-  | Some p when p > memory_gc_pause_seconds ->
-      complain sc 2
-        (Printf.sprintf
-           "%s: a %.3g s major-GC pause landed inside the solve (threshold \
-            %.3g s)"
-           label p memory_gc_pause_seconds)
-  | Some _ | None -> ());
-  close sc
-
 let check_transient_trajectory ~label pairs =
   let sc = new_scorer () in
   match pairs with
@@ -291,15 +267,46 @@ let check_transient_trajectory ~label pairs =
    trace ends on its last deflation, so those two checks are vacuous
    there and bite on the deflation-free solvers (R fixed point, Brent,
    uniformization) and on genuine stalls. *)
+(* What the cap bounds: the iterations between two deflations. For QR
+   and QL that is the sweeps spent on one eigenvalue, while
+   [iterations] totals the sweeps over all of them; a solver without
+   deflations has one run, the whole trace. Runs are measured on the
+   samples' iteration numbers. When the ring dropped a deflation, the
+   first run starts at the first kept sample. *)
+let longest_run (tr : Urs_obs.Convergence.trace) =
+  let samples = tr.samples in
+  let kept =
+    Array.fold_left
+      (fun k (s : Urs_obs.Convergence.sample) ->
+        if s.deflation then k + 1 else k)
+      0 samples
+  in
+  let start =
+    ref
+      (if kept < tr.deflations && Array.length samples > 0 then
+         samples.(0).iteration - 1
+       else 0)
+  in
+  let longest = ref 0 in
+  Array.iter
+    (fun (s : Urs_obs.Convergence.sample) ->
+      if s.deflation then begin
+        longest := max !longest (s.iteration - !start);
+        start := s.iteration
+      end)
+    samples;
+  max !longest (tr.iterations - !start)
+
 let check_convergence ~label (tr : Urs_obs.Convergence.trace) =
   let sc = new_scorer () in
   if not tr.converged then
     complain sc 2
       (Printf.sprintf "%s: %s did not converge after %d iterations" label
          tr.solver tr.iterations);
+  let run = longest_run tr in
   let cap_ratio =
     match tr.max_iter with
-    | Some m when m > 0 -> float_of_int tr.iterations /. float_of_int m
+    | Some m when m > 0 -> float_of_int run /. float_of_int m
     | _ -> nan
   in
   if tr.converged && Float.is_finite cap_ratio
@@ -307,8 +314,9 @@ let check_convergence ~label (tr : Urs_obs.Convergence.trace) =
   then
     complain sc 2
       (Printf.sprintf
-         "%s: %s used %d of %d iterations — iteration-cap proximity %.0f%%"
-         label tr.solver tr.iterations
+         "%s: %s used %d of %d iterations without a deflation — \
+          iteration-cap proximity %.0f%%"
+         label tr.solver run
          (Option.get tr.max_iter)
          (100.0 *. cap_ratio));
   let samples = tr.samples in

@@ -85,20 +85,6 @@ val check_warmup :
     Degraded when the truncation time exceeds [warmup] by more than
     5 % of the horizon, or on [None]. *)
 
-val check_memory :
-  label:string ->
-  top_heap_words:float ->
-  worst_pause:float option ->
-  unit ->
-  verdict
-(** Memory health of a probed solve ([urs doctor]'s [memory] stage):
-    suspect when [top_heap_words] exceeds a budget of [2.5e8] words
-    (far above the few tens of megawords the N=5 paper solve needs, so
-    only a fundamental allocation regression trips it), or when
-    [worst_pause] (the longest major-GC pause overlapping the solve
-    span, from the Runtime_events consumer; [None] when no pause was
-    observed or the runtime lacks eventring support) exceeds 1 s. *)
-
 val check_transient_trajectory :
   label:string -> (float * float * float) list -> float * verdict
 (** Cross-check a measured mean-jobs trajectory against the
@@ -114,16 +100,24 @@ val check_transient_trajectory :
 val check_convergence :
   label:string -> Urs_obs.Convergence.trace -> float * verdict
 (** Grade one finished iteration trace ([urs doctor]'s [convergence]
-    stage). Suspect when the trace did not converge, when it burned
-    80 % or more of its iteration cap (the next harder model will
-    stall outright), when deflation is non-monotone (the
-    active/remaining figure grew), or when the residual failed to
-    improve at all over the last 12 post-deflation samples; degraded
-    on slow linear contraction (geometric-mean per-iteration rate above
-    [0.995], i.e. more than ~5000 iterations per decade — the paper
-    models' linearly convergent R fixed point at [z_s ≈ 0.96] passes).
-    Returns the cap-utilization ratio (iterations when the trace
-    carries no cap) and the verdict. *)
+    stage). Suspect when the trace did not converge, when its longest
+    run of iterations between deflations reached 80 % or more of the
+    iteration cap (the next harder model will stall outright), when
+    deflation is non-monotone (the active/remaining figure grew), or
+    when the residual failed to improve at all over the last 12
+    post-deflation samples; degraded on slow linear contraction
+    (geometric-mean per-iteration rate above [0.995], i.e. more than
+    ~5000 iterations per decade — the paper models' linearly convergent
+    R fixed point at [z_s ≈ 0.96] passes).
+
+    The cap of a ["qr"] trace bounds the QR/QL sweeps per eigenvalue,
+    that is between two deflations, not the trace's [iterations] (the
+    sweeps over all eigenvalues); a trace without deflations is one
+    run, so there the cap bounds [iterations]. Runs are read from the
+    samples' iteration numbers; when the sample ring dropped a
+    deflation, the first run is counted from the first kept sample.
+    Returns the cap-utilization ratio (longest run over cap;
+    [iterations] when the trace carries no cap) and the verdict. *)
 
 val check_ci :
   label:string -> estimate:float -> half_width:float -> unit -> float * verdict

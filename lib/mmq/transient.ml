@@ -118,58 +118,92 @@ let step t pi =
   done;
   out
 
-let distribution_at t ~initial ~time =
+(* One uniformization pass for several times. The vectors
+   v_n = π₀·Pⁿ are shared; each time keeps its own Poisson weight
+   recurrence, accumulator and stopping rule, so its distribution is
+   bit for bit the one a pass for that time alone gives. Time 0 is π₀
+   and takes no part in the pass. *)
+let distributions_at t ~initial ~times =
   check_initial t initial;
-  if time < 0.0 then invalid_arg "Transient: negative time";
+  if List.exists (fun time -> time < 0.0) times then
+    invalid_arg "Transient: negative time";
   let s = Qbd.s t.qbd in
   let pi0 = Array.make t.n_states 0.0 in
   pi0.((initial.jobs * s) + initial.mode) <- 1.0;
-  if time = 0.0 then pi0
-  else begin
-    let lam = t.q_rate *. time in
-    (* truncation-depth telemetry: one sample per Poisson term, with
-       the term weight as the residual figure; the loop state lives
-       inside the tracked function, so no closure boxes it *)
-    let acc, _ =
-      Urs_obs.Convergence.track ~solver:"uniformization"
-        ~label:(fun () ->
-          Printf.sprintf "transient t=%g states=%d" time t.n_states)
-        ~callback:Fun.id
-        ~converged:(fun (_, n) -> n <= 2_000_000)
-        (fun observe ->
-          let acc = Array.make t.n_states 0.0 in
-          let v = ref pi0 in
-          let log_term = ref (-.lam) in
-          let n = ref 0 in
-          let continue_loop = ref true in
-          while !continue_loop do
-            let w = exp !log_term in
-            if w > 0.0 then
-              for st = 0 to t.n_states - 1 do
-                acc.(st) <- acc.(st) +. (w *. !v.(st))
-              done;
-            (match observe with
-            | None -> ()
-            | Some obs -> obs ~iteration:(!n + 1) ~residual:w ());
-            (* the Poisson weights peak at n ≈ lam and then decay
-               super-geometrically; once past the peak and below 1e-16
-               the remaining tail is negligible (the weights sum to 1) *)
-            if (float_of_int !n > lam && w < 1e-16) || !n > 2_000_000 then
-              continue_loop := false
-            else begin
-              incr n;
-              log_term := !log_term +. log (lam /. float_of_int !n);
-              v := step t !v
-            end
-          done;
-          (acc, !n))
-    in
-    acc
-  end
+  let times = Array.of_list times in
+  let k = Array.length times in
+  let lam = Array.map (fun time -> t.q_rate *. time) times in
+  let accs =
+    Array.map
+      (fun time ->
+        if time = 0.0 then Array.copy pi0 else Array.make t.n_states 0.0)
+      times
+  in
+  let summed = List.filter (fun time -> time <> 0.0) (Array.to_list times) in
+  (* truncation-depth telemetry: one sample per Poisson term, with the
+     largest term weight still being summed as the residual figure; the
+     loop state lives inside the tracked function, so no closure boxes
+     it *)
+  if summed <> [] then
+    ignore
+      (Urs_obs.Convergence.track ~solver:"uniformization"
+         ~label:(fun () ->
+           Printf.sprintf "transient t=%s states=%d"
+             (String.concat "," (List.map (Printf.sprintf "%g") summed))
+             t.n_states)
+         ~callback:Fun.id
+         ~converged:(fun n -> n <= 2_000_000)
+         (fun observe ->
+           let active = Array.map (fun time -> time <> 0.0) times in
+           let live = ref (List.length summed) in
+           let log_term = Array.map (fun l -> -.l) lam in
+           let v = ref pi0 in
+           let n = ref 0 in
+           while !live > 0 do
+             let top = ref 0.0 in
+             for i = 0 to k - 1 do
+               if active.(i) then begin
+                 let w = exp log_term.(i) in
+                 if w > 0.0 then begin
+                   let acc = accs.(i) in
+                   for st = 0 to t.n_states - 1 do
+                     acc.(st) <- acc.(st) +. (w *. !v.(st))
+                   done
+                 end;
+                 if not (!top >= w) then top := w;
+                 (* the Poisson weights peak at n ≈ lam and then decay
+                    super-geometrically; once past the peak and below
+                    1e-16 the remaining tail is negligible (the weights
+                    sum to 1) *)
+                 if (float_of_int !n > lam.(i) && w < 1e-16) || !n > 2_000_000
+                 then begin
+                   active.(i) <- false;
+                   decr live
+                 end
+                 else
+                   log_term.(i) <-
+                     log_term.(i) +. log (lam.(i) /. float_of_int (!n + 1))
+               end
+             done;
+             (match observe with
+             | None -> ()
+             | Some obs -> obs ~iteration:(!n + 1) ~residual:!top ());
+             if !live > 0 then begin
+               incr n;
+               v := step t !v
+             end
+           done;
+           !n)
+       : int);
+  Array.to_list accs
 
-let mean_jobs_at t ~initial ~time =
+let distribution_at t ~initial ~time =
+  match distributions_at t ~initial ~times:[ time ] with
+  | [ pi ] -> pi
+  | _ -> assert false
+
+let mean_jobs t pi =
   let s = Qbd.s t.qbd in
-  let pi = distribution_at t ~initial ~time in
   let acc = ref 0.0 in
   for j = 1 to t.levels do
     for i = 0 to s - 1 do
@@ -177,6 +211,9 @@ let mean_jobs_at t ~initial ~time =
     done
   done;
   !acc
+
+let mean_jobs_at t ~initial ~time =
+  mean_jobs t (distribution_at t ~initial ~time)
 
 let mean_operative_at t ~initial ~time =
   let env = Qbd.env t.qbd in
@@ -193,17 +230,8 @@ let mean_operative_at t ~initial ~time =
   done;
   !acc
 
-let level_probability_at t ~initial ~time j =
-  if j < 0 || j > t.levels then 0.0
-  else begin
-    let s = Qbd.s t.qbd in
-    let pi = distribution_at t ~initial ~time in
-    let acc = ref 0.0 in
-    for i = 0 to s - 1 do
-      acc := !acc +. pi.((j * s) + i)
-    done;
-    !acc
-  end
-
 let relaxation_profile t ~initial ~times =
-  List.map (fun time -> (time, mean_jobs_at t ~initial ~time)) times
+  List.map2
+    (fun time pi -> (time, mean_jobs t pi))
+    times
+    (distributions_at t ~initial ~times)

@@ -42,8 +42,12 @@ val distribution_at : t -> initial:state -> time:float -> float array
 val mean_jobs_at : t -> initial:state -> time:float -> float
 val mean_operative_at : t -> initial:state -> time:float -> float
 
-val level_probability_at : t -> initial:state -> time:float -> int -> float
-
 val relaxation_profile :
   t -> initial:state -> times:float list -> (float * float) list
-(** [(t, L(t))] along a time grid — the approach to steady state. *)
+(** [(t, L(t))] along a time grid, in the order given — the approach to
+    steady state. One uniformization pass serves every time: the
+    vectors [π₀Pⁿ] are shared, while each time keeps its own Poisson
+    weights and stopping rule, so each [L(t)] is bit for bit
+    [mean_jobs_at t]. The pass records one ["uniformization"] trace
+    (the largest weight still being summed as the residual); a time of
+    [0] is the initial state and takes no part in it. *)

@@ -41,7 +41,11 @@ type trace = {
   started : float;
   finished : float;
   iterations : int;  (** Highest iteration number observed. *)
-  max_iter : int option;  (** Iteration cap of the kernel, when known. *)
+  max_iter : int option;
+      (** Iteration cap of the kernel, when known. For ["qr"] traces it
+          bounds the QR/QL sweeps per eigenvalue, i.e. between two
+          deflations, not [iterations] (which totals the sweeps over all
+          eigenvalues); for the other solvers it bounds [iterations]. *)
   converged : bool;
   deflations : int;  (** Deflation events observed. *)
   dropped : int;  (** Samples that fell out of the bounded ring. *)

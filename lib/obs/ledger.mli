@@ -28,10 +28,7 @@ type record = {
   kind : string;
       (** Call-site family: ["solver.evaluate"], ["spectral.solve"],
           ["sweep.point"], ["sim.replication"], ["bench.section"],
-          ["doctor"], ["runtime"] (a GC/allocation probe around a code
-          region — [Urs_obs.Runtime.probe]: the probed label in
-          [params], word/collection deltas and heap high-water in
-          [summary]). *)
+          ["doctor.run"]. *)
   strategy : string option;  (** Solver strategy label, when relevant. *)
   params : (string * Json.t) list;  (** Model / run parameters. *)
   wall_seconds : float;

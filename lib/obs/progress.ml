@@ -7,7 +7,7 @@
 
 type task = {
   name : string;
-  mutable total : int option;
+  total : int option;
   mutable completed : int;
   mutable started_at : float;
   mutable finished_at : float option;
@@ -41,12 +41,6 @@ let tick ?(by = 1) name =
   locked (fun () ->
       match Hashtbl.find_opt tasks name with
       | Some t -> t.completed <- t.completed + by
-      | None -> ())
-
-let set_total name total =
-  locked (fun () ->
-      match Hashtbl.find_opt tasks name with
-      | Some t -> t.total <- Some total
       | None -> ())
 
 let finish name =

@@ -15,9 +15,6 @@ val tick : ?by:int -> string -> unit
 (** Advance the named task by [by] (default 1); no-op when the task was
     never started. *)
 
-val set_total : string -> int -> unit
-(** (Re)declare the total once it becomes known. *)
-
 val finish : string -> unit
 (** Freeze the task's elapsed clock; it remains listed as finished. *)
 

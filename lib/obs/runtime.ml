@@ -74,71 +74,6 @@ let set_profiling = Span.set_gc_profiling
 let profiling_enabled = Span.gc_profiling_enabled
 
 (* ------------------------------------------------------------------ *)
-(* Aggregate metrics + ledger record for a probed region. *)
-
-let update_metrics ?registry d =
-  let c name help =
-    Metrics.counter ?registry ~help ("urs_runtime_" ^ name ^ "_total")
-  in
-  Metrics.inc ~by:d.d_minor_words
-    (c "minor_words" "words allocated in the minor heap under probes");
-  Metrics.inc ~by:d.d_promoted_words
-    (c "promoted_words" "words promoted minor->major under probes");
-  Metrics.inc ~by:d.d_major_words
-    (c "major_words" "words allocated in the major heap under probes");
-  Metrics.inc
-    ~by:(float_of_int d.d_minor_collections)
-    (c "minor_collections" "minor collections under probes");
-  Metrics.inc
-    ~by:(float_of_int d.d_major_collections)
-    (c "major_collections" "major collection cycles under probes");
-  Metrics.inc
-    ~by:(float_of_int d.d_compactions)
-    (c "compactions" "heap compactions under probes");
-  Metrics.set
-    (Metrics.gauge ?registry ~help:"major heap size after last probe (words)"
-       "urs_runtime_heap_words")
-    (float_of_int d.heap_words_after);
-  Metrics.set_max
-    (Metrics.gauge ?registry
-       ~help:"top-most major heap size observed by probes (words)"
-       "urs_runtime_top_heap_words")
-    (float_of_int d.top_heap_words_after)
-
-let ledger_record ~label ~wall_seconds ~outcome d =
-  Ledger.record ~kind:"runtime"
-    ~params:[ ("label", Json.String label) ]
-    ~outcome
-    ~summary:
-      [
-        ("minor_words", Json.Float d.d_minor_words);
-        ("promoted_words", Json.Float d.d_promoted_words);
-        ("major_words", Json.Float d.d_major_words);
-        ("minor_collections", Json.Int d.d_minor_collections);
-        ("major_collections", Json.Int d.d_major_collections);
-        ("compactions", Json.Int d.d_compactions);
-        ("heap_words", Json.Int d.heap_words_after);
-        ("top_heap_words", Json.Int d.top_heap_words_after);
-      ]
-    ~wall_seconds ()
-
-let probe ?registry ~label f =
-  let t0 = Span.now () in
-  let s0 = sample () in
-  let finish outcome =
-    let d = delta ~before:s0 ~after:(sample ()) in
-    update_metrics ?registry d;
-    ledger_record ~label ~wall_seconds:(Span.now () -. t0) ~outcome d;
-    d
-  in
-  match f () with
-  | r -> (r, finish "ok")
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      ignore (finish "error");
-      Printexc.raise_with_backtrace e bt
-
-(* ------------------------------------------------------------------ *)
 (* Runtime_events consumer. *)
 
 type slice = {

@@ -3,13 +3,11 @@
     Two independent, off-by-default mechanisms:
 
     - {b Quick-stat probes}: {!sample}/{!delta}/{!measure} wrap a code
-      region with [Gc.quick_stat] (and [Gc.minor_words]) and report
+      region with [Gc.quick_stat] (and [Gc.minor_words]) and return
       words allocated (minor, promoted, major), collection counts and
-      heap sizes. {!probe}
-      additionally folds the delta into [urs_runtime_*] registry
-      counters/gauges and appends a ["runtime"] record to the ledger.
-      {!set_profiling} arms the same sampling inside [Span.with_] (per
-      span) and [Urs_exec.Pool] (per task).
+      heap sizes to the caller; they publish no metric and write no
+      ledger record. {!set_profiling} arms the same sampling inside
+      [Span.with_] (per span) and [Urs_exec.Pool] (per task).
 
     - {b Runtime_events consumer}: on runtimes with eventring support
       (OCaml >= 5.1), {!start_events} starts the runtime's event ring
@@ -58,13 +56,6 @@ val delta : before:sample -> after:sample -> delta
 val measure : (unit -> 'a) -> 'a * delta
 (** [measure f] runs [f] and returns its result with the GC delta
     across the call. No metrics or ledger side effects. *)
-
-val probe : ?registry:Metrics.t -> label:string -> (unit -> 'a) -> 'a * delta
-(** Like {!measure}, but also adds the delta to the [urs_runtime_*]
-    counters/gauges and appends a ledger record of kind ["runtime"]
-    with the [label] in [params] and the delta fields in [summary].
-    On exception the metrics/ledger record still land (outcome
-    ["error"]) and the exception is re-raised. *)
 
 val set_profiling : bool -> unit
 (** Arm/disarm per-span and per-pool-task GC deltas (delegates to

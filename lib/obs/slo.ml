@@ -163,11 +163,6 @@ let parse_objective spec =
                  "%S: unknown objective %S (expected pNN or error_rate)" spec
                  head))
 
-let parse_objective_exn spec =
-  match parse_objective spec with
-  | Ok o -> o
-  | Error msg -> invalid_arg ("Slo.parse_objective: " ^ msg)
-
 (* ---- counting good and bad events in a snapshot ---- *)
 
 (* merge every label set of one histogram family (bucket bounds are per

@@ -52,9 +52,6 @@ val parse_objective : string -> (objective, string) result
     bare rate is a fraction, [X%] a percentage. Without a [name:]
     prefix, the expression names itself. *)
 
-val parse_objective_exn : string -> objective
-(** Same, raising [Invalid_argument] — for hard-coded defaults. *)
-
 val describe_sli : sli -> string
 (** Short human form, e.g. ["p99 < 50ms"]. *)
 

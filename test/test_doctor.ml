@@ -118,33 +118,6 @@ let test_health_gauges () =
   | Some v -> Alcotest.failf "balance residual gauge %g" v
   | None -> Alcotest.fail "missing urs_health_value{check=balance_residual}"
 
-let test_check_memory () =
-  let open Diagnostics in
-  (* comfortably inside the budget, no observed pause *)
-  (match
-     check_memory ~label:"t" ~top_heap_words:1e6 ~worst_pause:None ()
-   with
-  | Ok -> ()
-  | v -> Alcotest.failf "small heap: %s" (Format.asprintf "%a" pp_verdict v));
-  (* a short pause is fine too *)
-  (match
-     check_memory ~label:"t" ~top_heap_words:1e6 ~worst_pause:(Some 0.005) ()
-   with
-  | Ok -> ()
-  | v -> Alcotest.failf "short pause: %s" (Format.asprintf "%a" pp_verdict v));
-  (* blowing the top-heap budget is SUSPECT *)
-  (match
-     check_memory ~label:"t" ~top_heap_words:1e12 ~worst_pause:None ()
-   with
-  | Suspect _ -> ()
-  | v -> Alcotest.failf "huge heap: %s" (Format.asprintf "%a" pp_verdict v));
-  (* so is a pathological major-GC pause *)
-  match
-    check_memory ~label:"t" ~top_heap_words:1e6 ~worst_pause:(Some 30.0) ()
-  with
-  | Suspect _ -> ()
-  | v -> Alcotest.failf "long pause: %s" (Format.asprintf "%a" pp_verdict v)
-
 (* analytic-only doctor column: no simulation, so this stays fast while
    covering the spectral / matrix-geometric / approximation triangle *)
 let test_check_model_analytic () =
@@ -201,6 +174,38 @@ let mk_trace ?max_iter ?(converged = true) ?(solver = "t") samples =
     residual_count = List.length rs;
   }
 
+(* a QR-shaped trace: each block's sweeps carry the running sweep total
+   as their iteration number, and its deflation repeats the last one *)
+let qr_trace ~max_iter blocks =
+  let n = List.length blocks in
+  let total, _, samples =
+    List.fold_left
+      (fun (total, k, acc) sweeps ->
+        let sweep i = (total + i + 1, 1e-3, n - k, false) in
+        let total = total + sweeps in
+        let deflation = (total, 0.0, n - k - 1, true) in
+        (total, k + 1, acc @ List.init sweeps sweep @ [ deflation ]))
+      (0, 0, []) blocks
+  in
+  {
+    (mk_trace ~max_iter ~solver:"qr" []) with
+    Urs_obs.Convergence.iterations = total;
+    deflations = n;
+    samples =
+      Array.of_list
+        (List.map
+           (fun (iteration, residual, active, deflation) ->
+             {
+               Urs_obs.Convergence.iteration;
+               residual;
+               shift = 0.0;
+               active;
+               deflation;
+               t = 0.0;
+             })
+           samples);
+  }
+
 let test_check_convergence_grading () =
   let open Diagnostics in
   let expect what want (_, v) =
@@ -240,7 +245,32 @@ let test_check_convergence_grading () =
           (List.init 14 (fun _ -> (1e-3, 5, false)) @ [ (0.0, 4, true) ])));
   (* slow linear contraction degrades *)
   expect "slow contraction" 1
-    (check_convergence ~label:"t" (mk_trace (geo 30 0.999)))
+    (check_convergence ~label:"t" (mk_trace (geo 30 0.999)));
+  (* a QR cap bounds the sweeps per eigenvalue: one block at 85 of 100
+     sweeps is suspect, with the block's share as the value ... *)
+  let ratio, v =
+    check_convergence ~label:"t" (qr_trace ~max_iter:100 [ 10; 85; 5 ])
+  in
+  if severity v <> 2 then
+    Alcotest.failf "block at 85/100: got %s"
+      (Format.asprintf "%a" pp_verdict v);
+  if abs_float (ratio -. 0.85) > 1e-12 then
+    Alcotest.failf "block cap ratio: want 0.85, got %g" ratio;
+  expect "block at 80/100" 2
+    (check_convergence ~label:"t" (qr_trace ~max_iter:100 [ 80 ]));
+  (* ... while 120 sweeps in blocks of 40 stay clear of it *)
+  expect "120 sweeps over three blocks" 0
+    (check_convergence ~label:"t" (qr_trace ~max_iter:100 [ 40; 40; 40 ]));
+  (* with a deflation dropped from the ring, the first run counts from
+     the first kept sample: 50 kept sweeps, then a deflation *)
+  let tr = qr_trace ~max_iter:100 [ 70; 50 ] in
+  let kept = Array.sub tr.Urs_obs.Convergence.samples 71 51 in
+  let ratio, _ =
+    check_convergence ~label:"t"
+      { tr with Urs_obs.Convergence.samples = kept; dropped = 71 }
+  in
+  if abs_float (ratio -. 0.5) > 1e-12 then
+    Alcotest.failf "dropped prefix: want 0.5, got %g" ratio
 
 (* ---- the doctor convergence stage ---- *)
 
@@ -293,6 +323,62 @@ let test_convergence_stage_forced_stall () =
            && Diagnostics.severity c.Urs.Doctor.verdict = 2)
          checks)
   then Alcotest.fail "missing suspect conv/spectral check"
+
+(* models whose QR/QL sweep totals reach or pass 80 % of the
+   per-eigenvalue cap of 100 (81, 81, 80, 107, 175 and 136 sweeps) while
+   no eigenvalue takes more than 12 *)
+let test_convergence_stage_six_models () =
+  let mean_op = Urs_prob.Distribution.mean Urs.Model.paper_operative in
+  let erlang3 =
+    Urs.Model.create ~servers:4 ~arrival_rate:2.0 ~service_rate:1.0
+      ~operative:(Urs_prob.Distribution.erlang ~k:3 ~rate:(3.0 /. mean_op))
+      ~inoperative:Urs.Model.paper_inoperative_exp ()
+  in
+  List.iter
+    (fun model ->
+      List.iter
+        (fun (c : Urs.Doctor.check) ->
+          match c.Urs.Doctor.verdict with
+          | Diagnostics.Ok -> ()
+          | v ->
+              Alcotest.failf "%s should be Ok, got %s" c.Urs.Doctor.name
+                (Format.asprintf "%a" Diagnostics.pp_verdict v))
+        (Urs.Doctor.check_convergence_stage model))
+    [
+      Urs.Doctor.paper_model ~servers:5 ~lambda:3.0;
+      Urs.Doctor.paper_model ~servers:5 ~lambda:3.5;
+      Urs.Doctor.paper_model ~servers:5 ~lambda:3.9;
+      Urs.Doctor.paper_model ~servers:6 ~lambda:4.8;
+      Urs.Doctor.paper_model ~servers:8 ~lambda:6.0;
+      erlang3;
+    ]
+
+(* what `urs doctor --quick`, `make doctor-smoke` and every `urs serve`
+   start run: ten checks, each a solve of the run's own, all Ok *)
+let test_quick_run () =
+  let report = Urs.Doctor.run ~quick:true () in
+  Alcotest.(check (list string))
+    "check names"
+    (List.map
+       (fun c -> "N=5 lambda=4 " ^ c)
+       [
+         "spectral";
+         "exact-vs-mg";
+         "exact-vs-approx";
+         "exact-vs-sim";
+         "sim-ci";
+         "warmup";
+         "sim-vs-transient";
+         "conv/qr";
+         "conv/mg_r";
+         "conv/brent";
+       ])
+    (List.map (fun (c : Urs.Doctor.check) -> c.Urs.Doctor.name) report.checks);
+  match Urs.Doctor.verdict report with
+  | Diagnostics.Ok -> ()
+  | v ->
+      Alcotest.failf "quick run should be Ok, got %s"
+        (Format.asprintf "%a" Diagnostics.pp_verdict v)
 
 (* tiny QR budget: the No_convergence payload must survive into the
    Spectral error message, the recorded trace and the ledger record *)
@@ -356,38 +442,6 @@ let test_near_saturation_degrades () =
             rep.Diagnostics.stability_margin
       | Diagnostics.Degraded _ | Diagnostics.Suspect _ -> ())
 
-let test_slo_stage () =
-  (* the four drills (healthy/breached x error-rate/latency) replay an
-     hour of synthetic traffic each under a fake clock; every check
-     must come back Ok — a quiet healthy engine and an alarming
-     breached one *)
-  let checks = Urs.Doctor.check_slo_stage () in
-  Alcotest.(check int) "four drills" 4 (List.length checks);
-  List.iter
-    (fun (c : Urs.Doctor.check) ->
-      match c.Urs.Doctor.verdict with
-      | Diagnostics.Ok -> ()
-      | v ->
-          Alcotest.failf "%s: %s (%s)" c.Urs.Doctor.name
-            (Format.asprintf "%a" Diagnostics.pp_verdict v)
-            c.Urs.Doctor.detail)
-    checks
-
-let test_perf_drift_stage () =
-  (* seeded synthetic series with known answers: quiet noise, an
-     injected 2x step caught within a few runs, magnitude ~2x *)
-  let checks = Urs.Doctor.check_perf_drift_stage () in
-  Alcotest.(check int) "three checks" 3 (List.length checks);
-  List.iter
-    (fun (c : Urs.Doctor.check) ->
-      match c.Urs.Doctor.verdict with
-      | Diagnostics.Ok -> ()
-      | v ->
-          Alcotest.failf "%s: %s (%s)" c.Urs.Doctor.name
-            (Format.asprintf "%a" Diagnostics.pp_verdict v)
-            c.Urs.Doctor.detail)
-    checks
-
 let () =
   Alcotest.run "urs_doctor"
     [
@@ -403,7 +457,6 @@ let () =
           Alcotest.test_case "health gauges" `Quick test_health_gauges;
           Alcotest.test_case "near saturation degrades" `Quick
             test_near_saturation_degrades;
-          Alcotest.test_case "memory budget scoring" `Quick test_check_memory;
           Alcotest.test_case "convergence grading" `Quick
             test_check_convergence_grading;
         ] );
@@ -417,8 +470,8 @@ let () =
             test_convergence_stage_forced_stall;
           Alcotest.test_case "no-convergence escalation" `Quick
             test_no_convergence_escalation;
-          Alcotest.test_case "slo stage drills" `Quick test_slo_stage;
-          Alcotest.test_case "perf-drift stage drills" `Quick
-            test_perf_drift_stage;
+          Alcotest.test_case "convergence stage Ok on six models" `Quick
+            test_convergence_stage_six_models;
+          Alcotest.test_case "quick run" `Quick test_quick_run;
         ] );
     ]

@@ -826,6 +826,35 @@ let test_transient_unstable_queue_grows () =
   let l30 = Transient.mean_jobs_at t ~initial:init ~time:30.0 in
   Alcotest.(check bool) "unbounded growth" true (l30 > l10 +. 20.0)
 
+(* one uniformization pass serves several times, each L(t) bit for bit
+   the one a pass of its own gives: times on a half-unit grid (so 0 and
+   repeats occur), in random order, on small paper models from light to
+   unstable load *)
+let prop_relaxation_profile_bitwise =
+  let bits x = Int64.bits_of_float x in
+  QCheck2.Test.make ~name:"relaxation profile = per-time mean_jobs_at, bitwise"
+    ~count:20
+    ~print:(fun (servers, load, times) ->
+      Printf.sprintf "N=%d load=%.3f times=[%s]" servers load
+        (String.concat "; " (List.map (Printf.sprintf "%g") times)))
+    QCheck2.Gen.(
+      triple (int_range 1 3) (float_range 0.3 1.2)
+        (list_size (int_range 1 6)
+           (map (fun k -> 0.5 *. float_of_int k) (int_range 0 12))))
+    (fun (servers, load, times) ->
+      let env = paper_env ~servers in
+      let lambda = load *. Environment.mean_operative_servers env in
+      match Transient.create ~levels:40 (Qbd.create ~env ~lambda ~mu:1.0) with
+      | Error _ -> false
+      | Ok t ->
+          let initial = Transient.empty_all_operative t in
+          List.for_all2
+            (fun time (time', l) ->
+              bits time = bits time'
+              && bits l = bits (Transient.mean_jobs_at t ~initial ~time))
+            times
+            (Transient.relaxation_profile t ~initial ~times))
+
 (* ---- limited repair crews (beyond the paper) ---- *)
 
 let crews_env ~crews =
@@ -1432,7 +1461,8 @@ let () =
             test_transient_operative_relaxation;
           Alcotest.test_case "unstable queue grows" `Quick
             test_transient_unstable_queue_grows;
-        ] );
+        ]
+        @ qc [ prop_relaxation_profile_bitwise ] );
       ( "repair crews",
         [
           Alcotest.test_case "matches oracle" `Quick test_crews_match_oracle;

@@ -1722,50 +1722,6 @@ let test_runtime_measure () =
   if d.Runtime.d_minor_words < 30_000.0 then
     Alcotest.failf "minor words undercounted: %g" d.Runtime.d_minor_words
 
-let test_runtime_probe () =
-  with_clean_ledger @@ fun () ->
-  Ledger.set_memory true;
-  let r = Metrics.create () in
-  let x, d =
-    Runtime.probe ~registry:r ~label:"test.region" (fun () ->
-        List.length (Sys.opaque_identity (List.init 10_000 Float.of_int)))
-  in
-  Alcotest.(check int) "result threaded" 10_000 x;
-  (match Metrics.value ~registry:r "urs_runtime_minor_words_total" with
-  | Some v -> check_float ~tol:1e-6 "counter = delta" d.Runtime.d_minor_words v
-  | None -> Alcotest.fail "missing urs_runtime_minor_words_total");
-  (match Metrics.value ~registry:r "urs_runtime_top_heap_words" with
-  | Some v when v > 0.0 -> ()
-  | _ -> Alcotest.fail "missing urs_runtime_top_heap_words gauge");
-  match Ledger.recent () with
-  | [ rc ] ->
-      Alcotest.(check string) "kind" "runtime" rc.Ledger.kind;
-      Alcotest.(check string) "outcome" "ok" rc.Ledger.outcome;
-      (match List.assoc_opt "label" rc.Ledger.params with
-      | Some (Json.String "test.region") -> ()
-      | _ -> Alcotest.fail "label param missing");
-      (match
-         Option.bind
-           (List.assoc_opt "minor_words" rc.Ledger.summary)
-           Json.to_float_opt
-       with
-      | Some mw -> check_float ~tol:1e-6 "summary delta" d.Runtime.d_minor_words mw
-      | None -> Alcotest.fail "minor_words summary missing")
-  | rs -> Alcotest.failf "expected 1 ledger record, got %d" (List.length rs)
-
-let test_runtime_probe_exception () =
-  with_clean_ledger @@ fun () ->
-  Ledger.set_memory true;
-  let r = Metrics.create () in
-  (match Runtime.probe ~registry:r ~label:"boom" (fun () -> failwith "bang") with
-  | _ -> Alcotest.fail "probe should re-raise"
-  | exception Failure msg -> Alcotest.(check string) "message kept" "bang" msg);
-  match Ledger.recent () with
-  | [ rc ] ->
-      Alcotest.(check string) "kind" "runtime" rc.Ledger.kind;
-      Alcotest.(check string) "error outcome" "error" rc.Ledger.outcome
-  | rs -> Alcotest.failf "expected 1 ledger record, got %d" (List.length rs)
-
 let test_runtime_profiling_switch () =
   Alcotest.(check bool) "off by default" false (Runtime.profiling_enabled ());
   Runtime.set_profiling true;
@@ -2822,8 +2778,13 @@ let test_http_post_vetting () =
 
 module Slo = Urs_obs.Slo
 
+let objective spec =
+  match Slo.parse_objective spec with
+  | Ok o -> o
+  | Error msg -> Alcotest.failf "%S should parse: %s" spec msg
+
 let test_slo_parse () =
-  let ok spec = Slo.parse_objective_exn spec in
+  let ok = objective in
   let o = ok "p99 < 50ms" in
   Alcotest.(check string) "self-naming" "p99 < 50ms" o.Slo.name;
   check_float "latency budget is 1-q" 0.01 o.Slo.budget;
@@ -2883,7 +2844,7 @@ let test_slo_burn_and_breach () =
   Ledger.set_memory true;
   let registry = Metrics.create () in
   let now = ref 0.0 in
-  let obj = Slo.parse_objective_exn "error_rate < 1%" in
+  let obj = objective "error_rate < 1%" in
   let slo = Slo.create ~clock:(fun () -> !now) ~registry [ obj ] in
   let emit ~bad ~good =
     Metrics.inc ~by:(float_of_int good) (slo_error_counter registry "200");
@@ -2956,12 +2917,34 @@ let test_slo_burn_and_breach () =
   Alcotest.(check int) "three evaluations journaled" 3
     (List.length slo_records);
   Alcotest.(check bool) "a breach outcome recorded" true
-    (List.exists (fun r -> r.Ledger.outcome = "breach") slo_records)
+    (List.exists (fun r -> r.Ledger.outcome = "breach") slo_records);
+  (* an hour of a steady 1 per mille error rate against the 1% budget:
+     every window burns about 0.1, and nothing breaches *)
+  let registry = Metrics.create () in
+  let now = ref 0.0 in
+  let slo = Slo.create ~clock:(fun () -> !now) ~registry [ obj ] in
+  for _ = 1 to 61 do
+    now := !now +. 60.0;
+    Metrics.inc ~by:999.0 (slo_error_counter registry "200");
+    Metrics.inc (slo_error_counter registry "500");
+    Slo.tick slo
+  done;
+  match Slo.evaluate slo with
+  | [ ev ] ->
+      Alcotest.(check bool) "steady low error rate not breached" false
+        ev.Slo.breached;
+      Alcotest.(check int) "two windows" 2 (List.length ev.Slo.windows);
+      List.iter
+        (fun (w : Slo.window_eval) ->
+          check_float ~tol:1e-9 ("burn 0.1 in " ^ w.Slo.window) 0.1
+            w.Slo.burn_rate)
+        ev.Slo.windows
+  | evs -> Alcotest.failf "expected one eval, got %d" (List.length evs)
 
 let test_slo_latency_sli () =
   let registry = Metrics.create () in
   let now = ref 0.0 in
-  let obj = Slo.parse_objective_exn "p99 < 50ms" in
+  let obj = objective "p99 < 50ms" in
   let slo = Slo.create ~clock:(fun () -> !now) ~registry [ obj ] in
   let hist =
     Metrics.histogram ~registry ~buckets:Metrics.default_latency_buckets
@@ -3009,7 +2992,7 @@ let test_slo_young_engine () =
     Slo.create
       ~clock:(fun () -> 0.0)
       ~registry
-      [ Slo.parse_objective_exn "p99 < 50ms" ]
+      [ objective "p99 < 50ms" ]
   in
   match Slo.evaluate slo with
   | [ ev ] ->
@@ -3633,10 +3616,6 @@ let () =
       ( "runtime",
         [
           Alcotest.test_case "measure" `Quick test_runtime_measure;
-          Alcotest.test_case "probe metrics and ledger" `Quick
-            test_runtime_probe;
-          Alcotest.test_case "probe exception safe" `Quick
-            test_runtime_probe_exception;
           Alcotest.test_case "profiling switch" `Quick
             test_runtime_profiling_switch;
           Alcotest.test_case "events kill-switch" `Quick
