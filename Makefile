@@ -71,14 +71,17 @@ fmt:
 	fi
 
 # End-to-end observability smoke test: a solve must emit a Prometheus
-# snapshot containing the headline instrumentation.
+# snapshot containing the headline instrumentation, and its one ledger
+# record must say which eigenvalue path solved the paper model.
 smoke:
+	rm -f /tmp/urs_smoke_ledger.jsonl
 	dune exec bin/urs_cli.exe -- solve --metrics - \
 	  --ledger /tmp/urs_smoke_ledger.jsonl > /tmp/urs_metrics.prom
 	grep -q '^urs_spectral_solve_seconds' /tmp/urs_metrics.prom
 	grep -q '^urs_spectral_eigenvalues'   /tmp/urs_metrics.prom
 	grep -q '^urs_sim_events_total'       /tmp/urs_metrics.prom
-	grep -q '"kind":"solver.evaluate"'    /tmp/urs_smoke_ledger.jsonl
+	grep '"kind":"solver.evaluate"' /tmp/urs_smoke_ledger.jsonl \
+	  | grep -q '"eig_path":"definite"'
 	@echo "smoke: ok"
 
 # The quick health grid must not come back SUSPECT (exit code 1 if so).

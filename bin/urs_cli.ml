@@ -379,30 +379,18 @@ let make_model ?repair_crews servers lambda mu operative inoperative =
 (* ---- solve ---- *)
 
 let strategy_conv =
-  let parse = function
-    | "exact" -> Ok `Exact
-    | "approx" -> Ok `Approx
-    | "mg" -> Ok `Mg
-    | "sim" -> Ok `Sim
-    | s -> Error (`Msg (Printf.sprintf "unknown method %S" s))
+  let parse s =
+    match Urs.Solver.strategy_of_label s with
+    | Some strategy -> Ok strategy
+    | None -> Error (`Msg (Printf.sprintf "unknown method %S" s))
   in
-  let print ppf v =
-    Format.pp_print_string ppf
-      (match v with `Exact -> "exact" | `Approx -> "approx" | `Mg -> "mg" | `Sim -> "sim")
-  in
+  let print ppf v = Format.pp_print_string ppf (Urs.Solver.strategy_label v) in
   Arg.conv (parse, print)
 
 let solve_cmd =
-  let run obs servers lambda mu operative inoperative crews meth =
+  let run obs servers lambda mu operative inoperative crews strategy =
     with_obs obs @@ fun pool ->
     let m = make_model ?repair_crews:crews servers lambda mu operative inoperative in
-    let strategy =
-      match meth with
-      | `Exact -> Urs.Solver.Exact
-      | `Approx -> Urs.Solver.Approximate
-      | `Mg -> Urs.Solver.Matrix_geometric
-      | `Sim -> Urs.Solver.Simulation Urs.Solver.default_sim_options
-    in
     Format.printf "%a@.@." Urs.Model.pp m;
     Format.printf "stability: %a@.@." Urs_mmq.Stability.pp_verdict
       (Urs.Model.stability m);
@@ -414,7 +402,7 @@ let solve_cmd =
   in
   let meth =
     Arg.(
-      value & opt strategy_conv `Exact
+      value & opt strategy_conv Urs.Solver.Exact
       & info [ "method" ] ~doc:"Solution method: exact | approx | mg | sim.")
   in
   Cmd.v
@@ -561,18 +549,11 @@ let metrics_cmd =
 (* ---- sweep ---- *)
 
 let sweep_cmd =
-  let run obs servers lambda mu operative inoperative crews axis meth values
-      range pinned_rate no_cache =
+  let run obs servers lambda mu operative inoperative crews axis strategy
+      values range pinned_rate no_cache =
     with_obs obs @@ fun pool ->
     let m =
       make_model ?repair_crews:crews servers lambda mu operative inoperative
-    in
-    let strategy =
-      match meth with
-      | `Exact -> Urs.Solver.Exact
-      | `Approx -> Urs.Solver.Approximate
-      | `Mg -> Urs.Solver.Matrix_geometric
-      | `Sim -> Urs.Solver.Simulation Urs.Solver.default_sim_options
     in
     let values =
       match (values, range) with
@@ -638,7 +619,7 @@ let sweep_cmd =
   in
   let meth =
     Arg.(
-      value & opt strategy_conv `Exact
+      value & opt strategy_conv Urs.Solver.Exact
       & info [ "method" ] ~doc:"Solution method: exact | approx | mg | sim.")
   in
   let values =

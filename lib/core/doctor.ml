@@ -5,6 +5,7 @@
 
 module Mq = Urs_mmq
 module Diagnostics = Urs_mmq.Diagnostics
+module Metrics = Urs_obs.Metrics
 module Span = Urs_obs.Span
 module Ledger = Urs_obs.Ledger
 module Json = Urs_obs.Json
@@ -19,6 +20,33 @@ type check = {
 type report = { checks : check list; verdict : Diagnostics.verdict }
 
 let verdict r = r.verdict
+
+(* Verdicts are exported as urs_health_status{component} (0 ok,
+   1 degraded, 2 suspect) and the spectral probes as
+   urs_health_value{check}, both with last-write semantics. *)
+
+let m_status component =
+  Metrics.gauge
+    ~labels:[ ("component", component) ]
+    ~help:"Health verdict of the last check: 0 ok, 1 degraded, 2 suspect"
+    "urs_health_status"
+
+let m_value check =
+  Metrics.gauge
+    ~labels:[ ("check", check) ]
+    ~help:"Value of the named numerical-health probe (last check)"
+    "urs_health_value"
+
+let observe_verdict ~component v =
+  Metrics.set (m_status component) (float_of_int (Diagnostics.severity v))
+
+let observe_spectral (r : Diagnostics.spectral_report) =
+  observe_verdict ~component:"spectral" r.verdict;
+  Metrics.set (m_value "balance_residual") r.balance_residual;
+  Metrics.set (m_value "eigen_residual") r.eigen_residual;
+  Metrics.set (m_value "mass_defect") r.mass_defect;
+  Metrics.set (m_value "boundary_condition") r.boundary_condition;
+  Metrics.set (m_value "stability_margin") r.stability_margin
 
 let paper_model ~servers ~lambda =
   Model.create ~servers ~arrival_rate:lambda ~service_rate:1.0
@@ -72,7 +100,7 @@ let check_model ?sim ?pool model =
           ]
       | Ok sol ->
           let rep = Diagnostics.check_spectral sol in
-          Diagnostics.observe_spectral rep;
+          observe_spectral rep;
           let exact_l = Mq.Spectral.mean_queue_length sol in
           let spectral_check =
             {
@@ -454,7 +482,7 @@ let run ?(quick = false) ?pool () =
   let verdict =
     Diagnostics.combine (List.map (fun (c : check) -> c.verdict) checks)
   in
-  Diagnostics.observe_verdict ~component:"doctor" verdict;
+  observe_verdict ~component:"doctor" verdict;
   let count sev =
     List.length
       (List.filter

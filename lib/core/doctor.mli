@@ -46,7 +46,12 @@ val check_model :
   ?pool:Urs_exec.Pool.t ->
   Model.t ->
   check list
-(** Cross-check one model; [sim] enables the simulation comparison. *)
+(** Cross-check one model; [sim] enables the simulation comparison.
+    A successful spectral solve sets the gauges
+    [urs_health_status{component="spectral"}] and
+    [urs_health_value{check="..."}] of its probes (balance and
+    eigenpair residual, mass defect, boundary condition, stability
+    margin), with last-write semantics. *)
 
 val check_warmup :
   ?pool:Urs_exec.Pool.t ->

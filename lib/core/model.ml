@@ -29,6 +29,10 @@ let with_arrival_rate t lambda =
     ~service_rate:t.service_rate ~operative:t.operative
     ~inoperative:t.inoperative ()
 
+let with_operative t operative = { t with operative }
+
+let with_inoperative t inoperative = { t with inoperative }
+
 let paper_operative =
   D.hyperexponential ~weights:[| 0.7246; 0.2754 |] ~rates:[| 0.1663; 0.0091 |]
 

@@ -36,6 +36,13 @@ val with_servers : t -> int -> t
 
 val with_arrival_rate : t -> float -> t
 
+val with_operative : t -> Urs_prob.Distribution.t -> t
+(** Same system, repair crews included, with other operative periods. *)
+
+val with_inoperative : t -> Urs_prob.Distribution.t -> t
+(** Same system, repair crews included, with other inoperative
+    periods. *)
+
 val paper_operative : Urs_prob.Distribution.t
 (** The paper's fitted operative-period distribution:
     H2 with weights (0.7246, 0.2754) and rates (0.1663, 0.0091) —

@@ -108,9 +108,6 @@ let ( let* ) = Result.bind
 let parse_strategy body =
   match field "strategy" body with
   | None -> Ok Solver.Exact
-  | Some (Json.String "exact") -> Ok Solver.Exact
-  | Some (Json.String "approx") -> Ok Solver.Approximate
-  | Some (Json.String "mg") -> Ok Solver.Matrix_geometric
   | Some (Json.String "sim") ->
       let d = Solver.default_sim_options in
       let sim = Option.value (field "sim" body) ~default:(Json.Obj []) in
@@ -122,8 +119,11 @@ let parse_strategy body =
       if duration <= 0.0 then Error "\"duration\" must be positive"
       else if replications < 1 then Error "\"replications\" must be >= 1"
       else Ok (Solver.Simulation { duration; replications; seed })
-  | Some (Json.String s) ->
-      Error (Printf.sprintf "unknown strategy %S (exact|approx|mg|sim)" s)
+  | Some (Json.String s) -> (
+      match Solver.strategy_of_label s with
+      | Some strategy -> Ok strategy
+      | None ->
+          Error (Printf.sprintf "unknown strategy %S (exact|approx|mg|sim)" s))
   | Some _ -> Error "\"strategy\" must be a string"
 
 let parse_model body =

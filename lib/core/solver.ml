@@ -40,19 +40,67 @@ let strategy_label = function
   | Matrix_geometric -> "mg"
   | Simulation _ -> "sim"
 
+let strategy_of_label = function
+  | "exact" -> Some Exact
+  | "approx" -> Some Approximate
+  | "mg" -> Some Matrix_geometric
+  | "sim" -> Some (Simulation default_sim_options)
+  | _ -> None
+
+(* The last-solve gauges (last-write semantics, see Metrics.mli), by
+   strategy label and name. [evaluate] sets them from its record's
+   [gauges], the values of its own solve. *)
+let last_solve_gauges =
+  List.map
+    (fun (strategy, name, help) ->
+      ( (strategy, name),
+        Metrics.gauge ~labels:[ ("strategy", strategy) ] ~help name ))
+    [
+      ( "exact",
+        "urs_spectral_eigenvalues",
+        "Eigenvalues found inside the unit disk (last solve)" );
+      ( "exact",
+        "urs_spectral_dominant_z",
+        "Dominant eigenvalue z_s (last successful solve)" );
+      ( "exact",
+        "urs_spectral_residual",
+        "A-posteriori balance/normalization residual (last successful solve)"
+      );
+      ( "approx",
+        "urs_spectral_dominant_z",
+        "Dominant eigenvalue z_s of the last solve (last write)" );
+      ( "mg",
+        "urs_spectral_dominant_z",
+        "Spectral radius of R from the last solve (last write)" );
+    ]
+
+(* What a solve adds to its evaluate record besides the performance:
+   the QBD's mode count among the parameters, the solver's own summary
+   fields and the gauge values of this very solve. *)
+type solved = {
+  params : (string * Json.t) list;
+  fields : (string * Json.t) list;
+  gauges : (string * float) list;
+}
+
+let nothing_solved = { params = []; fields = []; gauges = [] }
+
 (* The three QBD solvers share one shape: solve, map the solver's error,
-   and read L, W and z_s off the solution together with the gauge values
-   of this very solve (z_s first, then [more]) for the ledger record. *)
+   and read L, W, z_s, the solver's fields and further gauge values off
+   the solution. [solve] also returns the fields a solve reports
+   whether or not it succeeds. *)
 let analytic model verdict strategy ~solve ~error ~answer =
   match Model.qbd model with
-  | None -> Error Not_phase_type
+  | None -> (Error Not_phase_type, nothing_solved)
   | Some q -> (
+      let params = [ ("modes", Json.Int (Mq.Qbd.s q)) ] in
       match solve q with
-      | Error e -> Error (error e)
-      | Ok sol ->
-          let mean_jobs, mean_response, z, more = answer sol in
-          Ok
-            ( {
+      | Error e, always ->
+          (Error (error e), { params; fields = always; gauges = [] })
+      | Ok sol, always ->
+          let mean_jobs, mean_response, z, fields, gauges = answer sol in
+          ( Ok
+              {
                 strategy_used = strategy;
                 mean_jobs;
                 mean_response;
@@ -60,29 +108,55 @@ let analytic model verdict strategy ~solve ~error ~answer =
                 dominant_eigenvalue = Some z;
                 confidence_half_width = None;
               },
-              ("urs_spectral_dominant_z", z) :: more ))
+            {
+              params;
+              fields = fields @ always;
+              gauges = ("urs_spectral_dominant_z", z) :: gauges;
+            } ))
+
+(* which eigenvalue path ran, and why the definite one did not *)
+let path_fields = function
+  | None -> []
+  | Some Mq.Spectral.Definite -> [ ("eig_path", Json.String "definite") ]
+  | Some (Mq.Spectral.Companion why) ->
+      [
+        ("eig_path", Json.String "companion");
+        ("eig_fallback", Json.String (Mq.Spectral.fallback_name why));
+      ]
 
 let evaluate_inner ?pool ?max_iter ?(strategy = Exact) model =
   let verdict = Model.stability model in
-  if not verdict.Mq.Stability.stable then Error (Unstable verdict)
+  if not verdict.Mq.Stability.stable then
+    (Error (Unstable verdict), nothing_solved)
   else
     match strategy with
     | Exact ->
-        analytic model verdict strategy ~solve:(Mq.Spectral.solve ?max_iter)
+        analytic model verdict strategy
+          ~solve:(fun q ->
+            let result, path = Mq.Spectral.solve_with_path ?max_iter q in
+            (result, path_fields path))
           ~error:(function
             | Mq.Spectral.Unstable v -> Unstable v
             | e -> Solver_failure (render Mq.Spectral.pp_error e))
           ~answer:(fun sol ->
+            let eigenvalues = Array.length (Mq.Spectral.eigenvalues sol) in
+            let residual = Mq.Spectral.residual sol in
             ( Mq.Spectral.mean_queue_length sol,
               Mq.Spectral.mean_response_time sol,
               Mq.Spectral.dominant_eigenvalue sol,
               [
-                ("urs_spectral_residual", Mq.Spectral.residual sol);
-                ( "urs_spectral_eigenvalues",
-                  float_of_int (Array.length (Mq.Spectral.eigenvalues sol)) );
+                ("eigenvalues", Json.Int eigenvalues);
+                ("residual", Json.Float residual);
+                ( "boundary_condition",
+                  Json.Float (Mq.Spectral.boundary_condition sol) );
+              ],
+              [
+                ("urs_spectral_residual", residual);
+                ("urs_spectral_eigenvalues", float_of_int eigenvalues);
               ] ))
     | Approximate ->
-        analytic model verdict strategy ~solve:Mq.Geometric.solve
+        analytic model verdict strategy
+          ~solve:(fun q -> (Mq.Geometric.solve q, []))
           ~error:(function
             | Mq.Geometric.Unstable v -> Unstable v
             | e -> Solver_failure (render Mq.Geometric.pp_error e))
@@ -90,16 +164,24 @@ let evaluate_inner ?pool ?max_iter ?(strategy = Exact) model =
             ( Mq.Geometric.mean_queue_length sol,
               Mq.Geometric.mean_response_time sol,
               Mq.Geometric.dominant_eigenvalue sol,
+              [],
               [] ))
     | Matrix_geometric ->
-        analytic model verdict strategy ~solve:Mq.Matrix_geometric.solve
+        analytic model verdict strategy
+          ~solve:(fun q -> (Mq.Matrix_geometric.solve q, []))
           ~error:(function
             | Mq.Matrix_geometric.Unstable v -> Unstable v
             | e -> Solver_failure (render Mq.Matrix_geometric.pp_error e))
           ~answer:(fun sol ->
+            let rho = Mq.Matrix_geometric.spectral_radius_estimate sol in
             ( Mq.Matrix_geometric.mean_queue_length sol,
               Mq.Matrix_geometric.mean_response_time sol,
-              Mq.Matrix_geometric.spectral_radius_estimate sol,
+              rho,
+              [
+                ("spectral_radius", Json.Float rho);
+                ( "r_iterations",
+                  Json.Int (Mq.Matrix_geometric.r_iterations sol) );
+              ],
               [] ))
     | Simulation opts ->
         let cfg =
@@ -116,8 +198,8 @@ let evaluate_inner ?pool ?max_iter ?(strategy = Exact) model =
           Urs_sim.Replicate.run ?pool ~seed:opts.seed
             ~replications:opts.replications ~duration:opts.duration cfg
         in
-        Ok
-          ( {
+        ( Ok
+            {
               strategy_used = strategy;
               mean_jobs = summary.Urs_sim.Replicate.mean_jobs.estimate;
               mean_response = summary.Urs_sim.Replicate.mean_response.estimate;
@@ -126,7 +208,7 @@ let evaluate_inner ?pool ?max_iter ?(strategy = Exact) model =
               confidence_half_width =
                 Some summary.Urs_sim.Replicate.mean_jobs.half_width;
             },
-            [] )
+          nothing_solved )
 
 let ledger_params model =
   [
@@ -140,19 +222,20 @@ let ledger_params model =
   ]
 
 let evaluate ?pool ?max_iter ?(strategy = Exact) model =
-  let labels = [ ("strategy", strategy_label strategy) ] in
+  let label = strategy_label strategy in
+  let labels = [ ("strategy", label) ] in
   Metrics.inc
     (Metrics.counter ~labels ~help:"Solver.evaluate calls"
        "urs_solver_calls_total");
   let t0 = Span.now () in
-  let result =
+  let result, solved =
     Span.with_ ~name:"urs_solver_evaluate" ~labels (fun () ->
         evaluate_inner ?pool ?max_iter ~strategy model)
   in
   let wall = Span.now () -. t0 in
-  let outcome, summary, gauges =
+  let outcome, summary =
     match result with
-    | Ok (p, gauges) ->
+    | Ok p ->
         Metrics.inc
           (Metrics.counter ~labels ~help:"Solver.evaluate successes"
              "urs_solver_success_total");
@@ -170,18 +253,22 @@ let evaluate ?pool ?max_iter ?(strategy = Exact) model =
               (match p.confidence_half_width with
               | Some hw -> [ ("ci_half_width", Json.Float hw) ]
               | None -> []);
-            ],
-          gauges )
+              solved.fields;
+            ] )
     | Error e ->
         Metrics.inc
           (Metrics.counter ~labels ~help:"Solver.evaluate failures"
              "urs_solver_failures_total");
-        ("error", [ ("error", Json.String (render pp_error e)) ], [])
+        ("error", ("error", Json.String (render pp_error e)) :: solved.fields)
   in
-  Ledger.record ~kind:"solver.evaluate" ~strategy:(strategy_label strategy)
-    ~params:(ledger_params model) ~wall_seconds:wall ~outcome ~summary ~gauges
-    ();
-  Result.map fst result
+  List.iter
+    (fun (name, v) ->
+      Metrics.set (List.assoc (label, name) last_solve_gauges) v)
+    solved.gauges;
+  Ledger.record ~kind:"solver.evaluate" ~strategy:label
+    ~params:(ledger_params model @ solved.params)
+    ~wall_seconds:wall ~outcome ~summary ~gauges:solved.gauges ();
+  result
 
 let evaluate_exn ?pool ?max_iter ?strategy model =
   match evaluate ?pool ?max_iter ?strategy model with

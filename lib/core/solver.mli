@@ -62,13 +62,22 @@ val evaluate :
 
     Besides the per-strategy call/success/failure counters and the
     [urs_solver_evaluate] span, every call appends one
-    ["solver.evaluate"] record to the active {!Urs_obs.Ledger}
-    (strategy, model parameters, wall time, and the performance summary
-    or the error). Its [gauges] are the values of this call's own solve,
-    under the names of the last-solve gauges: [urs_spectral_dominant_z]
-    for the three analytic strategies, and for [Exact] also
-    [urs_spectral_residual] and [urs_spectral_eigenvalues] — so the
-    record is the same whatever runs on other pool domains. *)
+    ["solver.evaluate"] record to the active {!Urs_obs.Ledger}, the
+    only record of the solve: strategy, model parameters (with
+    [modes], the QBD's mode count, for the analytic strategies), wall
+    time, and the performance summary or the error. The analytic
+    strategies add their solver's fields to the summary: for [Exact]
+    [eigenvalues], [residual], [boundary_condition], and [eig_path]
+    with, after a fallback, [eig_fallback] (also on a failed solve,
+    once the eigenvalue stage ran); for [Matrix_geometric]
+    [spectral_radius] and [r_iterations]. Its [gauges] are the values
+    of this call's own solve, under the names of the last-solve gauges:
+    [urs_spectral_dominant_z] for the three analytic strategies, and
+    for [Exact] also [urs_spectral_residual] and
+    [urs_spectral_eigenvalues] — so the record is the same whatever
+    runs on other pool domains. A successful call sets those gauges,
+    labelled with its strategy, from the same values; nothing else
+    sets them. *)
 
 val evaluate_exn :
   ?pool:Urs_exec.Pool.t ->
@@ -83,6 +92,10 @@ val strategy_name : strategy -> string
 
 val strategy_label : strategy -> string
 (** Short metric/ledger label: ["exact"], ["approx"], ["mg"], ["sim"]. *)
+
+val strategy_of_label : string -> strategy option
+(** The inverse of {!strategy_label}; ["sim"] gives [Simulation] with
+    {!default_sim_options}. [None] for any other string. *)
 
 val ledger_params : Model.t -> (string * Urs_obs.Json.t) list
 (** The model parameters recorded with every ledger entry. *)

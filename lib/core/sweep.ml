@@ -122,14 +122,11 @@ let over_repair_times ?strategy ?pool ?cache model ~values =
           None
         end
         else
-          let m =
-            Model.create ~servers:model.Model.servers
-              ~arrival_rate:model.Model.arrival_rate
-              ~service_rate:model.Model.service_rate
-              ~operative:model.Model.operative
-              ~inoperative:(D.exponential ~rate:(1.0 /. mean_repair)) ()
-          in
-          Some (mean_repair, param, m))
+          Some
+            ( mean_repair,
+              param,
+              Model.with_inoperative model
+                (D.exponential ~rate:(1.0 /. mean_repair)) ))
       values
   in
   run_points ?strategy ?pool ?cache ~sweep:"repair_times" points
@@ -160,13 +157,7 @@ let over_operative_scv ?strategy ?pool ?cache model ~pinned_rate ~values =
                      e));
             None
         | Ok operative ->
-            let m =
-              Model.create ~servers:model.Model.servers
-                ~arrival_rate:model.Model.arrival_rate
-                ~service_rate:model.Model.service_rate ~operative
-                ~inoperative:model.Model.inoperative ()
-            in
-            Some (scv, param, m))
+            Some (scv, param, Model.with_operative model operative))
       values
   in
   run_points ?strategy ?pool ?cache ~sweep:"operative_scv" points

@@ -38,7 +38,8 @@ val over_repair_times :
   (float * Solver.performance) list
 (** Sweep the {e mean} inoperative period (1/η, Figure 7's x-axis),
     replacing the model's inoperative distribution by an exponential
-    with that mean. *)
+    with that mean ({!Model.with_inoperative}: the rest of the model,
+    repair crews included, stays). *)
 
 val over_operative_scv :
   ?strategy:Solver.strategy ->
@@ -53,7 +54,9 @@ val over_operative_scv :
     current operative mean, using
     {!Urs_prob.Fit.h2_of_mean_scv_pinned_rate} with the given pinned
     rate. A value of exactly [0.] builds a deterministic distribution
-    (only valid with a simulation strategy, as in the paper). *)
+    (only valid with a simulation strategy, as in the paper). The rest
+    of the model, repair crews included, stays
+    ({!Model.with_operative}). *)
 
 val over_loads :
   ?strategy:Solver.strategy ->

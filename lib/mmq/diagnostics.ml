@@ -4,8 +4,6 @@
    well-conditioned and the balance residuals are tiny). Each probe is
    scored against two thresholds; the worst score wins. *)
 
-module Metrics = Urs_obs.Metrics
-
 type verdict = Ok | Degraded of string list | Suspect of string list
 
 (* ---- thresholds ---- *)
@@ -400,28 +398,3 @@ let check_ci ~label ~estimate ~half_width () =
     complain sc 1
       (Printf.sprintf "%s: relative CI half-width %.2e (degraded)" label rel);
   (rel, close sc)
-
-(* ---- gauges ---- *)
-
-let m_status component =
-  Metrics.gauge
-    ~labels:[ ("component", component) ]
-    ~help:"Health verdict of the last check: 0 ok, 1 degraded, 2 suspect"
-    "urs_health_status"
-
-let m_value check =
-  Metrics.gauge
-    ~labels:[ ("check", check) ]
-    ~help:"Value of the named numerical-health probe (last check)"
-    "urs_health_value"
-
-let observe_verdict ~component v =
-  Metrics.set (m_status component) (float_of_int (severity v))
-
-let observe_spectral r =
-  observe_verdict ~component:"spectral" r.verdict;
-  Metrics.set (m_value "balance_residual") r.balance_residual;
-  Metrics.set (m_value "eigen_residual") r.eigen_residual;
-  Metrics.set (m_value "mass_defect") r.mass_defect;
-  Metrics.set (m_value "boundary_condition") r.boundary_condition;
-  Metrics.set (m_value "stability_margin") r.stability_margin

@@ -5,7 +5,8 @@
     simulation confidence-interval width, cross-method agreement) is
     scored against two thresholds and folded into a severity verdict.
     The verdicts back the [urs doctor] CLI subcommand and the
-    [/healthz] endpoint of [urs serve]. *)
+    [/healthz] endpoint of [urs serve]; [Doctor] exports them as
+    gauges. *)
 
 type verdict =
   | Ok  (** All probes within tolerance. *)
@@ -42,14 +43,14 @@ type spectral_report = {
 }
 
 val check_spectral : Spectral.t -> spectral_report
-(** Run every a-posteriori probe on a solved model. Pure: does not
-    touch gauges (use {!observe_spectral}). A balance or eigenpair
-    residual or a mass defect at or above [1e-10] degrades the verdict
-    and at or above [1e-6] makes it suspect; so does a boundary LU
-    pivot-ratio condition estimate at [1e10] and [1e14]. A positive
-    stability margin below [1e-3] degrades (the spectral solve goes
-    ill-conditioned as utilization approaches 1); a margin that is not
-    positive, or a dominant eigenvalue outside (0, 1), is suspect. *)
+(** Run every a-posteriori probe on a solved model. A balance or
+    eigenpair residual or a mass defect at or above [1e-10] degrades
+    the verdict and at or above [1e-6] makes it suspect; so does a
+    boundary LU pivot-ratio condition estimate at [1e10] and [1e14]. A
+    positive stability margin below [1e-3] degrades (the spectral solve
+    goes ill-conditioned as utilization approaches 1); a margin that is
+    not positive, or a dominant eigenvalue outside (0, 1), is
+    suspect. *)
 
 val pp_spectral_report : Format.formatter -> spectral_report -> unit
 
@@ -124,12 +125,3 @@ val check_ci :
 (** Is the simulation's own confidence interval tight enough relative
     to its estimate? Returns the relative half-width and its verdict:
     degraded from [0.05], suspect from [0.5]. *)
-
-(** {1 Gauges}
-
-    Verdicts are exported as [urs_health_status{component="..."}]
-    (0 ok / 1 degraded / 2 suspect) and probe values as
-    [urs_health_value{check="..."}], both with last-write semantics. *)
-
-val observe_verdict : component:string -> verdict -> unit
-val observe_spectral : spectral_report -> unit

@@ -1,15 +1,4 @@
 module V = Urs_linalg.Vec
-module Metrics = Urs_obs.Metrics
-module Span = Urs_obs.Span
-module Ledger = Urs_obs.Ledger
-module Json = Urs_obs.Json
-
-let strategy_labels = [ ("strategy", "approx") ]
-
-let m_dominant =
-  Metrics.gauge ~labels:strategy_labels
-    ~help:"Dominant eigenvalue z_s of the last solve (last write)"
-    "urs_spectral_dominant_z"
 
 type error =
   | Unstable of Stability.verdict
@@ -32,7 +21,7 @@ type t = { qbd : Qbd.t; z : float; weights : V.t }
 (* sign-scan resolution for locating the dominant root in (0, 1) *)
 let scan_points = 400
 
-let solve_inner q =
+let solve q =
   let env = Qbd.env q in
   let verdict = Stability.check ~env ~lambda:(Qbd.lambda q) ~mu:(Qbd.mu q) in
   if not verdict.Stability.stable then Error (Unstable verdict)
@@ -64,22 +53,6 @@ let solve_inner q =
         let weights = V.scale (1.0 /. V.sum u) u in
         Ok { qbd = q; z; weights }
   end
-
-let solve q =
-  let t0 = Span.now () in
-  let result = solve_inner q in
-  let wall = Span.now () -. t0 in
-  let outcome, summary =
-    match result with
-    | Ok sol ->
-        Metrics.set m_dominant sol.z;
-        ("ok", [ ("dominant_z", Json.Float sol.z) ])
-    | Error e ->
-        ("error", [ ("error", Json.String (Format.asprintf "%a" pp_error e)) ])
-  in
-  Ledger.record ~kind:"geometric.solve" ~strategy:"approx"
-    ~params:(Qbd.ledger_params q) ~wall_seconds:wall ~outcome ~summary ();
-  result
 
 let qbd t = t.qbd
 

@@ -29,11 +29,10 @@ type t
 
 val solve : Qbd.t -> (t, error) result
 (** Locate [z_s] by a 400-point sign scan of [det Q(z)] over (0, 1)
-    and Brent's refinement of the largest bracketed root. Appends one
-    ["geometric.solve"] record to the {!Urs_obs.Ledger} when one is
-    active; the refinement runs through {!Urs_obs.Convergence.track}
-    (solver ["brent"]), whose trace is not converged when the scan
-    finds no root or the refinement is exhausted. *)
+    and Brent's refinement of the largest bracketed root. The
+    refinement runs through {!Urs_obs.Convergence.track} (solver
+    ["brent"]), whose trace is not converged when the scan finds no
+    root or the refinement is exhausted. *)
 
 val qbd : t -> Qbd.t
 

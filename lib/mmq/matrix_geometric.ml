@@ -1,17 +1,6 @@
 module M = Urs_linalg.Matrix
 module V = Urs_linalg.Vec
 module Lu = Urs_linalg.Lu
-module Metrics = Urs_obs.Metrics
-module Span = Urs_obs.Span
-module Ledger = Urs_obs.Ledger
-module Json = Urs_obs.Json
-
-let strategy_labels = [ ("strategy", "mg") ]
-
-let m_dominant =
-  Metrics.gauge ~labels:strategy_labels
-    ~help:"Spectral radius of R from the last solve (last write)"
-    "urs_spectral_dominant_z"
 
 type error =
   | Unstable of Stability.verdict
@@ -32,7 +21,7 @@ type t = {
   iterations : int;
   boundary : V.t array; (* v_0 .. v_{N-1} *)
   v_n : V.t; (* v_N; higher levels via powers of R *)
-  rho : float; (* sp(R), filled by [solve] once its span has closed *)
+  rho : float; (* sp(R) *)
 }
 
 exception Solve_error of error
@@ -81,7 +70,21 @@ let compute_r ~tol ~max_iter q =
     raise (Solve_error (No_convergence { iterations; delta }));
   (r, iterations)
 
-let solve_inner ~tol ~max_iter q =
+(* sp(R) by 200 steps of power iteration *)
+let power_radius r =
+  let x = ref (Array.make r.M.rows 1.0) in
+  let lam = ref 0.0 in
+  for _ = 1 to 200 do
+    let y = M.mul_vec r !x in
+    let norm = V.norm_inf y in
+    if norm > 0.0 then begin
+      lam := norm;
+      x := V.scale (1.0 /. norm) y
+    end
+  done;
+  !lam
+
+let solve ?(tol = 1e-13) ?(max_iter = 200_000) q =
   let env = Qbd.env q in
   let s = Qbd.s q in
   let verdict = Stability.check ~env ~lambda:(Qbd.lambda q) ~mu:(Qbd.mu q) in
@@ -121,7 +124,7 @@ let solve_inner ~tol ~max_iter q =
           iterations;
           boundary = Array.map realize b.Qbd.levels;
           v_n = realize b.Qbd.gamma;
-          rho = nan;
+          rho = power_radius r;
         }
     with
     | Solve_error e -> Error e
@@ -134,48 +137,9 @@ let r_matrix t = M.copy t.r
 
 let r_iterations t = t.iterations
 
-(* sp(R) by 200 steps of power iteration *)
-let power_radius r =
-  let x = ref (Array.make r.M.rows 1.0) in
-  let lam = ref 0.0 in
-  for _ = 1 to 200 do
-    let y = M.mul_vec r !x in
-    let norm = V.norm_inf y in
-    if norm > 0.0 then begin
-      lam := norm;
-      x := V.scale (1.0 /. norm) y
-    end
-  done;
-  !lam
-
 let spectral_radius_estimate t = t.rho
 
 let num_servers t = Environment.servers (Qbd.env t.qbd)
-
-let solve ?(tol = 1e-13) ?(max_iter = 200_000) q =
-  let t0 = Span.now () in
-  let result =
-    Span.with_ ~name:"urs_mg_solve" (fun () -> solve_inner ~tol ~max_iter q)
-  in
-  let wall = Span.now () -. t0 in
-  let result =
-    Result.map (fun sol -> { sol with rho = power_radius sol.r }) result
-  in
-  let outcome, summary =
-    match result with
-    | Ok sol ->
-        Metrics.set m_dominant sol.rho;
-        ( "ok",
-          [
-            ("spectral_radius", Json.Float sol.rho);
-            ("r_iterations", Json.Int sol.iterations);
-          ] )
-    | Error e ->
-        ("error", [ ("error", Json.String (Format.asprintf "%a" pp_error e)) ])
-  in
-  Ledger.record ~kind:"mg.solve" ~strategy:"mg" ~params:(Qbd.ledger_params q)
-    ~wall_seconds:wall ~outcome ~summary ();
-  result
 
 let vector_at t j =
   if j < 0 then invalid_arg "Matrix_geometric: negative level";

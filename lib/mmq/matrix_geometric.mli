@@ -40,9 +40,7 @@ val r_iterations : t -> int
 val spectral_radius_estimate : t -> float
 (** Estimate of [sp(R)] by 200 steps of power iteration; must equal the
     dominant spectral-expansion eigenvalue [z_s]. {!solve} computes it
-    once, after its span closes, and publishes that value in the
-    [urs_spectral_dominant_z{strategy="mg"}] gauge and the [mg.solve]
-    ledger record's [spectral_radius]; this returns the same value. *)
+    once; this returns that value. *)
 
 val probability : t -> mode:int -> jobs:int -> float
 val level_probability : t -> int -> float

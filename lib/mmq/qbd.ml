@@ -94,15 +94,6 @@ let mu t = t.mu
 
 let s t = Environment.num_modes t.env
 
-let ledger_params t =
-  Urs_obs.Json.
-    [
-      ("servers", Int (Environment.servers t.env));
-      ("modes", Int (s t));
-      ("lambda", Float t.lambda);
-      ("mu", Float t.mu);
-    ]
-
 let a t = M.copy t.a
 
 let b t = M.copy t.b

@@ -27,10 +27,6 @@ val mu : t -> float
 val s : t -> int
 (** Number of operational modes. *)
 
-val ledger_params : t -> (string * Urs_obs.Json.t) list
-(** [servers], [modes], [lambda], [mu]: the parameters of every QBD
-    solver's ledger record. *)
-
 val a : t -> Urs_linalg.Matrix.t
 (** The mode-transition block [A]. *)
 

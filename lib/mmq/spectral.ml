@@ -10,38 +10,10 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 module Metrics = Urs_obs.Metrics
 module Span = Urs_obs.Span
-module Ledger = Urs_obs.Ledger
-module Json = Urs_obs.Json
 
-let m_solves =
-  Metrics.counter ~help:"Spectral solve attempts" "urs_spectral_solves_total"
-
-let m_failures =
-  Metrics.counter ~help:"Spectral solves that returned an error"
-    "urs_spectral_failures_total"
-
-(* Result-summary gauges have last-write semantics (see Metrics.mli):
-   under a sweep they describe the final point only, with the per-solve
-   history going to the ledger. They are labelled by solver strategy so
-   the approximate and matrix-geometric solvers can publish comparable
-   values side by side. *)
-
-let strategy_labels = [ ("strategy", "exact") ]
-
-let m_eigenvalues =
-  Metrics.gauge ~labels:strategy_labels
-    ~help:"Eigenvalues found inside the unit disk (last solve)"
-    "urs_spectral_eigenvalues"
-
-let m_dominant =
-  Metrics.gauge ~labels:strategy_labels
-    ~help:"Dominant eigenvalue z_s (last successful solve)"
-    "urs_spectral_dominant_z"
-
-let m_residual =
-  Metrics.gauge ~labels:strategy_labels
-    ~help:"A-posteriori balance/normalization residual (last successful solve)"
-    "urs_spectral_residual"
+(* The counters the benchmark's traced run reads beside the solver's
+   spans; the record of a solve and its last-solve gauges are written
+   by [Solver.evaluate]. *)
 
 let m_lu =
   Metrics.counter
@@ -243,7 +215,6 @@ let solve_stages ~path ?max_iter q =
                         raise
                           (Solve_error (Numerical "singular arrival block")))))
       in
-      Metrics.set m_eigenvalues (float_of_int (Array.length zs));
       if Array.length zs <> s then begin
         Log.warn (fun m ->
             m "expected %d eigenvalues inside the unit disk, found %d" s
@@ -579,49 +550,19 @@ let boundary_condition t = t.boundary_condition
 let residual t = t.residual
 
 (* public entry point: the staged solve wrapped in a span, then the
-   residual (an accuracy certificate), the summary gauges and one
-   ledger record *)
-let solve ?max_iter q =
-  Metrics.inc m_solves;
-  let t0 = Span.now () in
+   residual (an accuracy certificate) *)
+let solve_with_path ?max_iter q =
   let path = ref None in
   let staged =
     Span.with_ ~name:"urs_spectral_solve" (fun () ->
         solve_stages ~path ?max_iter q)
   in
-  let wall = Span.now () -. t0 in
   let result =
     Result.map (fun sol -> { sol with residual = balance_residual sol }) staged
   in
-  let outcome, summary =
-    match result with
-    | Ok sol ->
-        Metrics.set m_dominant (dominant_eigenvalue sol);
-        Metrics.set m_residual sol.residual;
-        ( "ok",
-          [
-            ("eigenvalues", Json.Int (Array.length sol.zs));
-            ("dominant_z", Json.Float (dominant_eigenvalue sol));
-            ("residual", Json.Float sol.residual);
-            ("boundary_condition", Json.Float sol.boundary_condition);
-          ] )
-    | Error e ->
-        Metrics.inc m_failures;
-        Log.info (fun m -> m "spectral solve failed: %a" pp_error e);
-        ("error", [ ("error", Json.String (Format.asprintf "%a" pp_error e)) ])
-  in
-  (* which eigenvalue path ran, and why the definite one did not *)
-  let path_fields =
-    match !path with
-    | None -> []
-    | Some Definite -> [ ("eig_path", Json.String "definite") ]
-    | Some (Companion why) ->
-        [
-          ("eig_path", Json.String "companion");
-          ("eig_fallback", Json.String (fallback_name why));
-        ]
-  in
-  Ledger.record ~kind:"spectral.solve" ~strategy:"exact"
-    ~params:(Qbd.ledger_params q) ~wall_seconds:wall ~outcome
-    ~summary:(summary @ path_fields) ();
-  result
+  Result.iter_error
+    (fun e -> Log.info (fun m -> m "spectral solve failed: %a" pp_error e))
+    result;
+  (result, !path)
+
+let solve ?max_iter q = fst (solve_with_path ?max_iter q)

@@ -73,19 +73,22 @@ val solve : ?max_iter:int -> Qbd.t -> (t, error) result
     count in [urs_spectral_lu_factorizations_total].
 
     A successful solve computes its {!residual} once, after the
-    [urs_spectral_solve] span closes. Each call updates the last-solve
-    gauges ([urs_spectral_eigenvalues] / [urs_spectral_dominant_z] /
-    [urs_spectral_residual], labelled [strategy="exact"]) and appends
-    one ["spectral.solve"] record (parameters, wall time, residual,
-    boundary condition, or the error) to the {!Urs_obs.Ledger} when
-    one is active; once the eigenvalue stage has run, the record also
-    carries [eig_path] ([definite] or [companion]) and, after a
-    fallback, [eig_fallback] ([not_reversible], [no_gap_shift],
-    [cholesky], [count] or [ql_cap]). The QL and the Francis QR
+    [urs_spectral_solve] span closes. The QL and the Francis QR
     iterations run through {!Urs_obs.Convergence.track}: with recording
     on each leaves a per-sweep ["qr"] convergence trace (off-diagonal
     residual, shift, deflations), not converged when it reaches its
-    cap; both count in [urs_qr_sweeps_total]. *)
+    cap; both count in [urs_qr_sweeps_total]. The solve writes no
+    ledger record and sets no gauge: [Solver.evaluate] records it. *)
+
+val solve_with_path :
+  ?max_iter:int -> Qbd.t -> (t, error) result * eig_path option
+(** {!solve}, with the path the eigenvalue stage took beside the result
+    — also when the solve fails after that stage ran; [None] when it
+    failed before (an unstable model). *)
+
+val fallback_name : fallback -> string
+(** ["not_reversible"], ["no_gap_shift"], ["cholesky"], ["count"] or
+    ["ql_cap"]. *)
 
 val qbd : t -> Qbd.t
 

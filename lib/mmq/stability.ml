@@ -1,10 +1,3 @@
-module Metrics = Urs_obs.Metrics
-
-let m_margin =
-  Metrics.gauge
-    ~help:"Stability margin 1 - utilization of the last checked model (last write)"
-    "urs_stability_margin"
-
 type verdict = {
   offered_load : float;
   effective_capacity : float;
@@ -19,16 +12,12 @@ let check ~env ~lambda ~mu =
     invalid_arg "Stability.check: lambda and mu must be positive";
   let offered_load = lambda /. mu in
   let effective_capacity = Environment.mean_operative_servers env in
-  let v =
-    {
-      offered_load;
-      effective_capacity;
-      utilization = offered_load /. effective_capacity;
-      stable = offered_load < effective_capacity;
-    }
-  in
-  Metrics.set m_margin (margin v);
-  v
+  {
+    offered_load;
+    effective_capacity;
+    utilization = offered_load /. effective_capacity;
+    stable = offered_load < effective_capacity;
+  }
 
 let max_arrival_rate ~env ~mu = mu *. Environment.mean_operative_servers env
 

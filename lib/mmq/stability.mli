@@ -12,8 +12,6 @@ type verdict = {
 }
 
 val check : env:Environment.t -> lambda:float -> mu:float -> verdict
-(** Also records the margin of the checked model in the
-    [urs_stability_margin] gauge (last-write semantics). *)
 
 val margin : verdict -> float
 (** [1 - utilization]: how far from saturation the model sits. Negative

@@ -26,9 +26,11 @@ type record = {
   seq : int;  (** Per-process sequence number, 1-based. *)
   time : float;  (** {!Span.now} at append time (Unix seconds). *)
   kind : string;
-      (** Call-site family: ["solver.evaluate"], ["spectral.solve"],
-          ["sweep.point"], ["sim.replication"], ["bench.section"],
-          ["doctor.run"]. *)
+      (** Call-site family: ["solver.evaluate"] (the one record of a
+          solve, whatever its strategy), ["sweep.point"],
+          ["convergence"], ["sim.replication"], ["sim.summary"],
+          ["bench.section"], ["doctor.run"], ["http.access"],
+          ["loadgen"], ["slo"]. *)
   strategy : string option;  (** Solver strategy label, when relevant. *)
   params : (string * Json.t) list;  (** Model / run parameters. *)
   wall_seconds : float;

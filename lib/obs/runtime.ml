@@ -366,8 +366,6 @@ let clear_events () =
 
 let gc_slices () = locked (fun () -> List.rev ev.slices)
 
-let counter_samples () = locked (fun () -> List.rev ev.counters)
-
 (* Perfetto merge: GC slices as complete events on the owning domain's
    track (pid 2 keeps them visually separate from spans), counter
    samples as "C" events which Perfetto renders as counter tracks. *)

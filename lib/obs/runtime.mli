@@ -103,17 +103,6 @@ val gc_slices : unit -> slice list
     explicit GC entry points), chronological, capped at an internal
     bound. *)
 
-type counter_sample = {
-  counter : string;
-  c_domain : int;
-  t_s : float;
-  value : float;
-}
-
-val counter_samples : unit -> counter_sample list
-(** Allocation/heap counter samples (minor allocated/promoted, major
-    heap pool words), chronological, capped at an internal bound. *)
-
 val perfetto_events : unit -> Json.t list
 (** The collected slices and counter samples as Chrome trace events —
     ["ph":"X"] GC slices per domain tid and ["ph":"C"] counter tracks —

@@ -81,6 +81,17 @@ let test_solver_little_law () =
   check_float ~tol:1e-12 "W = L/λ" (p.Urs.Solver.mean_jobs /. 4.0)
     p.Urs.Solver.mean_response
 
+let test_solver_strategy_labels () =
+  let open Urs.Solver in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (strategy_label s ^ " round-trips")
+        true
+        (strategy_of_label (strategy_label s) = Some s))
+    [ Exact; Approximate; Matrix_geometric; Simulation default_sim_options ];
+  Alcotest.(check bool) "unknown label" true (strategy_of_label "magic" = None)
+
 let test_solver_unstable_error () =
   let m = paper_model ~servers:2 ~lambda:5.0 in
   match Urs.Solver.evaluate m with
@@ -230,6 +241,53 @@ let test_sweep_repair_times () =
   | [ a; b; c ] ->
       Alcotest.(check bool) "L grows with repair time" true (a < b && b < c)
   | _ -> Alcotest.fail "unexpected shape")
+
+(* Every sweep axis keeps the model's repair crews: each point equals
+   Solver.evaluate of the same crew-limited model, built directly. *)
+let test_sweep_keeps_repair_crews () =
+  let module D = Urs_prob.Distribution in
+  let crewed ?(servers = 5) ?(lambda = 3.0)
+      ?(operative = Urs.Model.paper_operative)
+      ?(inoperative = D.exponential ~rate:5.0) () =
+    Urs.Model.create ~repair_crews:1 ~servers ~arrival_rate:lambda
+      ~service_rate:1.0 ~operative ~inoperative ()
+  in
+  let m = crewed () in
+  let check axis model_at points =
+    Alcotest.(check int) (axis ^ ": all solved") 2 (List.length points);
+    List.iter
+      (fun (x, (p : Urs.Solver.performance)) ->
+        let expected = (Urs.Solver.evaluate_exn (model_at x)).mean_jobs in
+        if Int64.bits_of_float p.mean_jobs <> Int64.bits_of_float expected
+        then
+          Alcotest.failf "%s at %g: L = %.12g, the crew-limited model's %.12g"
+            axis x p.mean_jobs expected)
+      points
+  in
+  check "servers"
+    (fun n -> crewed ~servers:(int_of_float n) ())
+    (List.map
+       (fun (n, p) -> (float_of_int n, p))
+       (Urs.Sweep.over_servers m ~values:[ 4; 6 ]));
+  check "arrival rates"
+    (fun lambda -> crewed ~lambda ())
+    (Urs.Sweep.over_arrival_rates m ~values:[ 2.0; 3.5 ]);
+  check "repair times"
+    (fun mean -> crewed ~inoperative:(D.exponential ~rate:(1.0 /. mean)) ())
+    (Urs.Sweep.over_repair_times m ~values:[ 0.04; 0.2 ]);
+  let mean = D.mean Urs.Model.paper_operative in
+  check "operative scv"
+    (fun scv ->
+      match
+        Urs_prob.Fit.h2_of_mean_scv_pinned_rate ~mean ~scv ~pinned_rate:0.1663
+      with
+      | Ok h2 -> crewed ~operative:(D.Hyperexponential h2) ()
+      | Error _ -> Alcotest.failf "no H2 fit at scv %g" scv)
+    (Urs.Sweep.over_operative_scv m ~pinned_rate:0.1663 ~values:[ 4.0; 10.0 ]);
+  let capacity = (Urs.Model.stability m).Urs_mmq.Stability.effective_capacity in
+  check "loads"
+    (fun load -> crewed ~lambda:(load *. capacity) ())
+    (Urs.Sweep.over_loads m ~values:[ 0.3; 0.6 ])
 
 let test_linspace () =
   match Urs.Sweep.linspace 0.0 1.0 5 with
@@ -456,6 +514,8 @@ let () =
         [
           Alcotest.test_case "strategies agree" `Slow test_solver_strategies_agree;
           Alcotest.test_case "little's law" `Quick test_solver_little_law;
+          Alcotest.test_case "strategy labels" `Quick
+            test_solver_strategy_labels;
           Alcotest.test_case "unstable error" `Quick test_solver_unstable_error;
           Alcotest.test_case "non-phase-type routing" `Slow
             test_solver_non_phase_type_needs_simulation;
@@ -483,6 +543,8 @@ let () =
             test_sweep_scv_monotone;
           Alcotest.test_case "repair times (figure 7)" `Quick
             test_sweep_repair_times;
+          Alcotest.test_case "repair crews on every axis" `Quick
+            test_sweep_keeps_repair_crews;
           Alcotest.test_case "linspace" `Quick test_linspace;
         ] );
       ( "solve-service",

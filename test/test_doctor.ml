@@ -97,9 +97,10 @@ let test_cross_check_scoring () =
   | _, Suspect _ -> ()
   | _, v -> Alcotest.failf "useless CI: %s" (Format.asprintf "%a" pp_verdict v)
 
+(* the doctor exports the spectral probes of the models it checks *)
 let test_health_gauges () =
-  let rep = Diagnostics.check_spectral (solved ~servers:5 ~lambda:4.0) in
-  Diagnostics.observe_spectral rep;
+  ignore
+    (Urs.Doctor.check_model (Urs.Doctor.paper_model ~servers:5 ~lambda:4.0));
   (match
      Urs_obs.Metrics.value
        ~labels:[ ("component", "spectral") ]

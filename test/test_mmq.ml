@@ -1122,7 +1122,8 @@ let test_mmc_min_servers () =
    with one-way phases and so complex eigenvalues, Erlang-k (k = 2..4)
    or Coxian-2 ones; exponential or H2 repairs; loads 0.3..0.9 of the
    mean operative capacity. N <= 5 for H2/exponential, N <= 4 up to
-   four phases and N <= 3 beyond, which keeps s <= 56. *)
+   four phases and N <= 3 beyond, which keeps s <= 56. A draw is its
+   label, the environment, λ (µ = 1) and the same system as a model. *)
 let gen_system =
   let open QCheck2.Gen in
   let* kind = oneofl [ `H2; `Erlang; `Coxian ] in
@@ -1179,13 +1180,21 @@ let gen_system =
       (if h2_repairs then "H2" else "exponential")
       servers util
   in
-  return (label, env, lambda)
+  let model =
+    Urs.Model.create ~servers ~arrival_rate:lambda ~service_rate:1.0
+      ~operative:(Urs_prob.Distribution.Phase_type operative)
+      ~inoperative:
+        (Urs_prob.Distribution.Phase_type
+           (Urs_prob.Phase_type.of_hyperexponential inop))
+      ()
+  in
+  return (label, env, lambda, model)
 
-let print_system (label, _, _) = label
+let print_system (label, _, _, _) = label
 
 let prop_spectral_consistency =
   QCheck2.Test.make ~name:"spectral solution self-consistent" ~count:25
-    ~print:print_system gen_system (fun (_, env, lambda) ->
+    ~print:print_system gen_system (fun (_, env, lambda, _) ->
       if lambda <= 0.0 then true
       else begin
         let q = Qbd.create ~env ~lambda ~mu:1.0 in
@@ -1207,7 +1216,7 @@ let prop_spectral_consistency =
    with a tail mass below 1e-10 *)
 let prop_spectral_equals_mg =
   QCheck2.Test.make ~name:"spectral = matrix-geometric" ~count:15
-    ~print:print_system gen_system (fun (_, env, lambda) ->
+    ~print:print_system gen_system (fun (_, env, lambda, _) ->
       if lambda <= 0.0 then true
       else begin
         let q = Qbd.create ~env ~lambda ~mu:1.0 in
@@ -1231,7 +1240,7 @@ let prop_spectral_equals_mg =
 
 let prop_geometric_upper_bound_heavyish =
   QCheck2.Test.make ~name:"dominant eigenvalue in (0,1)" ~count:25
-    ~print:print_system gen_system (fun (_, env, lambda) ->
+    ~print:print_system gen_system (fun (_, env, lambda, _) ->
       if lambda <= 0.0 then true
       else begin
         let q = Qbd.create ~env ~lambda ~mu:1.0 in
@@ -1241,6 +1250,102 @@ let prop_geometric_upper_bound_heavyish =
             let z = Geometric.dominant_eigenvalue geo in
             z > 0.0 && z < 1.0
       end)
+
+(* One cache-missing Solver.evaluate writes one ledger record, its
+   solver.evaluate record, for each analytic strategy. The record's
+   [modes] parameter, its summary after the performance fields and its
+   gauges hold the solution's own accessors, floats to the bit, and the
+   last-solve gauges of the strategy read the same values. *)
+let prop_one_record_per_solve =
+  let module Ledger = Urs_obs.Ledger in
+  let module Json = Urs_obs.Json in
+  let module Solver = Urs.Solver in
+  let bits = Int64.bits_of_float in
+  let same (k, v) (k', w) =
+    k = k'
+    &&
+    match (v, w) with
+    | Json.Float x, Json.Float y -> Int64.equal (bits x) (bits y)
+    | v, w -> v = w
+  in
+  let same_list xs ys =
+    List.length xs = List.length ys && List.for_all2 same xs ys
+  in
+  let floats = List.map (fun (k, v) -> (k, Json.Float v)) in
+  let recorded model strategy ~modes ~fields ~gauges =
+    Ledger.reset ();
+    Ledger.set_memory true;
+    let records =
+      Fun.protect ~finally:Ledger.reset (fun () ->
+          ignore (Solver.evaluate ~strategy model);
+          Ledger.recent ())
+    in
+    let label = Solver.strategy_label strategy in
+    let last (name, _) =
+      ( name,
+        Option.value ~default:nan
+          (Urs_obs.Metrics.value ~labels:[ ("strategy", label) ] name) )
+    in
+    match records with
+    | [ r ] when r.Ledger.kind = "solver.evaluate" ->
+        (* mean_jobs, mean_response and utilization come first *)
+        let solver_fields =
+          match r.Ledger.summary with _ :: _ :: _ :: tail -> tail | _ -> []
+        in
+        List.assoc_opt "modes" r.Ledger.params = Some modes
+        && same_list solver_fields fields
+        && same_list (floats r.Ledger.gauges) (floats gauges)
+        && same_list (floats (List.map last gauges)) (floats gauges)
+    | rs -> QCheck2.Test.fail_reportf "%s: %d records" label (List.length rs)
+  in
+  QCheck2.Test.make ~name:"one solver.evaluate record per solve" ~count:10
+    ~print:print_system gen_system (fun (_, _, _, model) ->
+      let q = Option.get (Urs.Model.qbd model) in
+      let modes = Json.Int (Qbd.s q) in
+      let sp = Result.get_ok (Spectral.solve q) in
+      let z = Spectral.dominant_eigenvalue sp in
+      let residual = Spectral.residual sp in
+      let path =
+        match Spectral.eig_path sp with
+        | Spectral.Definite -> [ ("eig_path", Json.String "definite") ]
+        | Spectral.Companion why ->
+            [
+              ("eig_path", Json.String "companion");
+              ("eig_fallback", Json.String (Spectral.fallback_name why));
+            ]
+      in
+      let mg = Result.get_ok (Matrix_geometric.solve q) in
+      let rho = Matrix_geometric.spectral_radius_estimate mg in
+      let zg =
+        Geometric.dominant_eigenvalue (Result.get_ok (Geometric.solve q))
+      in
+      recorded model Solver.Exact ~modes
+        ~fields:
+          ([
+             ("dominant_z", Json.Float z);
+             ("eigenvalues", modes);
+             ("residual", Json.Float residual);
+             ( "boundary_condition",
+               Json.Float (Spectral.boundary_condition sp) );
+           ]
+          @ path)
+        ~gauges:
+          [
+            ("urs_spectral_dominant_z", z);
+            ("urs_spectral_residual", residual);
+            ("urs_spectral_eigenvalues", float_of_int (Qbd.s q));
+          ]
+      && recorded model Solver.Matrix_geometric ~modes
+           ~fields:
+             [
+               ("dominant_z", Json.Float rho);
+               ("spectral_radius", Json.Float rho);
+               ("r_iterations", Json.Int (Matrix_geometric.r_iterations mg));
+             ]
+           ~gauges:[ ("urs_spectral_dominant_z", rho) ]
+      && recorded model Solver.Approximate ~modes
+           ~fields:[ ("dominant_z", Json.Float zg) ]
+           ~gauges:[ ("urs_spectral_dominant_z", zg) ])
 
 (* ---- the definite path of reversible models ---- *)
 
@@ -1333,22 +1438,19 @@ let prop_definite_structure =
         true
       end)
 
-(* every spectral.solve ledger record names its eigenvalue path, and
-   after a fallback the reason *)
+(* every solver.evaluate record of an exact solve names its eigenvalue
+   path, and after a fallback the reason, also when the solve fails *)
 let test_ledger_eig_path () =
   let module Ledger = Urs_obs.Ledger in
   let module Json = Urs_obs.Json in
-  let path_fields solve =
+  let module D = Urs_prob.Distribution in
+  let path_fields ?max_iter model =
     Ledger.reset ();
     Ledger.set_memory true;
     Fun.protect ~finally:Ledger.reset (fun () ->
-        ignore (solve ());
-        match
-          List.filter
-            (fun (r : Ledger.record) -> r.Ledger.kind = "spectral.solve")
-            (Ledger.recent ())
-        with
-        | [ r ] ->
+        ignore (Urs.Solver.evaluate ?max_iter model);
+        match Ledger.recent () with
+        | [ r ] when r.Ledger.kind = "solver.evaluate" ->
             List.filter_map
               (fun key ->
                 match List.assoc_opt key r.Ledger.summary with
@@ -1357,21 +1459,26 @@ let test_ledger_eig_path () =
               [ "eig_path"; "eig_fallback" ]
         | rs -> Alcotest.failf "expected one record, got %d" (List.length rs))
   in
-  let paper = Qbd.create ~env:(paper_env ~servers:5) ~lambda:4.0 ~mu:1.0 in
+  let paper =
+    Urs.Model.create ~servers:5 ~arrival_rate:4.0 ~service_rate:1.0
+      ~operative:Urs.Model.paper_operative
+      ~inoperative:Urs.Model.paper_inoperative_exp ()
+  in
   Alcotest.(check (list string))
-    "paper model" [ "eig_path=definite" ]
-    (path_fields (fun () -> Spectral.solve paper));
+    "paper model" [ "eig_path=definite" ] (path_fields paper);
   Alcotest.(check (list string))
     "Erlang-3 model"
     [ "eig_path=companion"; "eig_fallback=not_reversible" ]
-    (path_fields (fun () ->
-         Spectral.solve (Qbd.create ~env:(erlang3_env ()) ~lambda:2.0 ~mu:1.0)));
+    (path_fields
+       (Urs.Model.create ~servers:3 ~arrival_rate:2.0 ~service_rate:1.0
+          ~operative:(D.erlang ~k:3 ~rate:0.3)
+          ~inoperative:(D.exponential ~rate:2.0) ()));
   (* a QL stopped at its cap falls back; the Francis QR, held to the
      same cap, then fails the solve *)
   Alcotest.(check (list string))
     "QL at its cap"
     [ "eig_path=companion"; "eig_fallback=ql_cap" ]
-    (path_fields (fun () -> Spectral.solve ~max_iter:1 paper))
+    (path_fields ~max_iter:1 paper)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest in
@@ -1517,5 +1624,6 @@ let () =
             prop_spectral_consistency;
             prop_spectral_equals_mg;
             prop_geometric_upper_bound_heavyish;
+            prop_one_record_per_solve;
           ] );
     ]

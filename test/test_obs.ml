@@ -426,7 +426,7 @@ let with_clean_ledger f =
   Fun.protect ~finally:Ledger.reset f
 
 let sample_record () =
-  Ledger.record ~kind:"spectral.solve" ~strategy:"exact"
+  Ledger.record ~kind:"solver.evaluate" ~strategy:"exact"
     ~params:[ ("servers", Json.Int 5); ("lambda", Json.Float 4.0) ]
     ~wall_seconds:0.012
     ~summary:[ ("residual", Json.Float 6.1e-16) ]
@@ -457,7 +457,7 @@ let test_ledger_file_roundtrip () =
       | Ok ([ a; b ], 0) ->
           Alcotest.(check int) "seq stamps" 1 a.Ledger.seq;
           Alcotest.(check int) "seq stamps" 2 b.Ledger.seq;
-          Alcotest.(check string) "kind" "spectral.solve" a.Ledger.kind;
+          Alcotest.(check string) "kind" "solver.evaluate" a.Ledger.kind;
           Alcotest.(check (option string))
             "strategy" (Some "exact") a.Ledger.strategy;
           check_float "wall" 0.012 a.Ledger.wall_seconds;
@@ -2376,7 +2376,7 @@ let test_solver_traces () =
             ignore (Urs_mmq.Matrix_geometric.solve ~max_iter:5 q))));
   Conv.reset ()
 
-(* ---- regression: metrics recorded by a spectral solve ---- *)
+(* ---- regression: metrics recorded by an exact evaluate ---- *)
 
 let test_spectral_solve_metrics () =
   let m =
@@ -2384,16 +2384,12 @@ let test_spectral_solve_metrics () =
       ~operative:Urs.Model.paper_operative
       ~inoperative:Urs.Model.paper_inoperative_exp ()
   in
-  let q =
-    match Urs.Model.qbd m with
-    | Some q -> q
-    | None -> Alcotest.fail "paper model should be phase-type"
-  in
-  (match Urs_mmq.Spectral.solve q with
+  (match Urs.Solver.evaluate m with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "solve failed: %a" Urs_mmq.Spectral.pp_error e);
-  (* the last-solve gauges are labelled by strategy since the geometric
-     and matrix-geometric solvers publish the same families *)
+  | Error e -> Alcotest.failf "evaluate failed: %a" Urs.Solver.pp_error e);
+  (* Solver.evaluate sets the last-solve gauges, labelled by strategy
+     since the approximate and matrix-geometric evaluations publish the
+     same families *)
   let exact = [ ("strategy", "exact") ] in
   (* N=5 servers in a 3-phase environment (2 operative + 1 repair) give
      C(5+2,2) = 21 states, hence 21 eigenvalues inside the unit disk *)
@@ -2458,8 +2454,8 @@ let test_evaluate_perfbench_reads () =
 
 (* A matrix-geometric evaluate reports one sp(R), computed once by
    Matrix_geometric.solve: the answer's dominant eigenvalue, the mg
-   gauge, the mg.solve record's spectral_radius and the solver.evaluate
-   record's gauge have the same bits. *)
+   gauge, and the solver.evaluate record's spectral_radius and gauge
+   have the same bits. *)
 let test_evaluate_mg_radius_once () =
   with_clean_ledger @@ fun () ->
   Ledger.set_memory true;
@@ -2482,31 +2478,25 @@ let test_evaluate_mg_radius_once () =
     | Some x -> Some (Int64.bits_of_float x)
     | None -> None
   in
-  let recent = Ledger.recent () in
-  let summary =
-    List.find_map
-      (fun (r : Ledger.record) ->
-        if r.Ledger.kind = "mg.solve" then
-          match List.assoc_opt "spectral_radius" r.Ledger.summary with
-          | Some (Json.Float x) -> Some x
-          | _ -> None
-        else None)
-      recent
-  and gauge =
-    List.find_map
-      (fun (r : Ledger.record) ->
-        if r.Ledger.kind = "solver.evaluate" then
-          List.assoc_opt "urs_spectral_dominant_z" r.Ledger.gauges
-        else None)
-      recent
+  let record =
+    match Ledger.recent () with
+    | [ r ] when r.Ledger.kind = "solver.evaluate" -> r
+    | rs ->
+        Alcotest.failf "expected one solver.evaluate record, got %d"
+          (List.length rs)
   in
+  let summary =
+    match List.assoc_opt "spectral_radius" record.Ledger.summary with
+    | Some (Json.Float x) -> Some x
+    | _ -> None
+  and gauge = List.assoc_opt "urs_spectral_dominant_z" record.Ledger.gauges in
   let expected = Some (Int64.bits_of_float rho) in
   Alcotest.(check bool) "0 < sp(R) < 1" true (rho > 0.0 && rho < 1.0);
   let mg_gauge =
     Metrics.value ~labels:[ ("strategy", "mg") ] "urs_spectral_dominant_z"
   in
   Alcotest.(check (option int64)) "mg gauge" expected (bits mg_gauge);
-  Alcotest.(check (option int64)) "mg.solve spectral_radius" expected
+  Alcotest.(check (option int64)) "solver.evaluate spectral_radius" expected
     (bits summary);
   Alcotest.(check (option int64)) "solver.evaluate gauge" expected (bits gauge)
 
